@@ -6,8 +6,8 @@ built on ternary chains (precedence), symmetry group descriptions (symmetry),
 a brute-force referee (oracle), DFS search (search), equivalence fuzzing
 (fuzz), witness checks (verify), and the Schur benchmark (schur, cli).
 """
-from .engine import (ANY_CHANGE, BOUNDS_CHANGE, AlwaysFail, IntVar, Model,
-                     PropagationStatus, Propagator, SetVar)
+from .engine import (AlwaysFail, IntVar, Model, PropagationStatus, Propagator,
+                     SetVar)
 from .propagators import (ExactlyOne, Implication, LessThan, LexChainComplete,
                           LexLeq, NotAllEqual3, SetCharChannel, TernaryTable,
                           ValueChannel, max_leq, min_geq, post_channel,

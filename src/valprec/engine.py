@@ -2,13 +2,16 @@
 
 Integer variables keep explicit membership domains, so propagators can do
 exact value-level pruning rather than bounds reasoning.  Set variables are
-interval-bounded (lower bound, upper bound, cardinality range).  All domain
-mutations go through the :class:`Model`, which records undo information on a
-trail; ``push_choice``/``pop_choice`` bracket search decisions.
+interval-bounded (lower bound, upper bound, fixed cardinality range).  A
+domain or bound is a frozenset that the :class:`Model` replaces and never
+mutates: every change trails one ``(owner, attribute, old_value)`` record,
+and ``push_choice``/``pop_choice`` bracket search decisions by restoring
+those records.
 
-Propagators subscribe to variable events.  A FIFO queue with per-propagator
-deduplication drives ``propagate`` to a fixpoint; a propagator that reports
-entailment is never woken again until backtracking undoes the report.
+A propagator watches variables.  Any change to a watched variable schedules
+it on a FIFO queue with per-propagator deduplication, and ``propagate`` runs
+the queue to a fixpoint; a propagator that reports entailment is never woken
+again until backtracking undoes the report.
 """
 from __future__ import annotations
 
@@ -22,16 +25,11 @@ class PropagationStatus(enum.Enum):
     FAILED = "failed"
 
 
-# Event kinds a propagator may watch on an integer variable.
-ANY_CHANGE = "any"
-BOUNDS_CHANGE = "bounds"
-
-
 class IntVar:
     """Integer variable with an explicit finite domain.
 
-    The domain set is owned by the model; read it through ``values()`` or
-    ``domain`` and mutate it only via model methods.
+    ``domain`` is a frozenset owned by the model, which replaces it on every
+    change; read it directly or through ``values()``.
     """
 
     __slots__ = ("index", "name", "domain", "watchers")
@@ -39,8 +37,8 @@ class IntVar:
     def __init__(self, index: int, values: Iterable[int], name: Optional[str]):
         self.index = index
         self.name = name or f"x{index}"
-        self.domain: set[int] = set(values)
-        self.watchers: list[tuple["Propagator", str]] = []
+        self.domain: frozenset[int] = frozenset(values)
+        self.watchers: list[Propagator] = []
 
     def values(self) -> tuple[int, ...]:
         return tuple(sorted(self.domain))
@@ -67,7 +65,10 @@ class IntVar:
 
 
 class SetVar:
-    """Set variable bounded by required elements, possible elements, and cardinality."""
+    """Set variable bounded by required elements, possible elements, and cardinality.
+
+    The model replaces the frozensets ``lb`` and ``ub``; cardinality is fixed.
+    """
 
     __slots__ = ("index", "name", "lb", "ub", "card_lo", "card_hi", "watchers")
 
@@ -75,8 +76,8 @@ class SetVar:
                  card: Optional[tuple[int, int]], name: Optional[str]):
         self.index = index
         self.name = name or f"s{index}"
-        self.lb: set[int] = set(lb)
-        self.ub: set[int] = set(ub)
+        self.lb: frozenset[int] = frozenset(lb)
+        self.ub: frozenset[int] = frozenset(ub)
         if not self.lb <= self.ub:
             raise ValueError(f"{self.name}: lower bound must be within upper bound")
         lo, hi = card if card is not None else (len(self.lb), len(self.ub))
@@ -84,7 +85,7 @@ class SetVar:
         if lo > hi:
             raise ValueError(f"{self.name}: empty cardinality range")
         self.card_lo, self.card_hi = lo, hi
-        self.watchers: list[tuple["Propagator", str]] = []
+        self.watchers: list[Propagator] = []
 
     def is_assigned(self) -> bool:
         return self.lb == self.ub
@@ -97,18 +98,17 @@ class Propagator:
     """Base class for propagators.
 
     Subclasses implement ``filter(model) -> bool`` (False means failure) and
-    list their watches as ``(var, event)`` pairs before posting.  A filter may
+    list the variables they watch in ``watches`` before posting.  A filter may
     call ``model.set_entailed(self)`` once its constraint can no longer be
     violated; the engine then stops waking it on this branch.
     """
 
-    __slots__ = ("pid", "entailed", "queued", "watches")
+    __slots__ = ("entailed", "queued", "watches")
 
     def __init__(self):
-        self.pid = -1
         self.entailed = False
         self.queued = False
-        self.watches: list[tuple[object, str]] = []
+        self.watches: list[IntVar | SetVar] = []
 
     def filter(self, model: "Model") -> bool:
         raise NotImplementedError
@@ -121,23 +121,20 @@ class AlwaysFail(Propagator):
         return False
 
 
-# Trail record tags.
-_INT_RM = 0      # (tag, var, removed frozenset)
-_SET_LB = 1      # (tag, var, added frozenset)
-_SET_UB = 2      # (tag, var, removed frozenset)
-_SET_CARD = 3    # (tag, var, old_lo, old_hi)
-_ENTAIL = 4      # (tag, propagator)
-
-
 class Model:
-    """A constraint model: variables, propagators, trail, and the queue."""
+    """A constraint model: variables, propagators, trail, and the queue.
+
+    A change that would empty a domain, or break a set variable's bounds or
+    cardinality, leaves the variable as it was and marks the model failed.
+    Nothing reads a domain between a failure and the next ``pop_choice``.
+    """
 
     def __init__(self):
         self.int_vars: list[IntVar] = []
         self.set_vars: list[SetVar] = []
         self.propagators: list[Propagator] = []
         self.posted_counts: dict[str, int] = {}
-        self._trail: list[tuple] = []
+        self._trail: list[tuple[object, str, object]] = []
         self._marks: list[int] = []
         self._queue: deque[Propagator] = deque()
         self._failed = False
@@ -145,7 +142,7 @@ class Model:
     # ------------------------------------------------------------------ vars
 
     def add_fd_var(self, values: Iterable[int], name: Optional[str] = None) -> IntVar:
-        vals = set(values)
+        vals = frozenset(values)
         if not vals:
             raise ValueError("cannot create a variable with an empty domain")
         v = IntVar(len(self.int_vars), vals, name)
@@ -162,11 +159,10 @@ class Model:
     # ----------------------------------------------------------- propagators
 
     def post(self, prop: Propagator, category: str = "user") -> Propagator:
-        prop.pid = len(self.propagators)
         self.propagators.append(prop)
         self.posted_counts[category] = self.posted_counts.get(category, 0) + 1
-        for var, event in prop.watches:
-            var.watchers.append((prop, event))
+        for var in prop.watches:
+            var.watchers.append(prop)
         self._schedule(prop)
         return prop
 
@@ -175,91 +171,63 @@ class Model:
 
     def set_entailed(self, prop: Propagator) -> None:
         if not prop.entailed:
+            self._trail.append((prop, "entailed", False))
             prop.entailed = True
-            self._trail.append((_ENTAIL, prop))
 
     # ------------------------------------------------------------- mutation
+
+    def _replace(self, var: IntVar | SetVar, attr: str,
+                 new: frozenset[int]) -> None:
+        """Trail ``var.attr``, set it to ``new`` and wake ``var``'s watchers."""
+        self._trail.append((var, attr, getattr(var, attr)))
+        setattr(var, attr, new)
+        for prop in var.watchers:
+            self._schedule(prop)
 
     def remove_value(self, var: IntVar, v: int) -> bool:
         """Remove ``v`` from ``var``; False on domain wipeout."""
         if v not in var.domain:
             return True
-        had_bound = v == min(var.domain) or v == max(var.domain)
-        var.domain.discard(v)
-        self._trail.append((_INT_RM, var, frozenset((v,))))
-        if not var.domain:
+        if len(var.domain) == 1:
             self._failed = True
             return False
-        self._wake_int(var, had_bound)
+        self._replace(var, "domain", var.domain - {v})
         return True
 
     def retain_values(self, var: IntVar, allowed: Iterable[int]) -> bool:
         """Restrict ``var`` to ``allowed``; False on wipeout."""
-        allowed = set(allowed)
-        removed = var.domain - allowed
-        if not removed:
+        kept = var.domain.intersection(allowed)
+        if len(kept) == len(var.domain):
             return True
-        old_lo, old_hi = min(var.domain), max(var.domain)
-        var.domain -= removed
-        self._trail.append((_INT_RM, var, frozenset(removed)))
-        if not var.domain:
+        if not kept:
             self._failed = True
             return False
-        bounds = min(var.domain) != old_lo or max(var.domain) != old_hi
-        self._wake_int(var, bounds)
+        self._replace(var, "domain", kept)
         return True
 
     def assign(self, var: IntVar, v: int) -> bool:
-        if v not in var.domain:
-            self._failed = True
-            return False
+        """Fix ``var`` to ``v``; False if ``v`` is not in its domain."""
         return self.retain_values(var, (v,))
 
     def include_value(self, svar: SetVar, v: int) -> bool:
         """Add ``v`` to the lower bound of ``svar``; False on failure."""
         if v in svar.lb:
             return True
-        if v not in svar.ub:
+        if v not in svar.ub or len(svar.lb) >= svar.card_hi:
             self._failed = True
             return False
-        svar.lb.add(v)
-        self._trail.append((_SET_LB, svar, frozenset((v,))))
-        if len(svar.lb) > svar.card_hi:
-            self._failed = True
-            return False
-        self._wake_set(svar)
+        self._replace(svar, "lb", svar.lb | {v})
         return True
 
     def exclude_value(self, svar: SetVar, v: int) -> bool:
         """Remove ``v`` from the upper bound of ``svar``; False on failure."""
         if v not in svar.ub:
             return True
-        if v in svar.lb:
+        if v in svar.lb or len(svar.ub) <= svar.card_lo:
             self._failed = True
             return False
-        svar.ub.discard(v)
-        self._trail.append((_SET_UB, svar, frozenset((v,))))
-        if len(svar.ub) < svar.card_lo:
-            self._failed = True
-            return False
-        self._wake_set(svar)
+        self._replace(svar, "ub", svar.ub - {v})
         return True
-
-    def restrict_card(self, svar: SetVar, lo: int, hi: int) -> bool:
-        lo, hi = max(lo, svar.card_lo), min(hi, svar.card_hi)
-        if lo == svar.card_lo and hi == svar.card_hi:
-            return True
-        self._trail.append((_SET_CARD, svar, svar.card_lo, svar.card_hi))
-        svar.card_lo, svar.card_hi = lo, hi
-        if lo > hi or len(svar.lb) > hi or len(svar.ub) < lo:
-            self._failed = True
-            return False
-        self._wake_set(svar)
-        return True
-
-    def fail(self) -> None:
-        """Mark the current branch failed (used by constructions that detect wipeout)."""
-        self._failed = True
 
     # ----------------------------------------------------------------- queue
 
@@ -268,29 +236,16 @@ class Model:
             prop.queued = True
             self._queue.append(prop)
 
-    def _wake_int(self, var: IntVar, bounds_changed: bool) -> None:
-        for prop, event in var.watchers:
-            if event == ANY_CHANGE or bounds_changed:
-                self._schedule(prop)
-
-    def _wake_set(self, svar: SetVar) -> None:
-        for prop, _ in svar.watchers:
-            self._schedule(prop)
-
     def propagate(self) -> PropagationStatus:
         """Run queued propagators to a fixpoint."""
+        while self._queue and not self._failed:
+            prop = self._queue.popleft()
+            prop.queued = False
+            if not prop.entailed and not prop.filter(self):
+                self._failed = True
         if self._failed:
             self._clear_queue()
             return PropagationStatus.FAILED
-        while self._queue:
-            prop = self._queue.popleft()
-            prop.queued = False
-            if prop.entailed:
-                continue
-            if not prop.filter(self) or self._failed:
-                self._failed = True
-                self._clear_queue()
-                return PropagationStatus.FAILED
         return PropagationStatus.AT_FIXPOINT
 
     def _clear_queue(self) -> None:
@@ -307,18 +262,8 @@ class Model:
             raise RuntimeError("pop_choice without a matching push_choice")
         mark = self._marks.pop()
         while len(self._trail) > mark:
-            rec = self._trail.pop()
-            tag = rec[0]
-            if tag == _INT_RM:
-                rec[1].domain |= rec[2]
-            elif tag == _SET_LB:
-                rec[1].lb -= rec[2]
-            elif tag == _SET_UB:
-                rec[1].ub |= rec[2]
-            elif tag == _SET_CARD:
-                rec[1].card_lo, rec[1].card_hi = rec[2], rec[3]
-            else:
-                rec[1].entailed = False
+            owner, attr, old = self._trail.pop()
+            setattr(owner, attr, old)
         self._failed = False
         self._clear_queue()
 

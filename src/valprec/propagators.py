@@ -7,9 +7,9 @@ the posting helpers).
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .engine import ANY_CHANGE, IntVar, Model, Propagator, SetVar
+from .engine import IntVar, Model, Propagator, SetVar
 
 # --------------------------------------------------------------------- tables
 
@@ -24,7 +24,7 @@ class TernaryTable(Propagator):
         super().__init__()
         self.x, self.y, self.z = x, y, z
         self.triples = tuple(sorted(set(triples)))
-        self.watches = [(x, ANY_CHANGE), (y, ANY_CHANGE), (z, ANY_CHANGE)]
+        self.watches = [x, y, z]
 
     def filter(self, m: Model) -> bool:
         dx, dy, dz = self.x.domain, self.y.domain, self.z.domain
@@ -85,21 +85,29 @@ def max_leq(doms: Sequence[set[int]], bound: Sequence[int]) -> Optional[tuple[in
 
 
 def min_geq(doms: Sequence[set[int]], bound: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Smallest tuple of the product domain that is lexicographically >= bound."""
-    n = len(doms)
-    prefix: list[int] = []
-    for i in range(n):
-        v = min((c for c in doms[i] if c >= bound[i]), default=None)
-        if v is None:
-            for j in range(i - 1, -1, -1):
-                w = min((c for c in doms[j] if c > bound[j]), default=None)
-                if w is not None:
-                    return tuple(prefix[:j] + [w] + [min(doms[t]) for t in range(j + 1, n)])
-            return None
-        if v > bound[i]:
-            return tuple(prefix + [v] + [min(doms[t]) for t in range(i + 1, n)])
-        prefix.append(v)
-    return tuple(prefix)
+    """Smallest tuple of the product domain that is lexicographically >= bound.
+
+    Negation reverses lex order, so this is ``max_leq`` on negated domains.
+    """
+    t = max_leq([{-c for c in d} for d in doms], [-b for b in bound])
+    return None if t is None else tuple(-c for c in t)
+
+
+def _retain_supported(m: Model, xs: Sequence[IntVar], base: tuple[int, ...],
+                      supported: Callable[[tuple[int, ...]], bool]) -> bool:
+    """Keep each value v of ``xs[i]`` for which ``supported(base with v at i)``."""
+    row = list(base)
+    for i, var in enumerate(xs):
+        if len(var.domain) > 1:
+            keep = []
+            for v in sorted(var.domain):
+                row[i] = v
+                if supported(tuple(row)):
+                    keep.append(v)
+            row[i] = base[i]
+            if len(keep) < len(var.domain) and not m.retain_values(var, keep):
+                return False
+    return True
 
 
 class LexLeq(Propagator):
@@ -120,7 +128,7 @@ class LexLeq(Propagator):
         self.left = list(left)
         self.right = list(right)
         self.strict = strict
-        self.watches = [(v, ANY_CHANGE) for v in self.left + self.right]
+        self.watches = self.left + self.right
 
     def _ok(self, a: tuple, b: tuple) -> bool:
         return a < b if self.strict else a <= b
@@ -135,29 +143,9 @@ class LexLeq(Propagator):
         if self._ok(amax, bmin):
             m.set_entailed(self)
             return True
-        base = list(amin)
-        for i, var in enumerate(self.left):
-            if len(var.domain) > 1:
-                keep = []
-                for v in sorted(var.domain):
-                    base[i] = v
-                    if self._ok(tuple(base), bmax):
-                        keep.append(v)
-                base[i] = amin[i]
-                if len(keep) < len(var.domain) and not m.retain_values(var, keep):
-                    return False
-        base = list(bmax)
-        for i, var in enumerate(self.right):
-            if len(var.domain) > 1:
-                keep = []
-                for v in sorted(var.domain):
-                    base[i] = v
-                    if self._ok(amin, tuple(base)):
-                        keep.append(v)
-                base[i] = bmax[i]
-                if len(keep) < len(var.domain) and not m.retain_values(var, keep):
-                    return False
-        return True
+        return (_retain_supported(m, self.left, amin, lambda t: self._ok(t, bmax))
+                and _retain_supported(m, self.right, bmax, lambda t: self._ok(amin, t)))
+
 
 
 def post_lex_leq(model: Model, left: Sequence[IntVar], right: Sequence[IntVar],
@@ -182,7 +170,7 @@ class LexChainComplete(Propagator):
         if len(lengths) > 1:
             raise ValueError("chain columns must have equal length")
         self.columns = [list(c) for c in columns]
-        self.watches = [(v, ANY_CHANGE) for col in self.columns for v in col]
+        self.watches = [v for col in self.columns for v in col]
 
     def filter(self, m: Model) -> bool:
         k = len(self.columns)
@@ -255,7 +243,7 @@ class ExactlyOne(Propagator):
             if not b.domain <= {0, 1}:
                 raise ValueError("exactly-one requires 0/1 variables")
         self.bits = list(bits)
-        self.watches = [(b, ANY_CHANGE) for b in self.bits]
+        self.watches = list(self.bits)
 
     def filter(self, m: Model) -> bool:
         ones = [b for b in self.bits if b.domain == {1}]
@@ -301,7 +289,7 @@ class ValueChannel(Propagator):
         self.x = x
         self.bits = list(bits)
         self.values = list(values)
-        self.watches = [(x, ANY_CHANGE)] + [(b, ANY_CHANGE) for b in self.bits]
+        self.watches = [x] + self.bits
 
     def filter(self, m: Model) -> bool:
         x, bits, values = self.x, self.bits, self.values
@@ -350,7 +338,7 @@ class SetCharChannel(Propagator):
         self.svar = svar
         self.bits = list(bits)
         self.universe = list(universe)
-        self.watches = [(svar, ANY_CHANGE)] + [(b, ANY_CHANGE) for b in self.bits]
+        self.watches = [svar] + self.bits
 
     def filter(self, m: Model) -> bool:
         s = self.svar
@@ -384,7 +372,7 @@ class NotAllEqual3(Propagator):
     def __init__(self, x: IntVar, y: IntVar, z: IntVar):
         super().__init__()
         self.x, self.y, self.z = x, y, z
-        self.watches = [(x, ANY_CHANGE), (y, ANY_CHANGE), (z, ANY_CHANGE)]
+        self.watches = [x, y, z]
 
     def _neq(self, m: Model, a: IntVar, b: IntVar) -> bool:
         if a.is_assigned() and not m.remove_value(b, a.value()):
@@ -437,7 +425,7 @@ class Implication(Propagator):
         if op not in _OPS:
             raise ValueError(f"unknown comparison {op!r}")
         self.x, self.trigger, self.y, self.op, self.bound = x, trigger, y, op, bound
-        self.watches = [(x, ANY_CHANGE), (y, ANY_CHANGE)]
+        self.watches = [x, y]
 
     def filter(self, m: Model) -> bool:
         if self.trigger not in self.x.domain:
@@ -473,7 +461,7 @@ class LessThan(Propagator):
     def __init__(self, a: IntVar, b: IntVar):
         super().__init__()
         self.a, self.b = a, b
-        self.watches = [(a, ANY_CHANGE), (b, ANY_CHANGE)]
+        self.watches = [a, b]
 
     def filter(self, m: Model) -> bool:
         hi = self.b.max()

@@ -35,7 +35,6 @@ class Budget:
 
 @dataclass
 class SearchStats:
-    constraints_posted: int = 0
     backtracks: int = 0
     nodes: int = 0
     solutions: int = 0
@@ -130,5 +129,4 @@ def solve(model: Model, variables: Sequence[IntVar],
     descend()
     stats.wall_time = time.perf_counter() - t0
     stats.solutions = len(res.solutions)
-    stats.constraints_posted = model.posted_total()
     return res

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .engine import IntVar, Model, PropagationStatus
-from .fuzz import check_fd_instance, check_set_instance
+from .fuzz import _render_domains, check_fd_instance, check_set_instance
 from .oracle import all_precedence_holds, iterated_gac
 from .precedence import (encode_all_precedence, encode_matrix_precedence,
                          encode_pair_precedence, encode_puget_surjection,
@@ -64,12 +64,6 @@ def _post_pairwise(model: Model, values: Sequence[int],
             encode_pair_precedence(model, values[j], values[k], xs)
 
 
-def _doms(sets: Optional[Sequence[set[int]]]) -> str:
-    if sets is None:
-        return "failed"
-    return " ".join("{" + ",".join(map(str, sorted(s))) + "}" for s in sets)
-
-
 def _check_full_vs_pairwise() -> TheoremItem:
     domains = [{1}, {1, 2}, {1, 3}, {3, 4}]
     values = (1, 2, 3, 4)
@@ -84,8 +78,8 @@ def _check_full_vs_pairwise() -> TheoremItem:
         ok=ok,
         expected="chain and oracle prune 1 from X2; all-pairs decomposition "
                  "prunes nothing",
-        observed=f"chain: {_doms(full)}; oracle: {_doms(oracle)}; "
-                 f"pairwise: {_doms(pairwise)}")
+        observed=f"chain: {_render_domains(full)}; oracle: {_render_domains(oracle)}; "
+                 f"pairwise: {_render_domains(pairwise)}")
 
 
 def _check_partition_vs_per_class() -> TheoremItem:
@@ -104,8 +98,8 @@ def _check_partition_vs_per_class() -> TheoremItem:
         ok=ok,
         expected="joint chain and oracle fail; per-class chains reach a "
                  "consistent fixpoint",
-        observed=f"joint: {_doms(joint)}; oracle: {_doms(oracle)}; "
-                 f"per-class: {_doms(per_class)}")
+        observed=f"joint: {_render_domains(joint)}; oracle: {_render_domains(oracle)}; "
+                 f"per-class: {_render_domains(per_class)}")
 
 
 def _check_wreath_vs_pairwise() -> TheoremItem:
@@ -137,8 +131,9 @@ def _check_wreath_vs_pairwise() -> TheoremItem:
         ok=ok,
         expected="chain and oracle prune code 0 (pair <1,3>) from X2; "
                  "per-rule chains and their pairwise split prune nothing",
-        observed=f"chain: {_doms(chain)}; oracle: {_doms(oracle)}; "
-                 f"per-rule: {_doms(per_rule)}; pairwise: {_doms(pairwise)}")
+        observed=f"chain: {_render_domains(chain)}; oracle: {_render_domains(oracle)}; "
+                 f"per-rule: {_render_domains(per_rule)}; "
+                 f"pairwise: {_render_domains(pairwise)}")
 
 
 def _check_matrix_vs_chain() -> TheoremItem:
@@ -155,8 +150,8 @@ def _check_matrix_vs_chain() -> TheoremItem:
         ok=ok,
         expected="chain and oracle prune 2 from X1 and 3 from X2; "
                  "channelled matrix prunes neither",
-        observed=f"chain: {_doms(chain)}; oracle: {_doms(oracle)}; "
-                 f"matrix: {_doms(matrix)}")
+        observed=f"chain: {_render_domains(chain)}; oracle: {_render_domains(oracle)}; "
+                 f"matrix: {_render_domains(matrix)}")
 
 
 def _check_set_chain_vs_pairwise() -> TheoremItem:
@@ -212,8 +207,9 @@ def _check_surjection_vs_chain() -> TheoremItem:
         ok=ok,
         expected="implications stay at the stated fixpoint with X2 untouched; "
                  "chain and oracle prune 1 from X2",
-        observed=f"implication fixpoint X: {_doms(surj)}, Z: {_doms(z_doms)}; "
-                 f"chain: {_doms(chain)}; oracle: {_doms(oracle)}")
+        observed=f"implication fixpoint X: {_render_domains(surj)}, "
+                 f"Z: {_render_domains(z_doms)}; "
+                 f"chain: {_render_domains(chain)}; oracle: {_render_domains(oracle)}")
 
 
 def verify_theorems() -> TheoremReport:

@@ -77,6 +77,15 @@ def test_parser_rejects_bad_arguments():
         parser.parse_args(["schur", "--n", "4"])
     with pytest.raises(SystemExit):
         parser.parse_args([])
+    for argv in (["schur", "--n", "0", "--k", "3", "--sym", "all", "--mode", "first"],
+                 ["schur", "--n", "4", "--k", "0", "--sym", "all", "--mode", "first"],
+                 ["schur", "--n", "4", "--k", "2", "--sym", "all", "--mode", "first",
+                  "--budget-secs", "0"],
+                 ["fuzz", "--seed", "1", "--cases", "0"],
+                 ["fuzz", "--seed", "1", "--cases", "-5"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
 
 
 def test_module_entry_point_runs():

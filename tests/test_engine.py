@@ -1,9 +1,8 @@
-"""Core engine: domains, trail, queue, events, entailment."""
+"""Core engine: domains, trail, queue, watchers, entailment."""
 import pytest
 from hypothesis import given, strategies as st
 
-from valprec.engine import (ANY_CHANGE, BOUNDS_CHANGE, AlwaysFail, Model,
-                            PropagationStatus, Propagator)
+from valprec.engine import AlwaysFail, Model, PropagationStatus, Propagator
 
 
 def test_fd_var_basics():
@@ -76,15 +75,6 @@ def test_set_ops_and_guards():
     assert m.failed
 
 
-def test_restrict_card_guard():
-    m = Model()
-    s = m.add_set_var({1}, {1, 2, 3})
-    assert m.restrict_card(s, 2, 3)
-    assert (s.card_lo, s.card_hi) == (2, 3)
-    assert not m.restrict_card(s, 4, 5)
-    assert m.failed
-
-
 def test_push_pop_restores_everything():
     m = Model()
     x = m.add_fd_var([1, 2, 3])
@@ -95,7 +85,6 @@ def test_push_pop_restores_everything():
     m.remove_value(x, 1)
     m.include_value(s, 2)
     m.exclude_value(s, 3)
-    m.restrict_card(s, 2, 2)
     m.set_entailed(p)
     assert p.entailed
     m.pop_choice()
@@ -140,38 +129,35 @@ def test_posted_counts_by_category():
 class _Recorder(Propagator):
     """Counts filter calls; never prunes."""
 
-    def __init__(self, var, event):
+    def __init__(self, var):
         super().__init__()
         self.calls = 0
-        self.watches = [(var, event)]
+        self.watches = [var]
 
     def filter(self, model):
         self.calls += 1
         return True
 
 
-def test_bounds_event_filter():
+def test_watcher_woken_once_per_change():
     m = Model()
     x = m.add_fd_var([1, 2, 3, 4])
-    any_p = _Recorder(x, ANY_CHANGE)
-    bounds_p = _Recorder(x, BOUNDS_CHANGE)
-    m.post(any_p)
-    m.post(bounds_p)
+    p = _Recorder(x)
+    m.post(p)
     m.propagate()
-    any_p.calls = bounds_p.calls = 0
-    m.remove_value(x, 2)          # interior: no bounds change
+    p.calls = 0
+    m.remove_value(x, 2)          # interior value
     m.propagate()
-    assert any_p.calls == 1
-    assert bounds_p.calls == 0
-    m.remove_value(x, 1)          # min changed
+    assert p.calls == 1
+    m.remove_value(x, 1)          # the minimum
     m.propagate()
-    assert bounds_p.calls == 1
+    assert p.calls == 2
 
 
 def test_entailed_propagator_not_rescheduled():
     m = Model()
     x = m.add_fd_var([1, 2, 3])
-    p = _Recorder(x, ANY_CHANGE)
+    p = _Recorder(x)
     m.post(p)
     m.propagate()
     m.set_entailed(p)
@@ -186,10 +172,13 @@ def test_trail_restores_random_edits(data):
     m = Model()
     xs = [m.add_fd_var(range(1, 5)) for _ in range(3)]
     s = m.add_set_var(set(), {1, 2, 3})
-    snap = ([set(x.domain) for x in xs], set(s.lb), set(s.ub))
+    props = [m.post(_Recorder(x)) for x in xs]
+    m.set_entailed(props[0])
+    snap = ([set(x.domain) for x in xs], set(s.lb), set(s.ub),
+            [p.entailed for p in props])
     m.push_choice()
     for _ in range(data.draw(st.integers(0, 8))):
-        kind = data.draw(st.sampled_from(["rm", "inc", "exc"]))
+        kind = data.draw(st.sampled_from(["rm", "inc", "exc", "entail"]))
         if kind == "rm":
             x = xs[data.draw(st.integers(0, 2))]
             if len(x.domain) > 1:
@@ -198,10 +187,13 @@ def test_trail_restores_random_edits(data):
             free = sorted(s.ub - s.lb)
             if free:
                 m.include_value(s, data.draw(st.sampled_from(free)))
-        else:
+        elif kind == "exc":
             free = sorted(s.ub - s.lb)
             if free:
                 m.exclude_value(s, data.draw(st.sampled_from(free)))
+        else:
+            m.set_entailed(data.draw(st.sampled_from(props)))
     m.pop_choice()
     assert [set(x.domain) for x in xs] == snap[0]
     assert s.lb == snap[1] and s.ub == snap[2]
+    assert [p.entailed for p in props] == snap[3]

@@ -129,12 +129,6 @@ def test_search_branches_only_on_decision_variables():
     assert all(len(s) == 3 for s in res.solutions)
 
 
-def test_constraints_posted_recorded_in_stats():
-    m, xs = two_var_model()
-    res = solve(m, xs)
-    assert res.stats.constraints_posted == m.posted_total() == 1
-
-
 def test_invalid_heuristic_and_mode_rejected():
     with pytest.raises(ValueError):
         Heuristic(var="random")
