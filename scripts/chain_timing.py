@@ -9,6 +9,7 @@ import math
 import statistics
 import time
 
+from valprec.cli import positive
 from valprec.engine import Model, PropagationStatus
 from valprec.precedence import encode_pair_precedence
 
@@ -28,11 +29,14 @@ def propagate_seconds(n: int, d: int, repeats: int) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--lengths", type=int, nargs="+",
-                        default=[100, 200, 400, 800, 1600])
-    parser.add_argument("--domain-size", type=int, default=4)
-    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--lengths", type=positive(int), nargs="+",
+                        default=[100, 200, 400, 800, 1600],
+                        help="at least two distinct lengths for the fit")
+    parser.add_argument("--domain-size", type=positive(int), default=4)
+    parser.add_argument("--repeats", type=positive(int), default=7)
     args = parser.parse_args(argv)
+    if len(set(args.lengths)) < 2:
+        parser.error("--lengths needs at least two distinct values")
 
     times = []
     for n in args.lengths:

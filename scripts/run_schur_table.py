@@ -9,19 +9,20 @@ machine-readable copy.
 import argparse
 import sys
 
+from valprec.cli import positive
 from valprec.schur import SchurInstance, format_table, run_bench, write_csv
 from valprec.search import Budget
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--k3-max-n", type=int, default=15,
+    parser.add_argument("--k3-max-n", type=positive(int), default=15,
                         help="largest n for the k=3 all-solutions rows")
     parser.add_argument("--k4", action="store_true",
                         help="also run n=13..15 with k=4 in first-solution mode")
     parser.add_argument("--mode", choices=("first", "all"), default=None,
                         help="override the per-k default search mode")
-    parser.add_argument("--budget-secs", type=float, default=600.0)
+    parser.add_argument("--budget-secs", type=positive(float), default=600.0)
     parser.add_argument("--csv", metavar="PATH", default=None)
     args = parser.parse_args(argv)
 

@@ -14,17 +14,18 @@ from .propagators import (ExactlyOne, Implication, LessThan, LexChainComplete,
                           post_exactly_one, post_implications, post_less_than,
                           post_lex_chain, post_lex_leq, post_not_all_equal3,
                           post_table3)
-from .precedence import (ChainEncoding, MatrixEncoding, SetMatrixEncoding,
-                         SurjectionEncoding, encode_all_precedence,
-                         encode_increasing_seq, encode_matrix_precedence,
-                         encode_pair_precedence, encode_partial_precedence,
-                         encode_puget_surjection, encode_reflection_lex,
-                         encode_rotation_lex, encode_set_precedence,
-                         encode_wreath_precedence, post_state_chain)
+from .precedence import (TRANSITION_CAP, ChainEncoding, MatrixEncoding,
+                         SetMatrixEncoding, SurjectionEncoding,
+                         encode_all_precedence, encode_increasing_seq,
+                         encode_matrix_precedence, encode_pair_precedence,
+                         encode_partial_precedence, encode_puget_surjection,
+                         encode_reflection_lex, encode_rotation_lex,
+                         encode_set_precedence, encode_wreath_precedence,
+                         post_state_chain)
 from .symmetry import (FullInterchange, PairInterchange, PartitionInterchange,
                        SymmetrySpec, WreathInterchange, assignment_orbit,
                        value_permutations, variable_permutations)
-from .oracle import (Bounds, Orbit, OrbitReport, SetBounds, bc_by_definition,
+from .oracle import (Orbit, OrbitReport, SetBounds, bc_by_definition,
                      enumerate_orbits, enumerate_solutions, gac_by_definition,
                      gac_from_solutions, iterated_gac)
 from .search import Budget, Heuristic, SearchResult, SearchStats, solve

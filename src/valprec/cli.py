@@ -18,7 +18,7 @@ def _parse_heuristic(name: str) -> Heuristic:
     return Heuristic(var=var, val=val)
 
 
-def _positive(kind):
+def positive(kind):
     """Argparse type: ``kind(text)``, refused unless it is greater than zero."""
     def parse(text: str):
         value = kind(text)
@@ -36,13 +36,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     schur = sub.add_parser("schur", help="solve one Schur instance")
-    schur.add_argument("--n", type=_positive(int), required=True, help="interval length")
-    schur.add_argument("--k", type=_positive(int), required=True, help="number of classes")
+    schur.add_argument("--n", type=positive(int), required=True, help="interval length")
+    schur.add_argument("--k", type=positive(int), required=True, help="number of classes")
     schur.add_argument("--sym", choices=SYM_MODES, required=True,
                        help="symmetry breaking mode")
     schur.add_argument("--mode", choices=("first", "all"), required=True,
                        help="stop at the first solution or enumerate all")
-    schur.add_argument("--budget-secs", type=_positive(float), default=600.0,
+    schur.add_argument("--budget-secs", type=positive(float), default=600.0,
                        help="wall-clock cut-off (default 600)")
     schur.add_argument("--heuristic", choices=HEURISTICS, default="lex-asc")
     schur.add_argument("--csv", metavar="PATH", default=None,
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="randomized encoding-vs-oracle checks")
     fuzz.add_argument("--seed", type=int, required=True)
-    fuzz.add_argument("--cases", type=_positive(int), required=True)
+    fuzz.add_argument("--cases", type=positive(int), required=True)
 
     return parser
 

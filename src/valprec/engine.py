@@ -32,11 +32,10 @@ class IntVar:
     change; read it directly or through ``values()``.
     """
 
-    __slots__ = ("index", "name", "domain", "watchers")
+    __slots__ = ("name", "domain", "watchers")
 
-    def __init__(self, index: int, values: Iterable[int], name: Optional[str]):
-        self.index = index
-        self.name = name or f"x{index}"
+    def __init__(self, values: Iterable[int], name: str):
+        self.name = name
         self.domain: frozenset[int] = frozenset(values)
         self.watchers: list[Propagator] = []
 
@@ -70,12 +69,11 @@ class SetVar:
     The model replaces the frozensets ``lb`` and ``ub``; cardinality is fixed.
     """
 
-    __slots__ = ("index", "name", "lb", "ub", "card_lo", "card_hi", "watchers")
+    __slots__ = ("name", "lb", "ub", "card_lo", "card_hi", "watchers")
 
-    def __init__(self, index: int, lb: Iterable[int], ub: Iterable[int],
-                 card: Optional[tuple[int, int]], name: Optional[str]):
-        self.index = index
-        self.name = name or f"s{index}"
+    def __init__(self, lb: Iterable[int], ub: Iterable[int],
+                 card: Optional[tuple[int, int]], name: str):
+        self.name = name
         self.lb: frozenset[int] = frozenset(lb)
         self.ub: frozenset[int] = frozenset(ub)
         if not self.lb <= self.ub:
@@ -130,8 +128,8 @@ class Model:
     """
 
     def __init__(self):
-        self.int_vars: list[IntVar] = []
-        self.set_vars: list[SetVar] = []
+        self._int_count = 0
+        self._set_count = 0
         self.propagators: list[Propagator] = []
         self.posted_counts: dict[str, int] = {}
         self._trail: list[tuple[object, str, object]] = []
@@ -145,15 +143,15 @@ class Model:
         vals = frozenset(values)
         if not vals:
             raise ValueError("cannot create a variable with an empty domain")
-        v = IntVar(len(self.int_vars), vals, name)
-        self.int_vars.append(v)
+        v = IntVar(vals, name or f"x{self._int_count}")
+        self._int_count += 1
         return v
 
     def add_set_var(self, lb: Iterable[int], ub: Iterable[int],
                     card: Optional[tuple[int, int]] = None,
                     name: Optional[str] = None) -> SetVar:
-        s = SetVar(len(self.set_vars), lb, ub, card, name)
-        self.set_vars.append(s)
+        s = SetVar(lb, ub, card, name or f"s{self._set_count}")
+        self._set_count += 1
         return s
 
     # ----------------------------------------------------------- propagators

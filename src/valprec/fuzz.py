@@ -91,10 +91,10 @@ def check_set_instance(values: Sequence[int], bounds: SetInstance):
     present completeness is out of scope anyway.
     """
     enc = set_fixpoint(values, bounds)
-    pred = lambda ints, sets: set_precedence_holds(values, sets)
     orc_raw = bc_by_definition(
-        pred, [], [SetBounds(frozenset(lb), frozenset(ub)) for lb, ub in bounds])
-    orc = None if orc_raw is None else [(set(sb.lb), set(sb.ub)) for sb in orc_raw[1]]
+        lambda sets: set_precedence_holds(values, sets),
+        [SetBounds(frozenset(lb), frozenset(ub)) for lb, ub in bounds])
+    orc = None if orc_raw is None else [(set(sb.lb), set(sb.ub)) for sb in orc_raw]
     return enc == orc, enc, orc
 
 
@@ -257,6 +257,8 @@ def _random_set_case(rng: random.Random):
 def fuzz_equivalence(seed: int, cases: int,
                      max_n: int = 5, max_d: int = 5) -> FuzzReport:
     """Run ``cases`` random equivalence checks, rotating through the families."""
+    if cases <= 0:
+        raise ValueError(f"cases must be positive, got {cases}")
     if max_d ** max_n > ENUM_CAP:
         raise ValueError(
             f"caps give up to {max_d ** max_n} assignments, above the "

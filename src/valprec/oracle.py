@@ -174,13 +174,6 @@ def gac_from_solutions(solutions: Iterable[Sequence[int]],
 
 
 @dataclass(frozen=True)
-class Bounds:
-    """Interval domain of an integer variable."""
-    lo: int
-    hi: int
-
-
-@dataclass(frozen=True)
 class SetBounds:
     """Bound domain of a set variable: lb subset-of S subset-of ub, |S| in card."""
     lb: frozenset[int]
@@ -199,41 +192,30 @@ class SetBounds:
         return out
 
 
-def bc_by_definition(pred: Callable[..., bool],
-                     int_bounds: Sequence[Bounds],
-                     set_bounds: Sequence[SetBounds] = (),
-                     cap: int = ENUM_CAP):
-    """Bound-consistent closure by enumeration, None if unsatisfiable.
+def bc_by_definition(pred: Callable[[tuple[frozenset[int], ...]], bool],
+                     set_bounds: Sequence[SetBounds],
+                     cap: int = ENUM_CAP) -> Optional[list[SetBounds]]:
+    """Bound-consistent closure of set bounds by enumeration, None if unsatisfiable.
 
-    ``pred`` is called as pred(ints, sets) with a tuple of integers and a
-    tuple of frozensets.  Integer bounds shrink to the extreme supported
-    values; set lower bounds grow to the intersection of supports, upper
-    bounds shrink to their union, cardinalities to the extremes seen.
+    ``pred`` is called with a tuple of frozensets.  Lower bounds grow to the
+    intersection of supports, upper bounds shrink to their union,
+    cardinalities to the extremes seen.
     """
-    int_ranges = [range(b.lo, b.hi + 1) for b in int_bounds]
-    set_choices = [sb.subsets() for sb in set_bounds]
+    choices = [sb.subsets() for sb in set_bounds]
     size = 1
-    for r in int_ranges:
-        size *= len(r)
-    for c in set_choices:
+    for c in choices:
         size *= len(c)
     _check_cap(size, cap)
-    supports = [(ints, sets)
-                for ints in itertools.product(*int_ranges)
-                for sets in itertools.product(*set_choices)
-                if pred(ints, sets)]
+    supports = [sets for sets in itertools.product(*choices) if pred(sets)]
     if not supports:
         return None
-    new_ints = [Bounds(min(t[0][i] for t in supports), max(t[0][i] for t in supports))
-                for i in range(len(int_bounds))]
     new_sets = []
-    for i in range(len(set_bounds)):
-        seen = [t[1][i] for t in supports]
+    for seen in zip(*supports):
         lb = frozenset.intersection(*seen)
         ub = frozenset.union(*seen)
         cards = [len(s) for s in seen]
         new_sets.append(SetBounds(lb, ub, min(cards), max(cards)))
-    return new_ints, new_sets
+    return new_sets
 
 
 # ----------------------------------------------------------------- orbit tools

@@ -6,21 +6,22 @@ position i gets one table constraint over (X_i, Y_i, Y_{i+1}).  The resulting
 constraint graph is Berge-acyclic, so enforcing GAC on every table until
 fixpoint enforces GAC on the conjunction, i.e. on the global ordering rule.
 
-States are integers.  Encodings with structured states (per-class or per-outer
-counters) pack them mixed-radix inside their transition functions.
+An encoder gives the automaton as a step function over states of any sortable,
+hashable kind (an int, or a tuple of counters).  ``post_state_chain`` alone
+turns states into the integers the tables hold and bounds how big a chain may
+get.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from .engine import AlwaysFail, IntVar, Model, Propagator, SetVar
 from .propagators import (SetCharChannel, post_channel, post_exactly_one,
                           post_implications, post_less_than, post_lex_chain,
                           post_lex_leq, post_table3)
 
-PARTITION_STATE_CAP = 100_000
+TRANSITION_CAP = 1_000_000
 
 
 @dataclass
@@ -29,54 +30,50 @@ class ChainEncoding:
     state_vars: list[IntVar]
     propagators: list[Propagator]
 
-    @property
-    def final(self) -> IntVar:
-        return self.state_vars[-1]
-
 
 def post_state_chain(model: Model, xs: Sequence[IntVar],
-                     step: Callable[[int, int], Optional[int]],
-                     start: int,
-                     accept: Optional[Callable[[int], bool]] = None,
-                     label: str = "Y",
-                     category: str = "encoding") -> ChainEncoding:
+                     step: Callable[[Hashable, int], Optional[Hashable]],
+                     start: Hashable,
+                     accept: Optional[Callable[[Hashable], bool]] = None,
+                     label: str = "Y") -> ChainEncoding:
     """Post an automaton over xs as one ternary table per position.
 
     ``step(state, value)`` returns the successor state or None when the value
     is forbidden in that state.  Only states reachable from ``start`` that can
     still reach layer n (restricted to accepting states when ``accept`` is
     given) are materialized, so state variables carry exact initial domains.
+    Layer i's states become the values 0..k-1 of Y_i in sorted order.
+
+    Raises ValueError, before posting anything, when the forward pass would
+    try more than ``TRANSITION_CAP`` (state, value) pairs.
     """
     n = len(xs)
-    layers: list[set[int]] = [{start}]
-    for x in xs:
-        nxt = set()
-        for s in layers[-1]:
-            for v in x.domain:
-                t = step(s, v)
-                if t is not None:
-                    nxt.add(t)
-        layers.append(nxt)
+    layers: list[set] = [{start}]
+    edges: list[list[tuple]] = []
+    tried = 0
+    for i, x in enumerate(xs):
+        tried += len(layers[-1]) * len(x.domain)
+        if tried > TRANSITION_CAP:
+            raise ValueError(
+                f"chain {label} would try more than {TRANSITION_CAP} "
+                f"transitions by position {i} of {n}")
+        edges.append([(v, s, t) for s in layers[-1] for v in x.domain
+                      if (t := step(s, v)) is not None])
+        layers.append({t for _, _, t in edges[-1]})
     if accept is not None:
         layers[n] = {s for s in layers[n] if accept(s)}
     for i in range(n - 1, -1, -1):
-        dom = xs[i].domain
-        good = layers[i + 1]
-        layers[i] = {s for s in layers[i]
-                     if any(step(s, v) in good for v in dom)}
+        edges[i] = [e for e in edges[i] if e[2] in layers[i + 1]]
+        layers[i] = {s for _, s, _ in edges[i]}
     if not layers[0]:
-        return ChainEncoding([], [model.post(AlwaysFail(), category)])
-    svars = [model.add_fd_var(layer, name=f"{label}{i}")
+        return ChainEncoding([], [model.post(AlwaysFail(), "encoding")])
+    ids = [{s: k for k, s in enumerate(sorted(layer))} for layer in layers]
+    svars = [model.add_fd_var(range(len(layer)), name=f"{label}{i}")
              for i, layer in enumerate(layers)]
-    props: list[Propagator] = []
-    for i, x in enumerate(xs):
-        allowed = set()
-        for s in layers[i]:
-            for v in x.domain:
-                t = step(s, v)
-                if t is not None and t in layers[i + 1]:
-                    allowed.add((v, s, t))
-        props.append(post_table3(model, x, svars[i], svars[i + 1], allowed, category))
+    props = [post_table3(model, x, svars[i], svars[i + 1],
+                         [(v, ids[i][s], ids[i + 1][t]) for v, s, t in edges[i]],
+                         "encoding")
+             for i, x in enumerate(xs)]
     return ChainEncoding(svars, props)
 
 
@@ -84,8 +81,7 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
 
 
 def encode_pair_precedence(model: Model, first: int, second: int,
-                           xs: Sequence[IntVar],
-                           category: str = "encoding") -> ChainEncoding:
+                           xs: Sequence[IntVar]) -> ChainEncoding:
     """second may not occur strictly before the first occurrence of first.
 
     State 0 = first not seen yet (second forbidden), state 1 = first seen.
@@ -101,45 +97,52 @@ def encode_pair_precedence(model: Model, first: int, second: int,
         return s
 
     return post_state_chain(model, xs, step, start=0,
-                            label=f"B[{first}<{second}]", category=category)
+                            label=f"B[{first}<{second}]")
+
+
+def _class_chain(model: Model, classes: Sequence[Sequence[int]],
+                 xs: Sequence[IntVar]) -> ChainEncoding:
+    """First-occurrence order inside each of the disjoint value classes.
+
+    State = one occurrence counter per class: how many of its leading values
+    have occurred.  A value may appear only once all earlier values of its
+    class have; values outside every class leave the state unchanged.
+    """
+    place = {v: (ci, mi) for ci, cls in enumerate(classes)
+             for mi, v in enumerate(cls)}
+
+    def step(counts: tuple[int, ...], v: int) -> Optional[tuple[int, ...]]:
+        if v not in place:
+            return counts
+        ci, mi = place[v]
+        if mi < counts[ci]:
+            return counts
+        if mi == counts[ci]:
+            return counts[:ci] + (mi + 1,) + counts[ci + 1:]
+        return None
+
+    return post_state_chain(model, xs, step, start=(0,) * len(classes),
+                            label="Y")
 
 
 def encode_all_precedence(model: Model, values: Sequence[int],
-                          xs: Sequence[IntVar],
-                          category: str = "encoding") -> ChainEncoding:
+                          xs: Sequence[IntVar]) -> ChainEncoding:
     """First occurrences of the listed values appear in list order.
 
-    State = how many of the leading listed values have occurred; a value may
-    appear only once all earlier listed values have.  Unlisted values pass
-    through without touching the state.
+    Unlisted values pass through without touching the state.
     """
     if not values:
         raise ValueError("need at least one value")
     if len(set(values)) != len(values):
         raise ValueError("values must be distinct")
-    idx = {v: j for j, v in enumerate(values)}
-
-    def step(s: int, v: int) -> Optional[int]:
-        j = idx.get(v)
-        if j is None or j < s:
-            return s
-        if j == s:
-            return s + 1
-        return None
-
-    return post_state_chain(model, xs, step, start=0,
-                            label="Y", category=category)
+    return _class_chain(model, [values], xs)
 
 
 def encode_partial_precedence(model: Model, classes: Sequence[Sequence[int]],
-                              xs: Sequence[IntVar],
-                              state_cap: int = PARTITION_STATE_CAP,
-                              category: str = "encoding") -> ChainEncoding:
+                              xs: Sequence[IntVar]) -> ChainEncoding:
     """Independent first-occurrence ordering inside each value class.
 
-    State = one occurrence counter per class, packed little-endian with radix
-    len(class)+1.  Values outside every class leave the state unchanged, and
-    single-value classes impose nothing, so they are skipped.
+    Single-value classes impose nothing, so they are skipped.
     """
     if any(not cls for cls in classes):
         raise ValueError("classes must be non-empty")
@@ -149,61 +152,33 @@ def encode_partial_precedence(model: Model, classes: Sequence[Sequence[int]],
     classes = [cls for cls in classes if len(cls) > 1]
     if not classes:
         return ChainEncoding([], [])
-    radices = [len(cls) + 1 for cls in classes]
-    total = prod(radices)
-    if total > state_cap:
-        raise ValueError(
-            f"{total} tuple states exceed the cap of {state_cap}; "
-            "post one encoding per class instead")
-    place = {}
-    for ci, cls in enumerate(classes):
-        for mi, v in enumerate(cls):
-            place[v] = (ci, mi)
-    weights = [prod(radices[:i]) for i in range(len(radices))]
-
-    def step(s: int, v: int) -> Optional[int]:
-        if v not in place:
-            return s
-        ci, mi = place[v]
-        count = (s // weights[ci]) % radices[ci]
-        if mi < count:
-            return s
-        if mi == count:
-            return s + weights[ci]
-        return None
-
-    return post_state_chain(model, xs, step, start=0,
-                            label="Y", category=category)
+    return _class_chain(model, classes, xs)
 
 
 def encode_wreath_precedence(model: Model, outer: Sequence[int],
-                             inner: Sequence[int], xs: Sequence[IntVar],
-                             category: str = "encoding") -> ChainEncoding:
+                             inner: Sequence[int],
+                             xs: Sequence[IntVar]) -> ChainEncoding:
     """Canonical order for pair values, given as codes a*p + b.
 
     Code a*p+b stands for the pair (outer[a], inner[b]).  First occurrences of
     outer components follow outer order, and within each outer component first
     occurrences of inner components follow inner order.  State = one inner
-    counter per outer value, packed little-endian base p+1.
+    counter per outer value.
     """
     m, p = len(outer), len(inner)
-    limit = (p + 1) ** m
 
-    def step(s: int, code: int) -> Optional[int]:
+    def step(counts: tuple[int, ...], code: int) -> Optional[tuple[int, ...]]:
         if not 0 <= code < m * p:
             return None
         a, b = divmod(code, p)
-        counts = [(s // (p + 1) ** t) % (p + 1) for t in range(m)]
-        opened = sum(1 for c in counts if c > 0)
-        if a > opened or b > counts[a]:
+        # Opened outer values form a prefix, so outer a may open only after a-1.
+        if (a and not counts[a - 1]) or b > counts[a]:
             return None
         if b == counts[a]:
-            return s + (p + 1) ** a
-        return s
+            return counts[:a] + (b + 1,) + counts[a + 1:]
+        return counts
 
-    enc = post_state_chain(model, xs, step, start=0, label="W", category=category)
-    assert all(0 <= v < limit for sv in enc.state_vars for v in sv.domain)
-    return enc
+    return post_state_chain(model, xs, step, start=(0,) * m, label="W")
 
 
 # ---------------------------------------------------- alternative encodings
@@ -215,13 +190,9 @@ class MatrixEncoding:
     bits: list[list[IntVar]]
     propagators: list[Propagator]
 
-    def column(self, j: int) -> list[IntVar]:
-        return [row[j] for row in self.bits]
-
 
 def encode_matrix_precedence(model: Model, values: Sequence[int],
-                             xs: Sequence[IntVar],
-                             category: str = "encoding") -> MatrixEncoding:
+                             xs: Sequence[IntVar]) -> MatrixEncoding:
     """Value precedence via a 0/1 matrix: row i is the indicator of X_i.
 
     Rows are channelled to the X variables with exactly one 1 per row, and
@@ -234,10 +205,10 @@ def encode_matrix_precedence(model: Model, values: Sequence[int],
             for i in range(n)]
     props: list[Propagator] = []
     for i, x in enumerate(xs):
-        props.append(post_channel(model, x, bits[i], values, category))
-        props.append(post_exactly_one(model, bits[i], category))
+        props.append(post_channel(model, x, bits[i], values, "encoding"))
+        props.append(post_exactly_one(model, bits[i], "encoding"))
     columns = [[bits[i][j] for i in range(n)] for j in range(m)]
-    props.extend(post_lex_chain(model, columns, category=category))
+    props.extend(post_lex_chain(model, columns, category="encoding"))
     return MatrixEncoding(bits, props)
 
 
@@ -249,8 +220,7 @@ class SurjectionEncoding:
 
 
 def encode_puget_surjection(model: Model, xs: Sequence[IntVar],
-                            values: Sequence[int],
-                            category: str = "encoding") -> SurjectionEncoding:
+                            values: Sequence[int]) -> SurjectionEncoding:
     """Binary-implication ordering of first indices, for surjection models.
 
     Z_j tracks the first position using values[j]: X_i=v_j implies Z_j<=i and
@@ -265,9 +235,9 @@ def encode_puget_surjection(model: Model, xs: Sequence[IntVar],
         for i in range(1, n + 1):
             clauses.append((xs[i - 1], v, z[j], "<=", i))
             clauses.append((z[j], i, xs[i - 1], "=", v))
-    props: list[Propagator] = post_implications(model, clauses, category)
+    props: list[Propagator] = post_implications(model, clauses, "encoding")
     for a, b in zip(z, z[1:]):
-        props.append(post_less_than(model, a, b, category))
+        props.append(post_less_than(model, a, b, "encoding"))
     return SurjectionEncoding(z, props)
 
 
@@ -275,17 +245,11 @@ def encode_puget_surjection(model: Model, xs: Sequence[IntVar],
 class SetMatrixEncoding:
     """Characteristic matrix of a sequence of set variables."""
     bits: list[list[IntVar]]
-    universe: list[int]
     propagators: list[Propagator]
-
-    def column(self, value: int) -> list[IntVar]:
-        j = self.universe.index(value)
-        return [row[j] for row in self.bits]
 
 
 def encode_set_precedence(model: Model, values: Sequence[int],
-                          sets: Sequence[SetVar],
-                          category: str = "encoding") -> SetMatrixEncoding:
+                          sets: Sequence[SetVar]) -> SetMatrixEncoding:
     """Value precedence over set variables, via their characteristic matrix.
 
     Value v precedes w when the first set containing exactly one of them
@@ -311,60 +275,48 @@ def encode_set_precedence(model: Model, values: Sequence[int],
                 dom = {0, 1}
             row.append(model.add_fd_var(dom, name=f"S[{i},{v}]"))
         bits.append(row)
-        props.append(model.post(SetCharChannel(s, row, universe), category))
+        props.append(model.post(SetCharChannel(s, row, universe), "encoding"))
     jcol = {v: universe.index(v) for v in values}
     columns = [[bits[i][jcol[v]] for i in range(len(sets))] for v in values]
-    props.extend(post_lex_chain(model, columns, complete=True, category=category))
-    return SetMatrixEncoding(bits, universe, props)
+    props.extend(post_lex_chain(model, columns, complete=True,
+                                category="encoding"))
+    return SetMatrixEncoding(bits, props)
 
 
 # --------------------------------------------- combined variable+value rules
 
 
 def encode_increasing_seq(model: Model, xs: Sequence[IntVar],
-                          values: Sequence[int],
-                          category: str = "encoding") -> ChainEncoding:
+                          values: Sequence[int]) -> ChainEncoding:
     """Canonical form under joint position and value permutation.
 
     The sequence starts at values[0]; each step repeats the current value or
     moves to the next listed value; and the run lengths of the values actually
     used never decrease.  State = (values used, previous run length, current
-    run length), packed base n+1.
+    run length).
     """
     if len(set(values)) != len(values):
         raise ValueError("values must be distinct")
-    n = len(xs)
     idx = {v: j for j, v in enumerate(values)}
-    base = n + 1
 
-    def pack(t: int, prev_run: int, run: int) -> int:
-        return (t * base + prev_run) * base + run
-
-    def step(s: int, v: int) -> Optional[int]:
+    def step(s: tuple[int, int, int], v: int) -> Optional[tuple[int, int, int]]:
         j = idx.get(v)
         if j is None:
             return None
-        t, rest = divmod(s, base * base)
-        prev_run, run = divmod(rest, base)
+        t, prev_run, run = s
         if t == 0:
-            return pack(1, 0, 1) if j == 0 else None
+            return (1, 0, 1) if j == 0 else None
         if j == t - 1:
-            return pack(t, prev_run, run + 1)
+            return (t, prev_run, run + 1)
         if j == t and run >= prev_run:
-            return pack(t + 1, run, 1)
+            return (t + 1, run, 1)
         return None
 
-    def accept(s: int) -> bool:
-        t, rest = divmod(s, base * base)
-        prev_run, run = divmod(rest, base)
-        return run >= prev_run
-
-    return post_state_chain(model, xs, step, start=0, accept=accept,
-                            label="R", category=category)
+    return post_state_chain(model, xs, step, start=(0, 0, 0),
+                            accept=lambda s: s[2] >= s[1], label="R")
 
 
-def encode_reflection_lex(model: Model, xs: Sequence[IntVar],
-                          category: str = "encoding") -> Propagator:
+def encode_reflection_lex(model: Model, xs: Sequence[IntVar]) -> Propagator:
     """Prefer a sequence over its reversal: first half <=lex reversed last half.
 
     Odd lengths skip the middle position.  The two halves share no variables,
@@ -373,11 +325,10 @@ def encode_reflection_lex(model: Model, xs: Sequence[IntVar],
     h = len(xs) // 2
     left = list(xs[:h])
     right = [xs[-1 - i] for i in range(h)]
-    return post_lex_leq(model, left, right, category=category)
+    return post_lex_leq(model, left, right, category="encoding")
 
 
-def encode_rotation_lex(model: Model, xs: Sequence[IntVar],
-                        category: str = "encoding") -> list[Propagator]:
+def encode_rotation_lex(model: Model, xs: Sequence[IntVar]) -> list[Propagator]:
     """Prefer a sequence over all its rotations: xs <=lex every cyclic shift.
 
     Each comparison aliases variables between the two sides, so the pruning
@@ -385,5 +336,5 @@ def encode_rotation_lex(model: Model, xs: Sequence[IntVar],
     """
     n = len(xs)
     seq = list(xs)
-    return [post_lex_leq(model, seq, seq[r:] + seq[:r], category=category)
+    return [post_lex_leq(model, seq, seq[r:] + seq[:r], category="encoding")
             for r in range(1, n)]

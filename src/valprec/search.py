@@ -1,4 +1,4 @@
-"""Depth-first search over a model: binary or d-way branching, budgets, stats."""
+"""Depth-first search over a model: binary branching, budgets, stats."""
 from __future__ import annotations
 
 import time
@@ -51,8 +51,7 @@ class SearchResult:
 def solve(model: Model, variables: Sequence[IntVar],
           heuristic: Heuristic = Heuristic(),
           mode: str = "all",
-          budget: Optional[Budget] = None,
-          branching: str = "binary") -> SearchResult:
+          budget: Optional[Budget] = None) -> SearchResult:
     """Enumerate assignments of ``variables`` accepted by the model.
 
     Branches only on the given decision variables; any other variables in the
@@ -63,8 +62,6 @@ def solve(model: Model, variables: Sequence[IntVar],
     """
     if mode not in ("all", "first"):
         raise ValueError(f"unknown mode {mode!r}")
-    if branching not in ("binary", "dway"):
-        raise ValueError(f"unknown branching {branching!r}")
     res = SearchResult()
     stats = res.stats
     t0 = time.perf_counter()
@@ -101,19 +98,7 @@ def solve(model: Model, variables: Sequence[IntVar],
         if var is None:
             res.solutions.append(tuple(v.value() for v in variables))
             return STOP if mode == "first" else CONTINUE
-        vals = var.values()
-        if heuristic.val == "desc":
-            vals = tuple(reversed(vals))
-        if branching == "dway":
-            for v in vals:
-                model.push_choice()
-                model.assign(var, v)
-                stop = descend()
-                model.pop_choice()
-                if stop:
-                    return STOP
-            return CONTINUE
-        v = vals[0]
+        v = var.max() if heuristic.val == "desc" else var.min()
         model.push_choice()
         model.assign(var, v)
         stop = descend()

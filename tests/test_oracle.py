@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from valprec.oracle import (
-    Bounds,
     SetBounds,
     all_precedence_holds,
     bc_by_definition,
@@ -166,41 +165,32 @@ def test_bc_tightens_set_lower_bound():
               SetBounds(frozenset(), frozenset({1})),
               SetBounds(frozenset(), frozenset({0})),
               SetBounds(frozenset({2}), frozenset({2}))]
-    got = bc_by_definition(lambda ints, sets: set_precedence_holds(values, sets),
-                           [], bounds)
-    assert got is not None
-    _, new_sets = got
+    new_sets = bc_by_definition(lambda sets: set_precedence_holds(values, sets),
+                                bounds)
+    assert new_sets is not None
     assert new_sets[0].lb == frozenset({0})
     assert new_sets[0].ub == frozenset({0})
 
 
 def test_bc_unconstrained_bounds_unchanged():
     bounds = [SetBounds(frozenset({1}), frozenset({1, 2, 3}))]
-    got = bc_by_definition(lambda ints, sets: True, [], bounds)
-    assert got is not None
-    _, new_sets = got
+    new_sets = bc_by_definition(lambda sets: True, bounds)
+    assert new_sets is not None
     assert new_sets[0].lb == frozenset({1})
     assert new_sets[0].ub == frozenset({1, 2, 3})
     assert (new_sets[0].card_lo, new_sets[0].card_hi) == (1, 3)
 
 
 def test_bc_unsatisfiable_returns_none():
-    assert bc_by_definition(lambda ints, sets: False,
-                            [Bounds(0, 1)], []) is None
-
-
-def test_bc_tightens_integer_extremes():
-    got = bc_by_definition(lambda ints, sets: ints[0] + ints[1] == 4,
-                           [Bounds(0, 5), Bounds(0, 5)], [])
-    assert got is not None
-    new_ints, _ = got
-    assert new_ints == [Bounds(0, 4), Bounds(0, 4)]
+    bounds = [SetBounds(frozenset(), frozenset({0, 1}))]
+    assert bc_by_definition(lambda sets: False, bounds) is None
 
 
 def test_bc_cap_refused():
+    # 8 sets with 16 subsets each: 2**32 combinations against a cap of 10,000
+    bounds = [SetBounds(frozenset(), frozenset(range(4)))] * 8
     with pytest.raises(ValueError):
-        bc_by_definition(lambda ints, sets: True,
-                         [Bounds(0, 9)] * 8, [], cap=10_000)
+        bc_by_definition(lambda sets: True, bounds, cap=10_000)
 
 
 # ----------------------------------------------------------------- orbit tools

@@ -1,6 +1,7 @@
 """First-occurrence ordering encodings vs the consistency oracle."""
 import itertools
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from valprec.oracle import (
     wreath_precedence_holds,
 )
 from valprec.precedence import (
+    TRANSITION_CAP,
     encode_all_precedence,
     encode_increasing_seq,
     encode_matrix_precedence,
@@ -181,13 +183,6 @@ def test_partition_singleton_classes_post_nothing():
     assert enc.state_vars == [] and enc.propagators == []
     assert m.propagate() is AT_FIXPOINT
     assert domains_of(xs) == [{1, 2, 3}] * 3
-
-
-def test_partition_state_cap_refused():
-    m = Model()
-    xs = [m.add_fd_var({1, 2}) for _ in range(2)]
-    with pytest.raises(ValueError, match="per class"):
-        encode_partial_precedence(m, [[1, 2, 3], [4, 5, 6]], xs, state_cap=10)
 
 
 def test_partition_validates_classes():
@@ -406,14 +401,13 @@ def test_set_chain_matches_bc_oracle_200_cases():
         values = rng.sample(universe, rng.randint(2, 3))
         got = set_fixpoint(values, bounds)
         want = bc_by_definition(
-            lambda ints, sets: set_precedence_holds(values, sets),
-            [], [SetBounds(frozenset(lb), frozenset(ub)) for lb, ub in bounds])
+            lambda sets: set_precedence_holds(values, sets),
+            [SetBounds(frozenset(lb), frozenset(ub)) for lb, ub in bounds])
         if want is None:
             assert got is None
         else:
             assert got is not None
-            _, new_sets = want
-            assert got == [(set(sb.lb), set(sb.ub)) for sb in new_sets]
+            assert got == [(set(sb.lb), set(sb.ub)) for sb in want]
 
 
 # ------------------------------------------------------- increasing sequences
@@ -519,3 +513,42 @@ def test_ground_prefix_grounds_chain_states(encode, args, values_pool):
         assert all(sv.is_assigned() for sv in enc.state_vars)
         grounded += 1
     assert grounded > 0
+
+
+# ------------------------------------------------------------ chain compiler
+
+
+@pytest.mark.parametrize("encode,n,dom,tuples,state_sizes", [
+    (lambda m, xs: encode_wreath_precedence(m, range(5), range(5), xs),
+     9, range(25), 4411, [1, 1, 3, 7, 15, 31, 61, 115, 206, 349]),
+    (lambda m, xs: encode_pair_precedence(m, 1, 2, xs),
+     6, range(1, 4), 27, [1, 2, 2, 2, 2, 2, 2]),
+    (lambda m, xs: encode_all_precedence(m, [1, 2, 3], xs),
+     5, range(1, 5), 42, [1, 2, 3, 4, 4, 4]),
+    (lambda m, xs: encode_partial_precedence(m, [[1, 2], [3, 4, 5]], xs),
+     5, range(1, 6), 95, [1, 2, 5, 8, 10, 11]),
+    (lambda m, xs: encode_increasing_seq(m, xs, [1, 2, 3]),
+     6, range(1, 4), 27, [1, 1, 2, 4, 6, 7, 7]),
+])
+def test_chain_sizes_pinned(encode, n, dom, tuples, state_sizes):
+    m = Model()
+    xs = [m.add_fd_var(dom) for _ in range(n)]
+    enc = encode(m, xs)
+    assert len(enc.propagators) == n
+    assert sum(len(p.triples) for p in enc.propagators) == tuples
+    assert [len(sv.domain) for sv in enc.state_vars] == state_sizes
+    # each layer's states are numbered 0..k-1
+    assert all(sv.domain == frozenset(range(len(sv.domain)))
+               for sv in enc.state_vars)
+
+
+def test_transition_cap_refuses_large_chain_before_posting():
+    m = Model()
+    xs = [m.add_fd_var(range(36)) for _ in range(30)]
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=str(TRANSITION_CAP)):
+        encode_wreath_precedence(m, range(6), range(6), xs)
+    assert time.perf_counter() - t0 < 10
+    assert m.posted_total() == 0
+    assert m.propagate() is AT_FIXPOINT
+    assert all(x.domain == frozenset(range(36)) for x in xs)

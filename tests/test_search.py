@@ -1,4 +1,4 @@
-"""Depth-first search: completeness, determinism, budgets, branching schemes."""
+"""Depth-first search: completeness, determinism, budgets, heuristics."""
 import itertools
 
 import pytest
@@ -51,13 +51,6 @@ def test_solutions_invariant_across_heuristics():
             if expected is None:
                 expected = got
             assert got == expected
-
-
-def test_dway_and_binary_agree_on_solutions():
-    m1, xs1 = two_var_model()
-    m2, xs2 = two_var_model()
-    assert set(solve(m1, xs1).solutions) == \
-        set(solve(m2, xs2, branching="dway").solutions)
 
 
 def test_search_is_deterministic():
@@ -137,5 +130,3 @@ def test_invalid_heuristic_and_mode_rejected():
     m, xs = two_var_model()
     with pytest.raises(ValueError):
         solve(m, xs, mode="some")
-    with pytest.raises(ValueError):
-        solve(m, xs, branching="ternary")
