@@ -17,7 +17,7 @@ from valprec.search import Budget
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--k3-max-n", type=positive(int), default=15,
-                        help="largest n for the k=3 all-solutions rows")
+                        help="largest n for the k=3 all-solutions rows (at least 13)")
     parser.add_argument("--k4", action="store_true",
                         help="also run n=13..15 with k=4 in first-solution mode")
     parser.add_argument("--mode", choices=("first", "all"), default=None,
@@ -25,6 +25,8 @@ def main(argv=None) -> int:
     parser.add_argument("--budget-secs", type=positive(float), default=600.0)
     parser.add_argument("--csv", metavar="PATH", default=None)
     args = parser.parse_args(argv)
+    if args.k3_max_n < 13:
+        parser.error("--k3-max-n must be at least 13, where the k=3 rows start")
 
     budget = Budget(max_seconds=args.budget_secs)
     rows = []

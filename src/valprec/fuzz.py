@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .engine import Model, PropagationStatus
-from .oracle import (ENUM_CAP, SetBounds, all_precedence_holds,
+from .oracle import (SetBounds, all_precedence_holds,
                      bc_by_definition, gac_by_definition,
                      pair_precedence_holds, partition_precedence_holds,
                      set_precedence_holds, wreath_precedence_holds)
@@ -24,6 +24,8 @@ from .symmetry import (FullInterchange, PairInterchange, PartitionInterchange,
                        SymmetrySpec, WreathInterchange)
 
 FD_FAMILIES = ("pair", "full", "partition", "wreath")
+MAX_N = 5  # most variables in a random finite-domain case
+MAX_D = 5  # most values in a random finite-domain case
 FAMILIES = FD_FAMILIES + ("set",)
 
 
@@ -206,20 +208,20 @@ def _random_domains(rng: random.Random, n: int, universe: Sequence[int]) -> list
     return [set(rng.sample(pool, rng.randint(1, len(pool)))) for _ in range(n)]
 
 
-def _random_fd_case(rng: random.Random, family: str, max_n: int, max_d: int):
-    n = rng.randint(1, max_n)
+def _random_fd_case(rng: random.Random, family: str):
+    n = rng.randint(1, MAX_N)
     if family == "pair":
-        d = rng.randint(2, max_d)
+        d = rng.randint(2, MAX_D)
         first, second = rng.sample(range(1, d + 1), 2)
         spec = PairInterchange(first, second)
         universe = range(1, d + 1)
     elif family == "full":
-        d = rng.randint(1, max_d)
+        d = rng.randint(1, MAX_D)
         m = rng.randint(1, min(d, 4))
         spec = FullInterchange(tuple(rng.sample(range(1, d + 1), m)))
         universe = range(1, d + 1)
     elif family == "partition":
-        d = rng.randint(2, max_d)
+        d = rng.randint(2, MAX_D)
         m = rng.randint(2, min(d, 4))
         listed = rng.sample(range(1, d + 1), m)
         split = rng.randint(1, m - 1)
@@ -254,15 +256,10 @@ def _random_set_case(rng: random.Random):
     return values, bounds
 
 
-def fuzz_equivalence(seed: int, cases: int,
-                     max_n: int = 5, max_d: int = 5) -> FuzzReport:
+def fuzz_equivalence(seed: int, cases: int) -> FuzzReport:
     """Run ``cases`` random equivalence checks, rotating through the families."""
     if cases <= 0:
         raise ValueError(f"cases must be positive, got {cases}")
-    if max_d ** max_n > ENUM_CAP:
-        raise ValueError(
-            f"caps give up to {max_d ** max_n} assignments, above the "
-            f"oracle limit of {ENUM_CAP}")
     rng = random.Random(seed)
     report = FuzzReport(seed=seed, cases=cases)
     for i in range(cases):
@@ -279,7 +276,7 @@ def fuzz_equivalence(seed: int, cases: int,
                     f"values={values} bounds={_render_bounds(small)} -> "
                     f"encoding {_render_bounds(enc)} vs oracle {_render_bounds(orc)}"))
         else:
-            spec, domains = _random_fd_case(rng, family, max_n, max_d)
+            spec, domains = _random_fd_case(rng, family)
             ok, _, _ = check_fd_instance(spec, domains)
             if not ok:
                 small = shrink_fd(spec, domains)

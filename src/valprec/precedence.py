@@ -13,13 +13,13 @@ get.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .engine import AlwaysFail, IntVar, Model, Propagator, SetVar
-from .propagators import (SetCharChannel, post_channel, post_exactly_one,
-                          post_implications, post_less_than, post_lex_chain,
-                          post_lex_leq, post_table3)
+from .propagators import (SetCharChannel, post_lex_chain, post_lex_leq,
+                          post_table3)
 
 TRANSITION_CAP = 1_000_000
 
@@ -182,6 +182,82 @@ def encode_wreath_precedence(model: Model, outer: Sequence[int],
 
 
 # ---------------------------------------------------- alternative encodings
+#
+# The small relations the alternative encodings decompose into are chains
+# too: each is an automaton over a few variables, so its tables are GAC on
+# the relation.  A state of None means nothing has been read yet.
+
+
+def post_exactly_one(model: Model, bits: Sequence[IntVar]) -> ChainEncoding:
+    """Exactly one of the 0/1 variables takes value 1.  State = ones seen."""
+    if any(not b.domain <= {0, 1} for b in bits):
+        raise ValueError("exactly-one requires 0/1 variables")
+
+    def step(ones: int, v: int) -> Optional[int]:
+        return ones + v if ones + v <= 1 else None
+
+    return post_state_chain(model, bits, step, start=0,
+                            accept=lambda ones: ones == 1, label="E")
+
+
+def post_channel(model: Model, x: IntVar, bits: Sequence[IntVar],
+                 values: Sequence[int]) -> ChainEncoding:
+    """x = values[j]  iff  bits[j] = 1.
+
+    If x takes a value outside ``values`` the whole row is 0; pairing this
+    with :func:`post_exactly_one` confines x to the listed values.  The chain
+    reads x, then the bits; state = (index of x's value or -1, bits read).
+    """
+    if len(bits) != len(values):
+        raise ValueError("one bit per listed value")
+    if len(set(values)) != len(values):
+        raise ValueError("channel values must be distinct")
+    index = {v: j for j, v in enumerate(values)}
+
+    def step(s: Optional[tuple[int, int]], v: int) -> Optional[tuple[int, int]]:
+        if s is None:
+            return (index.get(v, -1), 0)
+        j, read = s
+        return (j, read + 1) if v == (j == read) else None
+
+    return post_state_chain(model, [x, *bits], step, start=None, label="C")
+
+
+_COMPARISONS = {"=": operator.eq, "<=": operator.le, "<": operator.lt,
+                "!=": operator.ne}
+
+
+def post_implications(model: Model,
+                      clauses: Iterable[tuple[IntVar, int, IntVar, str, int]]
+                      ) -> list[ChainEncoding]:
+    """Post clauses of the form (x = a) -> (y op b), one chain each."""
+    return [_post_implication(model, *clause) for clause in clauses]
+
+
+def _post_implication(model: Model, x: IntVar, trigger: int, y: IntVar,
+                      op: str, bound: int) -> ChainEncoding:
+    """A chain over [x, y]; state after x = whether x took the trigger."""
+    if op not in _COMPARISONS:
+        raise ValueError(f"unknown comparison {op!r}")
+    test = _COMPARISONS[op]
+
+    def step(s: Optional[bool], v: int) -> Optional[bool]:
+        if s is None:
+            return v == trigger
+        return False if not s or test(v, bound) else None
+
+    return post_state_chain(model, [x, y], step, start=None, label="I")
+
+
+def post_less_than(model: Model, a: IntVar, b: IntVar) -> ChainEncoding:
+    """a < b, as a chain over [a, b].  State after a = its value."""
+
+    def step(s: Optional[int], v: int) -> Optional[int]:
+        if s is None:
+            return v
+        return 0 if s < v else None
+
+    return post_state_chain(model, [a, b], step, start=None, label="L")
 
 
 @dataclass
@@ -205,8 +281,8 @@ def encode_matrix_precedence(model: Model, values: Sequence[int],
             for i in range(n)]
     props: list[Propagator] = []
     for i, x in enumerate(xs):
-        props.append(post_channel(model, x, bits[i], values, "encoding"))
-        props.append(post_exactly_one(model, bits[i], "encoding"))
+        props += post_channel(model, x, bits[i], values).propagators
+        props += post_exactly_one(model, bits[i]).propagators
     columns = [[bits[i][j] for i in range(n)] for j in range(m)]
     props.extend(post_lex_chain(model, columns, category="encoding"))
     return MatrixEncoding(bits, props)
@@ -235,9 +311,10 @@ def encode_puget_surjection(model: Model, xs: Sequence[IntVar],
         for i in range(1, n + 1):
             clauses.append((xs[i - 1], v, z[j], "<=", i))
             clauses.append((z[j], i, xs[i - 1], "=", v))
-    props: list[Propagator] = post_implications(model, clauses, "encoding")
+    props = [p for enc in post_implications(model, clauses)
+             for p in enc.propagators]
     for a, b in zip(z, z[1:]):
-        props.append(post_less_than(model, a, b, "encoding"))
+        props += post_less_than(model, a, b).propagators
     return SurjectionEncoding(z, props)
 
 

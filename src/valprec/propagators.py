@@ -1,13 +1,16 @@
-"""Propagators: ternary tables, lexicographic ordering, channels, counting.
+"""Propagators: ternary tables, lexicographic ordering, the set channel, and
+not-all-equal.
 
-Every filter here is idempotent and monotone.  The lex propagators reason on
-product domains: with vectors that share no variables this gives GAC; with
-aliased vectors the pruning stays sound but may be incomplete (documented on
-the posting helpers).
+Every filter here is monotone.  The lex propagator reasons on product
+domains: with columns that share no variables this gives GAC in one call;
+with aliased columns the pruning stays sound but may be incomplete, and a
+second call may prune more (the engine re-runs a filter that changed one of
+its own variables).  Other small relations are compiled to table chains in
+:mod:`valprec.precedence`.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .engine import IntVar, Model, Propagator, SetVar
 
@@ -93,73 +96,14 @@ def min_geq(doms: Sequence[set[int]], bound: Sequence[int]) -> Optional[tuple[in
     return None if t is None else tuple(-c for c in t)
 
 
-def _retain_supported(m: Model, xs: Sequence[IntVar], base: tuple[int, ...],
-                      supported: Callable[[tuple[int, ...]], bool]) -> bool:
-    """Keep each value v of ``xs[i]`` for which ``supported(base with v at i)``."""
-    row = list(base)
-    for i, var in enumerate(xs):
-        if len(var.domain) > 1:
-            keep = []
-            for v in sorted(var.domain):
-                row[i] = v
-                if supported(tuple(row)):
-                    keep.append(v)
-            row[i] = base[i]
-            if len(keep) < len(var.domain) and not m.retain_values(var, keep):
-                return False
-    return True
-
-
-class LexLeq(Propagator):
-    """left <=lex right (optionally strict) over equal-length variable vectors.
-
-    Support reasoning: a value v at position i of the left vector is viable
-    iff the smallest left tuple taking v is still <=lex the largest right
-    tuple, and symmetrically on the right.  Exact (GAC) when the two vectors
-    share no variables.
-    """
-
-    __slots__ = ("left", "right", "strict")
-
-    def __init__(self, left: Sequence[IntVar], right: Sequence[IntVar], strict: bool = False):
-        super().__init__()
-        if len(left) != len(right):
-            raise ValueError("lex vectors must have equal length")
-        self.left = list(left)
-        self.right = list(right)
-        self.strict = strict
-        self.watches = self.left + self.right
-
-    def _ok(self, a: tuple, b: tuple) -> bool:
-        return a < b if self.strict else a <= b
-
-    def filter(self, m: Model) -> bool:
-        amin = _min_tuple([v.domain for v in self.left])
-        bmax = _max_tuple([v.domain for v in self.right])
-        if not self._ok(amin, bmax):
-            return False
-        amax = _max_tuple([v.domain for v in self.left])
-        bmin = _min_tuple([v.domain for v in self.right])
-        if self._ok(amax, bmin):
-            m.set_entailed(self)
-            return True
-        return (_retain_supported(m, self.left, amin, lambda t: self._ok(t, bmax))
-                and _retain_supported(m, self.right, bmax, lambda t: self._ok(amin, t)))
-
-
-
-def post_lex_leq(model: Model, left: Sequence[IntVar], right: Sequence[IntVar],
-                 strict: bool = False, category: str = "user") -> LexLeq:
-    return model.post(LexLeq(left, right, strict), category)
-
-
 class LexChainComplete(Propagator):
     """columns[0] >=lex columns[1] >=lex ... with filtering across the whole chain.
 
     For each column the propagator computes the largest tuple that can extend
     to the head of the chain and the smallest that can extend to the tail;
     a value survives iff some column tuple between those two bounds uses it.
-    Columns must not share variables.
+    The pruning is sound when columns share variables, and GAC when they do
+    not.
     """
 
     __slots__ = ("columns",)
@@ -198,7 +142,6 @@ class LexChainComplete(Propagator):
                     t = _max_tuple(col_doms) if ub is None else max_leq(col_doms, ub)
                     if t is not None and (lb is None or t >= lb):
                         keep.append(v)
-                col_doms[i] = var.domain
                 if not keep:
                     return False
                 if len(keep) < len(var.domain) and not m.retain_values(var, keep):
@@ -210,122 +153,27 @@ class LexChainComplete(Propagator):
         return True
 
 
+def post_lex_leq(model: Model, left: Sequence[IntVar], right: Sequence[IntVar],
+                 category: str = "user") -> LexChainComplete:
+    """left <=lex right, as the two-column chain [right, left]."""
+    return model.post(LexChainComplete([right, left]), category)
+
+
 def post_lex_chain(model: Model, columns: Sequence[Sequence[IntVar]],
-                   strict: bool = False, complete: bool = False,
+                   complete: bool = False,
                    category: str = "user") -> list[Propagator]:
     """Order columns non-increasingly: columns[0] >=lex columns[1] >=lex ...
 
-    Default posts pairwise LexLeq between adjacent columns.  ``complete=True``
-    posts a single chain propagator whose filtering spans all columns (only
-    non-strict order is supported there).
+    Default posts one two-column chain per adjacent pair.  ``complete=True``
+    posts a single chain propagator whose filtering spans all columns.
     """
     if complete:
-        if strict:
-            raise ValueError("complete chain filtering supports non-strict order only")
         return [model.post(LexChainComplete(columns), category)]
-    props = []
-    for a, b in zip(columns, columns[1:]):
-        props.append(post_lex_leq(model, b, a, strict=strict, category=category))
-    return props
+    return [post_lex_leq(model, b, a, category)
+            for a, b in zip(columns, columns[1:])]
 
 
 # ------------------------------------------------------------------ channels
-
-
-class ExactlyOne(Propagator):
-    """Exactly one of the 0/1 variables takes value 1."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: Sequence[IntVar]):
-        super().__init__()
-        for b in bits:
-            if not b.domain <= {0, 1}:
-                raise ValueError("exactly-one requires 0/1 variables")
-        self.bits = list(bits)
-        self.watches = list(self.bits)
-
-    def filter(self, m: Model) -> bool:
-        ones = [b for b in self.bits if b.domain == {1}]
-        if len(ones) >= 2:
-            return False
-        if len(ones) == 1:
-            chosen = ones[0]
-            for b in self.bits:
-                if b is not chosen and not m.remove_value(b, 1):
-                    return False
-            m.set_entailed(self)
-            return True
-        cand = [b for b in self.bits if 1 in b.domain]
-        if not cand:
-            return False
-        if len(cand) == 1:
-            if not m.assign(cand[0], 1):
-                return False
-            m.set_entailed(self)
-        return True
-
-
-def post_exactly_one(model: Model, bits: Sequence[IntVar],
-                     category: str = "user") -> ExactlyOne:
-    return model.post(ExactlyOne(bits), category)
-
-
-class ValueChannel(Propagator):
-    """x = values[j]  iff  bits[j] = 1.
-
-    If x takes a value outside ``values`` the whole row is 0; pairing this
-    with :class:`ExactlyOne` confines x to the listed values.
-    """
-
-    __slots__ = ("x", "bits", "values")
-
-    def __init__(self, x: IntVar, bits: Sequence[IntVar], values: Sequence[int]):
-        super().__init__()
-        if len(bits) != len(values):
-            raise ValueError("one bit per listed value")
-        if len(set(values)) != len(values):
-            raise ValueError("channel values must be distinct")
-        self.x = x
-        self.bits = list(bits)
-        self.values = list(values)
-        self.watches = [x] + self.bits
-
-    def filter(self, m: Model) -> bool:
-        x, bits, values = self.x, self.bits, self.values
-        fixed_ones = [j for j, b in enumerate(bits) if 0 not in b.domain]
-        if len(fixed_ones) >= 2:
-            return False
-        feas = []
-        for j, v in enumerate(values):
-            ok = v in x.domain and 1 in bits[j].domain
-            if ok and fixed_ones and fixed_ones[0] != j:
-                ok = False
-            feas.append(ok)
-        none_vals = x.domain - set(values)
-        none_mode = bool(none_vals) and not fixed_ones
-        keep_x = {v for j, v in enumerate(values) if feas[j]}
-        if none_mode:
-            keep_x |= none_vals
-        if not keep_x:
-            return False
-        if not m.retain_values(x, keep_x):
-            return False
-        for j, b in enumerate(bits):
-            if feas[j]:
-                other = none_mode or any(feas[l] for l in range(len(values)) if l != j)
-                if not other and not m.assign(b, 1):
-                    return False
-            elif not m.remove_value(b, 1):
-                return False
-        if x.is_assigned() and all(b.is_assigned() for b in bits):
-            m.set_entailed(self)
-        return True
-
-
-def post_channel(model: Model, x: IntVar, bits: Sequence[IntVar],
-                 values: Sequence[int], category: str = "user") -> ValueChannel:
-    return model.post(ValueChannel(x, bits, values), category)
 
 
 class SetCharChannel(Propagator):
@@ -405,76 +253,3 @@ class NotAllEqual3(Propagator):
 def post_not_all_equal3(model: Model, x: IntVar, y: IntVar, z: IntVar,
                         category: str = "user") -> NotAllEqual3:
     return model.post(NotAllEqual3(x, y, z), category)
-
-
-_OPS = {
-    "=": lambda w, b: w == b,
-    "<=": lambda w, b: w <= b,
-    "<": lambda w, b: w < b,
-    "!=": lambda w, b: w != b,
-}
-
-
-class Implication(Propagator):
-    """(x = trigger) implies (y op bound); arc consistent on the pair."""
-
-    __slots__ = ("x", "trigger", "y", "op", "bound")
-
-    def __init__(self, x: IntVar, trigger: int, y: IntVar, op: str, bound: int):
-        super().__init__()
-        if op not in _OPS:
-            raise ValueError(f"unknown comparison {op!r}")
-        self.x, self.trigger, self.y, self.op, self.bound = x, trigger, y, op, bound
-        self.watches = [x, y]
-
-    def filter(self, m: Model) -> bool:
-        if self.trigger not in self.x.domain:
-            m.set_entailed(self)
-            return True
-        test = _OPS[self.op]
-        ok = {w for w in self.y.domain if test(w, self.bound)}
-        if not ok:
-            if not m.remove_value(self.x, self.trigger):
-                return False
-            m.set_entailed(self)
-            return True
-        if self.x.domain == {self.trigger}:
-            if not m.retain_values(self.y, ok):
-                return False
-        if ok >= self.y.domain:
-            m.set_entailed(self)
-        return True
-
-
-def post_implications(model: Model, clauses: Iterable[tuple[IntVar, int, IntVar, str, int]],
-                      category: str = "user") -> list[Implication]:
-    """Post clauses of the form (x = a) -> (y op b), one propagator each."""
-    return [model.post(Implication(x, a, y, op, b), category)
-            for (x, a, y, op, b) in clauses]
-
-
-class LessThan(Propagator):
-    """a < b on integer variables."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: IntVar, b: IntVar):
-        super().__init__()
-        self.a, self.b = a, b
-        self.watches = [a, b]
-
-    def filter(self, m: Model) -> bool:
-        hi = self.b.max()
-        if not m.retain_values(self.a, {v for v in self.a.domain if v < hi}):
-            return False
-        lo = self.a.min()
-        if not m.retain_values(self.b, {v for v in self.b.domain if v > lo}):
-            return False
-        if self.a.max() < self.b.min():
-            m.set_entailed(self)
-        return True
-
-
-def post_less_than(model: Model, a: IntVar, b: IntVar,
-                   category: str = "user") -> LessThan:
-    return model.post(LessThan(a, b), category)

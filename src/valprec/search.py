@@ -84,34 +84,41 @@ def solve(model: Model, variables: Sequence[IntVar],
             return True
         return False
 
-    STOP, CONTINUE = True, False
-
-    def descend() -> bool:
+    # One entry per open choice: (variable, value, still on the left branch).
+    # The left branch assigns the value, the right branch removes it.
+    stack: list[tuple[IntVar, int, bool]] = []
+    while True:
         if over_budget():
             res.halted = True
-            return STOP
+            break
         stats.nodes += 1
         if model.propagate() is PropagationStatus.FAILED:
             stats.backtracks += 1
-            return CONTINUE
-        var = pick()
-        if var is None:
-            res.solutions.append(tuple(v.value() for v in variables))
-            return STOP if mode == "first" else CONTINUE
-        v = var.max() if heuristic.val == "desc" else var.min()
-        model.push_choice()
-        model.assign(var, v)
-        stop = descend()
+        else:
+            var = pick()
+            if var is not None:
+                v = var.max() if heuristic.val == "desc" else var.min()
+                model.push_choice()
+                model.assign(var, v)
+                stack.append((var, v, True))
+                continue
+            res.solutions.append(tuple(x.value() for x in variables))
+            if mode == "first":
+                break
+        # Backtrack: undo finished right branches, then turn the deepest
+        # left branch into its right branch.
+        while stack and not stack[-1][2]:
+            stack.pop()
+            model.pop_choice()
+        if not stack:
+            break
+        var, v, _ = stack[-1]
+        stack[-1] = (var, v, False)
         model.pop_choice()
-        if stop:
-            return STOP
         model.push_choice()
         model.remove_value(var, v)
-        stop = descend()
+    for _ in stack:
         model.pop_choice()
-        return stop
-
-    descend()
     stats.wall_time = time.perf_counter() - t0
     stats.solutions = len(res.solutions)
     return res

@@ -78,11 +78,6 @@ def test_fuzz_report_format():
     assert lines[-1] == "no divergences"
 
 
-def test_fuzz_cap_refused():
-    with pytest.raises(ValueError):
-        fuzz_equivalence(seed=1, cases=1, max_n=12, max_d=10)
-
-
 @pytest.mark.parametrize("cases", [0, -5])
 def test_fuzz_refuses_non_positive_cases(cases):
     with pytest.raises(ValueError, match="positive"):

@@ -486,6 +486,26 @@ def test_rotation_rejects_smaller_rotation():
     assert ground_ok(encode_rotation_lex, (1, 3, 2))
 
 
+def _rotation_least(t):
+    return all(t <= t[r:] + t[:r] for r in range(1, len(t)))
+
+
+def test_rotation_lex_on_shared_variables_sound_and_exact_on_grounds():
+    # each comparison shares variables between its two sides: the fixpoint
+    # may keep more than GAC, never less, and ground sequences are decided
+    rng = random.Random(6007)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        doms = [set(rng.sample([0, 1, 2], rng.randint(1, 3))) for _ in range(n)]
+        got = fixpoint(encode_rotation_lex, doms)
+        want = gac_by_definition(_rotation_least, doms)
+        if want is not None:
+            assert got is not None
+            assert all(g >= w for g, w in zip(got, want))
+        ground = tuple(rng.choice(sorted(d)) for d in doms)
+        assert ground_ok(encode_rotation_lex, ground) == _rotation_least(ground)
+
+
 # --------------------------------------------------------- functional chains
 
 

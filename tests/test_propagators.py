@@ -7,17 +7,16 @@ from hypothesis import given, strategies as st
 
 from valprec.engine import Model, PropagationStatus
 from valprec.oracle import gac_by_definition
-from valprec.propagators import (
-    LexChainComplete,
-    LexLeq,
-    NotAllEqual3,
-    TernaryTable,
-    max_leq,
-    min_geq,
+from valprec.precedence import (
     post_channel,
     post_exactly_one,
     post_implications,
     post_less_than,
+)
+from valprec.propagators import (
+    LexChainComplete,
+    max_leq,
+    min_geq,
     post_lex_chain,
     post_lex_leq,
     post_not_all_equal3,
@@ -143,14 +142,6 @@ def test_lex_tail_forcing():
     assert b[1].value() == 1
 
 
-def test_lex_strict_on_equal_grounds_fails():
-    m = Model()
-    a = [m.add_fd_var({0}), m.add_fd_var({1})]
-    b = [m.add_fd_var({0}), m.add_fd_var({1})]
-    post_lex_leq(m, a, b, strict=True)
-    assert m.propagate() is FAILED
-
-
 def test_lex_entailed_when_max_left_below_min_right():
     m = Model()
     a = [m.add_fd_var({0}), m.add_fd_var({0, 1})]
@@ -160,9 +151,7 @@ def test_lex_entailed_when_max_left_below_min_right():
     assert prop.entailed
 
 
-def _lex_pred(n, strict):
-    if strict:
-        return lambda t: t[:n] < t[n:]
+def _lex_pred(n):
     return lambda t: t[:n] <= t[n:]
 
 
@@ -170,13 +159,12 @@ def test_lex_binary_instances_match_oracle_500_cases():
     rng = random.Random(1405)
     for _ in range(500):
         n = rng.randint(1, 6)
-        strict = rng.random() < 0.3
         doms = [set(rng.sample([0, 1], rng.randint(1, 2))) for _ in range(2 * n)]
         m = Model()
         vs = [m.add_fd_var(d) for d in doms]
-        post_lex_leq(m, vs[:n], vs[n:], strict=strict)
+        post_lex_leq(m, vs[:n], vs[n:])
         status = m.propagate()
-        expect = gac_by_definition(_lex_pred(n, strict), doms)
+        expect = gac_by_definition(_lex_pred(n), doms)
         if expect is None:
             assert status is FAILED
         else:
@@ -187,14 +175,13 @@ def test_lex_binary_instances_match_oracle_500_cases():
 @given(st.data())
 def test_lex_general_integer_instances_match_oracle(data):
     n = data.draw(st.integers(1, 3))
-    strict = data.draw(st.booleans())
     doms = [data.draw(st.sets(st.integers(0, 3), min_size=1, max_size=4))
             for _ in range(2 * n)]
     m = Model()
     vs = [m.add_fd_var(d) for d in doms]
-    post_lex_leq(m, vs[:n], vs[n:], strict=strict)
+    post_lex_leq(m, vs[:n], vs[n:])
     status = m.propagate()
-    expect = gac_by_definition(_lex_pred(n, strict), doms)
+    expect = gac_by_definition(_lex_pred(n), doms)
     if expect is None:
         assert status is FAILED
     else:
@@ -220,27 +207,17 @@ def _chain_pred(n, k):
     return pred
 
 
-def test_chain_of_two_matches_single_lex():
-    rng = random.Random(77)
-    for _ in range(100):
-        n = rng.randint(1, 4)
-        doms = [set(rng.sample([0, 1], rng.randint(1, 2))) for _ in range(2 * n)]
-        results = []
-        for complete in (False, True):
-            m = Model()
-            vs = [m.add_fd_var(d) for d in doms]
-            post_lex_chain(m, [vs[:n], vs[n:]], complete=complete)
-            status = m.propagate()
-            results.append((status, domains_of(vs) if status is AT_FIXPOINT else None))
-        assert results[0] == results[1]
+def _chain_cases(seed, cases, k, max_n):
+    rng = random.Random(seed)
+    for _ in range(cases):
+        n = rng.randint(1, max_n)
+        yield n, k, [set(rng.sample([0, 1], rng.randint(1, 2)))
+                     for _ in range(k * n)]
 
 
 def test_chain_complete_matches_oracle_200_cases():
-    rng = random.Random(4099)
-    for _ in range(200):
-        n = rng.randint(1, 3)
-        k = 3
-        doms = [set(rng.sample([0, 1], rng.randint(1, 2))) for _ in range(k * n)]
+    for n, k, doms in itertools.chain(_chain_cases(4099, 200, 3, 3),
+                                      _chain_cases(77, 100, 2, 4)):
         m = Model()
         vs = [m.add_fd_var(d) for d in doms]
         cols = [vs[j * n:(j + 1) * n] for j in range(k)]
@@ -280,13 +257,6 @@ def test_chain_entailed_on_ground_equal_columns():
     prop = m.post(LexChainComplete(cols))
     assert m.propagate() is AT_FIXPOINT
     assert prop.entailed
-
-
-def test_chain_complete_strict_unsupported():
-    m = Model()
-    cols = [[m.add_fd_var({0, 1})], [m.add_fd_var({0, 1})]]
-    with pytest.raises(ValueError):
-        post_lex_chain(m, cols, strict=True, complete=True)
 
 
 # --------------------------------------------------------------- exactly one
@@ -547,9 +517,9 @@ def test_less_than_entailed_and_failure():
     m = Model()
     a = m.add_fd_var({1})
     b = m.add_fd_var({5, 6})
-    prop = post_less_than(m, a, b)
+    enc = post_less_than(m, a, b)
     assert m.propagate() is AT_FIXPOINT
-    assert prop.entailed
+    assert all(p.entailed for p in enc.propagators)
 
     m2 = Model()
     post_less_than(m2, m2.add_fd_var({4, 5}), m2.add_fd_var({1, 2}))

@@ -27,6 +27,7 @@ def run_script(name, *args):
     ("run_schur_table.py", ["--budget-secs", "-1"]),
     ("run_schur_table.py", ["--budget-secs", "0"]),
     ("run_schur_table.py", ["--k3-max-n", "0"]),
+    ("run_schur_table.py", ["--k3-max-n", "12"]),
 ])
 def test_bad_arguments_exit_two(name, args):
     proc = run_script(name, *args)

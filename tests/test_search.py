@@ -5,8 +5,9 @@ import pytest
 
 from valprec.engine import Model
 from valprec.oracle import all_precedence_holds
-from valprec.precedence import encode_all_precedence
-from valprec.propagators import post_less_than, post_not_all_equal3
+from valprec.precedence import (encode_all_precedence, encode_pair_precedence,
+                                post_less_than)
+from valprec.propagators import post_not_all_equal3
 from valprec.search import Budget, Heuristic, solve
 
 
@@ -130,3 +131,13 @@ def test_invalid_heuristic_and_mode_rejected():
     m, xs = two_var_model()
     with pytest.raises(ValueError):
         solve(m, xs, mode="some")
+
+
+def test_deep_search_needs_no_recursion():
+    m = Model()
+    xs = [m.add_fd_var({1, 2}) for _ in range(1200)]
+    encode_pair_precedence(m, 1, 2, xs)
+    res = solve(m, xs, mode="first")
+    assert res.solutions == [(1,) * 1200]
+    assert res.stats.nodes == 1200
+    assert res.stats.backtracks == 0
