@@ -9,7 +9,7 @@ machine-readable copy.
 import argparse
 import sys
 
-from valprec.cli import positive
+from valprec.cli import positive, writable
 from valprec.schur import SchurInstance, format_table, run_bench, write_csv
 from valprec.search import Budget
 
@@ -23,7 +23,7 @@ def main(argv=None) -> int:
     parser.add_argument("--mode", choices=("first", "all"), default=None,
                         help="override the per-k default search mode")
     parser.add_argument("--budget-secs", type=positive(float), default=600.0)
-    parser.add_argument("--csv", metavar="PATH", default=None)
+    parser.add_argument("--csv", metavar="PATH", type=writable, default=None)
     args = parser.parse_args(argv)
     if args.k3_max_n < 13:
         parser.error("--k3-max-n must be at least 13, where the k=3 rows start")

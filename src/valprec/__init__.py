@@ -8,9 +8,8 @@ a brute-force referee (oracle), DFS search (search), equivalence fuzzing
 """
 from .engine import (AlwaysFail, IntVar, Model, PropagationStatus, Propagator,
                      SetVar)
-from .propagators import (LexChainComplete, NotAllEqual3, SetCharChannel,
-                          TernaryTable, max_leq, min_geq, post_lex_chain,
-                          post_lex_leq, post_not_all_equal3, post_table3)
+from .propagators import (NotAllEqual3, SetCharChannel, TernaryTable,
+                          post_not_all_equal3, post_table3)
 from .precedence import (TRANSITION_CAP, ChainEncoding, MatrixEncoding,
                          SetMatrixEncoding, SurjectionEncoding,
                          encode_all_precedence, encode_increasing_seq,
@@ -19,7 +18,8 @@ from .precedence import (TRANSITION_CAP, ChainEncoding, MatrixEncoding,
                          encode_reflection_lex, encode_rotation_lex,
                          encode_set_precedence, encode_wreath_precedence,
                          post_channel, post_exactly_one, post_implications,
-                         post_less_than, post_state_chain)
+                         post_less_than, post_lex_chain, post_lex_leq,
+                         post_state_chain)
 from .symmetry import (FullInterchange, PairInterchange, PartitionInterchange,
                        SymmetrySpec, WreathInterchange, assignment_orbit,
                        value_permutations, variable_permutations)

@@ -29,6 +29,16 @@ def positive(kind):
     return parse
 
 
+def writable(path: str) -> str:
+    """Argparse type: a path that opens for writing (created if missing)."""
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot write {path!r}: {exc.strerror}") from None
+    return path
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="valprec",
@@ -45,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     schur.add_argument("--budget-secs", type=positive(float), default=600.0,
                        help="wall-clock cut-off (default 600)")
     schur.add_argument("--heuristic", choices=HEURISTICS, default="lex-asc")
-    schur.add_argument("--csv", metavar="PATH", default=None,
-                       help="also append the row to a CSV file")
+    schur.add_argument("--csv", metavar="PATH", type=writable, default=None,
+                       help="also write the row to a CSV file")
 
     sub.add_parser("verify-theorems",
                    help="run the fixed witness instances")

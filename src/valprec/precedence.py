@@ -9,7 +9,8 @@ fixpoint enforces GAC on the conjunction, i.e. on the global ordering rule.
 An encoder gives the automaton as a step function over states of any sortable,
 hashable kind (an int, or a tuple of counters).  ``post_state_chain`` alone
 turns states into the integers the tables hold and bounds how big a chain may
-get.
+get.  Lexicographic ordering and the small relations of the alternative
+encodings are step functions too, so no encoding needs a filter of its own.
 """
 from __future__ import annotations
 
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .engine import AlwaysFail, IntVar, Model, Propagator, SetVar
-from .propagators import (SetCharChannel, post_lex_chain, post_lex_leq,
-                          post_table3)
+from .propagators import SetCharChannel, post_table3
 
 TRANSITION_CAP = 1_000_000
 
@@ -284,7 +284,8 @@ def encode_matrix_precedence(model: Model, values: Sequence[int],
         props += post_channel(model, x, bits[i], values).propagators
         props += post_exactly_one(model, bits[i]).propagators
     columns = [[bits[i][j] for i in range(n)] for j in range(m)]
-    props.extend(post_lex_chain(model, columns, category="encoding"))
+    for a, b in zip(columns, columns[1:]):
+        props += post_lex_chain(model, [a, b]).propagators
     return MatrixEncoding(bits, props)
 
 
@@ -331,16 +332,16 @@ def encode_set_precedence(model: Model, values: Sequence[int],
 
     Value v precedes w when the first set containing exactly one of them
     contains v.  Row i holds the indicator bits of S_i over the universe;
-    the columns of the listed values are chained non-strictly by lex with
-    whole-chain filtering, which reaches bound consistency on the ordering
-    when no cardinality bounds are present.  Cardinality bounds still
-    propagate through the channel but completeness is not promised then.
+    the columns of the listed values are ordered non-strictly by one lex
+    chain, which reaches bound consistency on the ordering when no
+    cardinality bounds are present.  Cardinality bounds still propagate
+    through the channel but completeness is not promised then.  The chain
+    is posted before the channels, so an oversized one posts nothing.
     """
     if len(set(values)) != len(values):
         raise ValueError("values must be distinct")
     universe = sorted(set(values).union(*(s.ub for s in sets)))
     bits: list[list[IntVar]] = []
-    props: list[Propagator] = []
     for i, s in enumerate(sets):
         row = []
         for v in universe:
@@ -352,12 +353,12 @@ def encode_set_precedence(model: Model, values: Sequence[int],
                 dom = {0, 1}
             row.append(model.add_fd_var(dom, name=f"S[{i},{v}]"))
         bits.append(row)
-        props.append(model.post(SetCharChannel(s, row, universe), "encoding"))
     jcol = {v: universe.index(v) for v in values}
     columns = [[bits[i][jcol[v]] for i in range(len(sets))] for v in values]
-    props.extend(post_lex_chain(model, columns, complete=True,
-                                category="encoding"))
-    return SetMatrixEncoding(bits, props)
+    chain = post_lex_chain(model, columns)
+    props = [model.post(SetCharChannel(s, row, universe), "encoding")
+             for s, row in zip(sets, bits)]
+    return SetMatrixEncoding(bits, props + chain.propagators)
 
 
 # --------------------------------------------- combined variable+value rules
@@ -393,7 +394,45 @@ def encode_increasing_seq(model: Model, xs: Sequence[IntVar],
                             accept=lambda s: s[2] >= s[1], label="R")
 
 
-def encode_reflection_lex(model: Model, xs: Sequence[IntVar]) -> Propagator:
+# ------------------------------------------------------------ lex ordering
+
+
+def post_lex_chain(model: Model,
+                   columns: Sequence[Sequence[IntVar]]) -> ChainEncoding:
+    """Order columns non-increasingly: columns[0] >=lex columns[1] >=lex ...
+
+    One chain reads the columns row by row: c0[0], c1[0], ..., c0[1], ...
+    State = (column read next, previous value in this row or None, bitmask
+    of the adjacent column pairs already strictly ordered).  On an undecided
+    pair a value above the previous one is refused and a value below it
+    decides the pair.  The chain is GAC on the whole ordering when no
+    variable appears twice, and sound otherwise.  A layer can hold 2^(k-1)
+    bitmasks for k columns, which ``TRANSITION_CAP`` bounds.
+    """
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("chain columns must have equal length")
+    last = len(columns) - 1
+
+    def step(s: tuple, v: int) -> Optional[tuple]:
+        j, prev, decided = s
+        if j and not decided >> (j - 1) & 1:
+            if prev < v:
+                return None
+            if prev > v:
+                decided |= 1 << (j - 1)
+        return (0, None, decided) if j == last else (j + 1, v, decided)
+
+    cells = [x for row in zip(*columns) for x in row]
+    return post_state_chain(model, cells, step, start=(0, None, 0), label="Lex")
+
+
+def post_lex_leq(model: Model, left: Sequence[IntVar],
+                 right: Sequence[IntVar]) -> ChainEncoding:
+    """left <=lex right, as the two-column chain [right, left]."""
+    return post_lex_chain(model, [right, left])
+
+
+def encode_reflection_lex(model: Model, xs: Sequence[IntVar]) -> ChainEncoding:
     """Prefer a sequence over its reversal: first half <=lex reversed last half.
 
     Odd lengths skip the middle position.  The two halves share no variables,
@@ -402,10 +441,11 @@ def encode_reflection_lex(model: Model, xs: Sequence[IntVar]) -> Propagator:
     h = len(xs) // 2
     left = list(xs[:h])
     right = [xs[-1 - i] for i in range(h)]
-    return post_lex_leq(model, left, right, category="encoding")
+    return post_lex_leq(model, left, right)
 
 
-def encode_rotation_lex(model: Model, xs: Sequence[IntVar]) -> list[Propagator]:
+def encode_rotation_lex(model: Model,
+                        xs: Sequence[IntVar]) -> list[ChainEncoding]:
     """Prefer a sequence over all its rotations: xs <=lex every cyclic shift.
 
     Each comparison aliases variables between the two sides, so the pruning
@@ -413,5 +453,4 @@ def encode_rotation_lex(model: Model, xs: Sequence[IntVar]) -> list[Propagator]:
     """
     n = len(xs)
     seq = list(xs)
-    return [post_lex_leq(model, seq, seq[r:] + seq[:r], category="encoding")
-            for r in range(1, n)]
+    return [post_lex_leq(model, seq, seq[r:] + seq[:r]) for r in range(1, n)]

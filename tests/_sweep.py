@@ -4,7 +4,8 @@ One model per (encoding, n) pair is reused across every domain combination:
 push a choice point, retain the combination, propagate, compare against the
 solution-filtered oracle, pop.  The oracle side filters a precomputed full
 solution list instead of re-enumerating, which keeps full sweeps at tens of
-microseconds per instance.
+microseconds per instance; finite-domain sweeps index that list by
+(position, value) as big-int masks of solution ids.
 """
 import itertools
 
@@ -37,6 +38,11 @@ def sweep_fd(spec, universe, n, combos=None):
 
     pred = predicate_for(spec)
     sols = enumerate_solutions(pred, [set(universe)] * n)
+    # has[i][v] = mask of the ids of the solutions with t[i] == v
+    has = [dict.fromkeys(universe, 0) for _ in range(n)]
+    for sid, t in enumerate(sols):
+        for i, v in enumerate(t):
+            has[i][v] |= 1 << sid
     if combos is None:
         combos = itertools.product(nonempty_subsets(universe), repeat=n)
 
@@ -55,8 +61,12 @@ def sweep_fd(spec, universe, n, combos=None):
             enc = None
         m.pop_choice()
 
-        surv = [t for t in sols if all(t[i] in combo[i] for i in range(n))]
-        orc = [set(c) for c in zip(*surv)] if surv else None
+        # the masks of one position are disjoint, so their sum is their union
+        surv = -1
+        for i, keep in enumerate(combo):
+            surv &= sum(has[i][v] for v in keep)
+        orc = [{v for v, ids in has[i].items() if ids & surv}
+               for i in range(n)] if surv else None
 
         if enc != orc:
             mismatches.append((combo, enc, orc))

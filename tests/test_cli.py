@@ -41,6 +41,20 @@ def test_schur_writes_csv(tmp_path, capsys):
     assert rows[1][8] == "false"
 
 
+def test_schur_unwritable_csv_exits_two_before_search(tmp_path, capsys,
+                                                     monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before checking --csv")
+    monkeypatch.setattr("valprec.cli.run_one", no_search)
+    with pytest.raises(SystemExit) as exc:
+        main(["schur", "--n", "4", "--k", "2", "--sym", "all", "--mode", "all",
+              "--csv", str(tmp_path / "missing" / "row.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "argument --csv: cannot write" in err
+
+
 def test_verify_theorems_exits_nonzero_with_report(capsys, monkeypatch):
     rc = main(["verify-theorems"])
     out = capsys.readouterr().out

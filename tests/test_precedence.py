@@ -565,10 +565,17 @@ def test_chain_sizes_pinned(encode, n, dom, tuples, state_sizes):
 def test_transition_cap_refuses_large_chain_before_posting():
     m = Model()
     xs = [m.add_fd_var(range(36)) for _ in range(30)]
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match=str(TRANSITION_CAP)):
-        encode_wreath_precedence(m, range(6), range(6), xs)
-    assert time.perf_counter() - t0 < 10
-    assert m.posted_total() == 0
-    assert m.propagate() is AT_FIXPOINT
+    # a lex chain over k columns holds up to 2^(k-1) states per layer
+    ms = Model()
+    sets = [ms.add_set_var(set(), range(13)) for _ in range(13)]
+    for model, encode in (
+            (m, lambda: encode_wreath_precedence(m, range(6), range(6), xs)),
+            (ms, lambda: encode_set_precedence(ms, range(13), sets))):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=str(TRANSITION_CAP)):
+            encode()
+        assert time.perf_counter() - t0 < 10
+        assert model.posted_total() == 0
+        assert model.propagate() is AT_FIXPOINT
     assert all(x.domain == frozenset(range(36)) for x in xs)
+    assert all(not s.lb and s.ub == frozenset(range(13)) for s in sets)

@@ -12,16 +12,10 @@ from valprec.precedence import (
     post_exactly_one,
     post_implications,
     post_less_than,
-)
-from valprec.propagators import (
-    LexChainComplete,
-    max_leq,
-    min_geq,
     post_lex_chain,
     post_lex_leq,
-    post_not_all_equal3,
-    post_table3,
 )
+from valprec.propagators import post_not_all_equal3, post_table3
 
 FAILED = PropagationStatus.FAILED
 AT_FIXPOINT = PropagationStatus.AT_FIXPOINT
@@ -97,31 +91,6 @@ def test_table_fixpoint_matches_oracle(data):
         assert domains_of(xs) == expect
 
 
-# ------------------------------------------------------ lex bound primitives
-
-
-def brute_max_leq(doms, bound):
-    cands = [t for t in itertools.product(*(sorted(d) for d in doms))
-             if t <= tuple(bound)]
-    return max(cands) if cands else None
-
-
-def brute_min_geq(doms, bound):
-    cands = [t for t in itertools.product(*(sorted(d) for d in doms))
-             if t >= tuple(bound)]
-    return min(cands) if cands else None
-
-
-@given(st.data())
-def test_lex_bound_helpers_match_brute_force(data):
-    n = data.draw(st.integers(1, 4))
-    doms = [data.draw(st.sets(st.integers(0, 3), min_size=1, max_size=4))
-            for _ in range(n)]
-    bound = tuple(data.draw(st.integers(0, 3)) for _ in range(n))
-    assert max_leq(doms, bound) == brute_max_leq(doms, bound)
-    assert min_geq(doms, bound) == brute_min_geq(doms, bound)
-
-
 # ------------------------------------------------------------------- lex leq
 
 
@@ -143,12 +112,13 @@ def test_lex_tail_forcing():
 
 
 def test_lex_entailed_when_max_left_below_min_right():
+    # every assignment satisfies the ordering, so no table may prune
     m = Model()
     a = [m.add_fd_var({0}), m.add_fd_var({0, 1})]
     b = [m.add_fd_var({1}), m.add_fd_var({0, 1})]
-    prop = post_lex_leq(m, a, b)
+    post_lex_leq(m, a, b)
     assert m.propagate() is AT_FIXPOINT
-    assert prop.entailed
+    assert domains_of(a + b) == [{0}, {0, 1}, {1}, {0, 1}]
 
 
 def _lex_pred(n):
@@ -207,21 +177,23 @@ def _chain_pred(n, k):
     return pred
 
 
-def _chain_cases(seed, cases, k, max_n):
+def _chain_cases(seed, cases, k, max_n, values=(0, 1)):
     rng = random.Random(seed)
     for _ in range(cases):
         n = rng.randint(1, max_n)
-        yield n, k, [set(rng.sample([0, 1], rng.randint(1, 2)))
+        yield n, k, [set(rng.sample(values, rng.randint(1, len(values))))
                      for _ in range(k * n)]
 
 
 def test_chain_complete_matches_oracle_200_cases():
     for n, k, doms in itertools.chain(_chain_cases(4099, 200, 3, 3),
-                                      _chain_cases(77, 100, 2, 4)):
+                                      _chain_cases(77, 100, 2, 4),
+                                      _chain_cases(78, 100, 3, 2, (0, 1, 2)),
+                                      _chain_cases(79, 60, 4, 2, (0, 1, 2))):
         m = Model()
         vs = [m.add_fd_var(d) for d in doms]
         cols = [vs[j * n:(j + 1) * n] for j in range(k)]
-        post_lex_chain(m, cols, complete=True)
+        post_lex_chain(m, cols)
         status = m.propagate()
         expect = gac_by_definition(_chain_pred(n, k), doms)
         if expect is None:
@@ -240,7 +212,8 @@ def test_chain_pairwise_is_sound_but_may_prune_less():
         m = Model()
         vs = [m.add_fd_var(d) for d in doms]
         cols = [vs[j * n:(j + 1) * n] for j in range(k)]
-        post_lex_chain(m, cols)
+        for a, b in zip(cols, cols[1:]):
+            post_lex_leq(m, b, a)
         status = m.propagate()
         expect = gac_by_definition(_chain_pred(n, k), doms)
         if expect is None:
@@ -252,11 +225,12 @@ def test_chain_pairwise_is_sound_but_may_prune_less():
 
 
 def test_chain_entailed_on_ground_equal_columns():
+    # equal ground columns satisfy the ordering: nothing to prune, no failure
     m = Model()
     cols = [[m.add_fd_var({1}), m.add_fd_var({0})] for _ in range(3)]
-    prop = m.post(LexChainComplete(cols))
+    post_lex_chain(m, cols)
     assert m.propagate() is AT_FIXPOINT
-    assert prop.entailed
+    assert [domains_of(c) for c in cols] == [[{1}, {0}]] * 3
 
 
 # --------------------------------------------------------------- exactly one
@@ -540,17 +514,23 @@ def _random_subdomains(rng, doms):
 def test_entailment_is_stable_under_further_pruning():
     """Once a propagator says entailed, later domain shrinking never falsifies it."""
     rng = random.Random(909)
+    checked = 0
     for _ in range(200):
         n = rng.randint(1, 3)
         doms = [set(rng.sample([0, 1], rng.randint(1, 2))) for _ in range(2 * n)]
         m = Model()
         vs = [m.add_fd_var(d) for d in doms]
-        prop = post_lex_leq(m, vs[:n], vs[n:])
-        if m.propagate() is FAILED or not prop.entailed:
+        enc = post_lex_leq(m, vs[:n], vs[n:])
+        if m.propagate() is FAILED:
             continue
+        entailed = [p for p in enc.propagators if p.entailed]
         sub = _random_subdomains(rng, domains_of(vs))
         for v, keep in zip(vs, sub):
             assert m.retain_values(v, keep)
-        before = domains_of(vs)
-        assert prop.filter(m)
-        assert domains_of(vs) == before
+        every = vs + enc.state_vars
+        before = domains_of(every)
+        for prop in entailed:
+            assert prop.filter(m)
+            assert domains_of(every) == before
+        checked += len(entailed)
+    assert checked > 0

@@ -28,6 +28,7 @@ def run_script(name, *args):
     ("run_schur_table.py", ["--budget-secs", "0"]),
     ("run_schur_table.py", ["--k3-max-n", "0"]),
     ("run_schur_table.py", ["--k3-max-n", "12"]),
+    ("run_schur_table.py", ["--csv", str(ROOT / "no-such-dir" / "x.csv")]),
 ])
 def test_bad_arguments_exit_two(name, args):
     proc = run_script(name, *args)
