@@ -8,10 +8,9 @@ a brute-force referee (oracle), DFS search (search), equivalence fuzzing
 """
 from .engine import (AlwaysFail, IntVar, Model, PropagationStatus, Propagator,
                      SetVar)
-from .propagators import (NotAllEqual3, SetCharChannel, TernaryTable,
-                          post_not_all_equal3, post_table3)
+from .propagators import NotAllEqual3, TernaryTable
 from .precedence import (TRANSITION_CAP, ChainEncoding, MatrixEncoding,
-                         SetMatrixEncoding, SurjectionEncoding,
+                         SurjectionEncoding,
                          encode_all_precedence, encode_increasing_seq,
                          encode_matrix_precedence, encode_pair_precedence,
                          encode_partial_precedence, encode_puget_surjection,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -30,12 +31,18 @@ def positive(kind):
 
 
 def writable(path: str) -> str:
-    """Argparse type: a path that opens for writing (created if missing)."""
+    """Argparse type: a path that opens for writing.
+
+    The check leaves no file behind: one it had to create is removed again.
+    """
+    existed = os.path.exists(path)
     try:
         open(path, "a", encoding="utf-8").close()
     except OSError as exc:
         raise argparse.ArgumentTypeError(
             f"cannot write {path!r}: {exc.strerror}") from None
+    if not existed:
+        os.remove(path)
     return path
 
 

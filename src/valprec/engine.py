@@ -1,12 +1,12 @@
 """Finite-domain constraint core: variables, trail, and a FIFO propagation queue.
 
 Integer variables keep explicit membership domains, so propagators can do
-exact value-level pruning rather than bounds reasoning.  Set variables are
-interval-bounded (lower bound, upper bound, fixed cardinality range).  A
-domain or bound is a frozenset that the :class:`Model` replaces and never
-mutates: every change trails one ``(owner, attribute, old_value)`` record,
-and ``push_choice``/``pop_choice`` bracket search decisions by restoring
-those records.
+exact value-level pruning rather than bounds reasoning.  A set variable is
+its characteristic row: one 0/1 integer variable per element it may hold,
+from which its lower and upper bounds are read.  A domain is a frozenset
+that the :class:`Model` replaces and never mutates: every change trails one
+``(owner, attribute, old_value)`` record, and ``push_choice``/``pop_choice``
+bracket search decisions by restoring those records.
 
 A propagator watches variables.  Any change to a watched variable schedules
 it on a FIFO queue with per-propagator deduplication, and ``propagate`` runs
@@ -64,29 +64,26 @@ class IntVar:
 
 
 class SetVar:
-    """Set variable bounded by required elements, possible elements, and cardinality.
+    """Set variable given by its characteristic bits.
 
-    The model replaces the frozensets ``lb`` and ``ub``; cardinality is fixed.
+    ``bits[v]`` is a 0/1 :class:`IntVar` that is 1 iff ``v`` is in the set;
+    only the elements of the initial upper bound have a bit.  ``lb`` and
+    ``ub`` are read from the bits.
     """
 
-    __slots__ = ("name", "lb", "ub", "card_lo", "card_hi", "watchers")
+    __slots__ = ("name", "bits")
 
-    def __init__(self, lb: Iterable[int], ub: Iterable[int],
-                 card: Optional[tuple[int, int]], name: str):
+    def __init__(self, bits: dict[int, IntVar], name: str):
         self.name = name
-        self.lb: frozenset[int] = frozenset(lb)
-        self.ub: frozenset[int] = frozenset(ub)
-        if not self.lb <= self.ub:
-            raise ValueError(f"{self.name}: lower bound must be within upper bound")
-        lo, hi = card if card is not None else (len(self.lb), len(self.ub))
-        lo, hi = max(lo, len(self.lb)), min(hi, len(self.ub))
-        if lo > hi:
-            raise ValueError(f"{self.name}: empty cardinality range")
-        self.card_lo, self.card_hi = lo, hi
-        self.watchers: list[Propagator] = []
+        self.bits = bits
 
-    def is_assigned(self) -> bool:
-        return self.lb == self.ub
+    @property
+    def lb(self) -> frozenset[int]:
+        return frozenset(v for v, b in self.bits.items() if 0 not in b.domain)
+
+    @property
+    def ub(self) -> frozenset[int]:
+        return frozenset(v for v, b in self.bits.items() if 1 in b.domain)
 
     def __repr__(self) -> str:
         return f"SetVar({self.name}, lb={sorted(self.lb)}, ub={sorted(self.ub)})"
@@ -106,7 +103,7 @@ class Propagator:
     def __init__(self):
         self.entailed = False
         self.queued = False
-        self.watches: list[IntVar | SetVar] = []
+        self.watches: list[IntVar] = []
 
     def filter(self, model: "Model") -> bool:
         raise NotImplementedError
@@ -122,9 +119,9 @@ class AlwaysFail(Propagator):
 class Model:
     """A constraint model: variables, propagators, trail, and the queue.
 
-    A change that would empty a domain, or break a set variable's bounds or
-    cardinality, leaves the variable as it was and marks the model failed.
-    Nothing reads a domain between a failure and the next ``pop_choice``.
+    A change that would empty a domain leaves the variable as it was and
+    marks the model failed.  Nothing reads a domain between a failure and
+    the next ``pop_choice``.
     """
 
     def __init__(self):
@@ -148,11 +145,16 @@ class Model:
         return v
 
     def add_set_var(self, lb: Iterable[int], ub: Iterable[int],
-                    card: Optional[tuple[int, int]] = None,
                     name: Optional[str] = None) -> SetVar:
-        s = SetVar(lb, ub, card, name or f"s{self._set_count}")
+        """A set with lb <= S <= ub: one bit per element of ub, fixed to 1 on lb."""
+        lb, ub = frozenset(lb), frozenset(ub)
+        name = name or f"s{self._set_count}"
+        if not lb <= ub:
+            raise ValueError(f"{name}: lower bound must be within upper bound")
         self._set_count += 1
-        return s
+        return SetVar({v: self.add_fd_var({1} if v in lb else {0, 1},
+                                          name=f"{name}[{v}]")
+                       for v in sorted(ub)}, name)
 
     # ----------------------------------------------------------- propagators
 
@@ -174,11 +176,10 @@ class Model:
 
     # ------------------------------------------------------------- mutation
 
-    def _replace(self, var: IntVar | SetVar, attr: str,
-                 new: frozenset[int]) -> None:
-        """Trail ``var.attr``, set it to ``new`` and wake ``var``'s watchers."""
-        self._trail.append((var, attr, getattr(var, attr)))
-        setattr(var, attr, new)
+    def _replace(self, var: IntVar, new: frozenset[int]) -> None:
+        """Trail ``var.domain``, set it to ``new`` and wake ``var``'s watchers."""
+        self._trail.append((var, "domain", var.domain))
+        var.domain = new
         for prop in var.watchers:
             self._schedule(prop)
 
@@ -189,7 +190,7 @@ class Model:
         if len(var.domain) == 1:
             self._failed = True
             return False
-        self._replace(var, "domain", var.domain - {v})
+        self._replace(var, var.domain - {v})
         return True
 
     def retain_values(self, var: IntVar, allowed: Iterable[int]) -> bool:
@@ -200,32 +201,12 @@ class Model:
         if not kept:
             self._failed = True
             return False
-        self._replace(var, "domain", kept)
+        self._replace(var, kept)
         return True
 
     def assign(self, var: IntVar, v: int) -> bool:
         """Fix ``var`` to ``v``; False if ``v`` is not in its domain."""
         return self.retain_values(var, (v,))
-
-    def include_value(self, svar: SetVar, v: int) -> bool:
-        """Add ``v`` to the lower bound of ``svar``; False on failure."""
-        if v in svar.lb:
-            return True
-        if v not in svar.ub or len(svar.lb) >= svar.card_hi:
-            self._failed = True
-            return False
-        self._replace(svar, "lb", svar.lb | {v})
-        return True
-
-    def exclude_value(self, svar: SetVar, v: int) -> bool:
-        """Remove ``v`` from the upper bound of ``svar``; False on failure."""
-        if v not in svar.ub:
-            return True
-        if v in svar.lb or len(svar.ub) <= svar.card_lo:
-            self._failed = True
-            return False
-        self._replace(svar, "ub", svar.ub - {v})
-        return True
 
     # ----------------------------------------------------------------- queue
 

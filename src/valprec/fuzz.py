@@ -88,9 +88,7 @@ def set_fixpoint(values: Sequence[int],
 def check_set_instance(values: Sequence[int], bounds: SetInstance):
     """(agree, encoding bounds, oracle bounds), comparing lb/ub only.
 
-    Cardinality is excluded from the comparison: the characteristic-matrix
-    encoding does not reason about cardinalities, and with cardinality bounds
-    present completeness is out of scope anyway.
+    The oracle's cardinality range is left out: set variables have none.
     """
     enc = set_fixpoint(values, bounds)
     orc_raw = bc_by_definition(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .engine import AlwaysFail, IntVar, Model, Propagator, SetVar
-from .propagators import SetCharChannel, post_table3
+from .propagators import TernaryTable
 
 TRANSITION_CAP = 1_000_000
 
@@ -70,9 +70,9 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
     ids = [{s: k for k, s in enumerate(sorted(layer))} for layer in layers]
     svars = [model.add_fd_var(range(len(layer)), name=f"{label}{i}")
              for i, layer in enumerate(layers)]
-    props = [post_table3(model, x, svars[i], svars[i + 1],
-                         [(v, ids[i][s], ids[i + 1][t]) for v, s, t in edges[i]],
-                         "encoding")
+    props = [model.post(TernaryTable(x, svars[i], svars[i + 1],
+                                     [(v, ids[i][s], ids[i + 1][t])
+                                      for v, s, t in edges[i]]), "encoding")
              for i, x in enumerate(xs)]
     return ChainEncoding(svars, props)
 
@@ -319,46 +319,22 @@ def encode_puget_surjection(model: Model, xs: Sequence[IntVar],
     return SurjectionEncoding(z, props)
 
 
-@dataclass
-class SetMatrixEncoding:
-    """Characteristic matrix of a sequence of set variables."""
-    bits: list[list[IntVar]]
-    propagators: list[Propagator]
-
-
 def encode_set_precedence(model: Model, values: Sequence[int],
-                          sets: Sequence[SetVar]) -> SetMatrixEncoding:
-    """Value precedence over set variables, via their characteristic matrix.
+                          sets: Sequence[SetVar]) -> ChainEncoding:
+    """Value precedence over set variables, as lex order on their bits.
 
     Value v precedes w when the first set containing exactly one of them
-    contains v.  Row i holds the indicator bits of S_i over the universe;
-    the columns of the listed values are ordered non-strictly by one lex
-    chain, which reaches bound consistency on the ordering when no
-    cardinality bounds are present.  Cardinality bounds still propagate
-    through the channel but completeness is not promised then.  The chain
-    is posted before the channels, so an oversized one posts nothing.
+    contains v.  The bit columns of the listed values, one row per set, are
+    ordered non-strictly by one lex chain, which reaches bound consistency
+    on the ordering.  A set that cannot hold a listed value gets a fixed 0
+    variable in that value's column.
     """
     if len(set(values)) != len(values):
         raise ValueError("values must be distinct")
-    universe = sorted(set(values).union(*(s.ub for s in sets)))
-    bits: list[list[IntVar]] = []
-    for i, s in enumerate(sets):
-        row = []
-        for v in universe:
-            if v in s.lb:
-                dom = {1}
-            elif v not in s.ub:
-                dom = {0}
-            else:
-                dom = {0, 1}
-            row.append(model.add_fd_var(dom, name=f"S[{i},{v}]"))
-        bits.append(row)
-    jcol = {v: universe.index(v) for v in values}
-    columns = [[bits[i][jcol[v]] for i in range(len(sets))] for v in values]
-    chain = post_lex_chain(model, columns)
-    props = [model.post(SetCharChannel(s, row, universe), "encoding")
-             for s, row in zip(sets, bits)]
-    return SetMatrixEncoding(bits, props + chain.propagators)
+    columns = [[s.bits[v] if v in s.bits
+                else model.add_fd_var({0}, name=f"{s.name}[{v}]")
+                for s in sets] for v in values]
+    return post_lex_chain(model, columns)
 
 
 # --------------------------------------------- combined variable+value rules

@@ -1,14 +1,14 @@
-"""Propagators: ternary tables, the set channel, and not-all-equal.
+"""Propagators: ternary tables and not-all-equal.
 
-Every filter here is monotone.  Everything else, lexicographic ordering and
-the small relations included, is compiled to ternary table chains in
-:mod:`valprec.precedence`.
+Every filter here is monotone.  Everything else, lexicographic ordering, set
+variables and the small relations included, is compiled to ternary table
+chains in :mod:`valprec.precedence`.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .engine import IntVar, Model, Propagator, SetVar
+from .engine import IntVar, Model, Propagator
 
 # --------------------------------------------------------------------- tables
 
@@ -44,44 +44,6 @@ class TernaryTable(Propagator):
                 return False
         distinct = self.x is not self.y and self.y is not self.z and self.x is not self.z
         if distinct and live == len(sx) * len(sy) * len(sz):
-            m.set_entailed(self)
-        return True
-
-
-def post_table3(model: Model, x: IntVar, y: IntVar, z: IntVar,
-                triples: Iterable[tuple[int, int, int]],
-                category: str = "user") -> TernaryTable:
-    return model.post(TernaryTable(x, y, z, triples), category)
-
-
-# ------------------------------------------------------------------ channels
-
-
-class SetCharChannel(Propagator):
-    """Characteristic-vector channel: bits[j] = 1 iff universe[j] is in the set."""
-
-    __slots__ = ("svar", "bits", "universe")
-
-    def __init__(self, svar: SetVar, bits: Sequence[IntVar], universe: Sequence[int]):
-        super().__init__()
-        self.svar = svar
-        self.bits = list(bits)
-        self.universe = list(universe)
-        self.watches = [svar] + self.bits
-
-    def filter(self, m: Model) -> bool:
-        s = self.svar
-        for j, v in enumerate(self.universe):
-            b = self.bits[j]
-            if v in s.lb and not m.remove_value(b, 0):
-                return False
-            if v not in s.ub and not m.remove_value(b, 1):
-                return False
-            if b.domain == {1} and not m.include_value(s, v):
-                return False
-            if b.domain == {0} and not m.exclude_value(s, v):
-                return False
-        if s.is_assigned() and all(b.is_assigned() for b in self.bits):
             m.set_entailed(self)
         return True
 
@@ -130,7 +92,3 @@ class NotAllEqual3(Propagator):
             m.set_entailed(self)
         return True
 
-
-def post_not_all_equal3(model: Model, x: IntVar, y: IntVar, z: IntVar,
-                        category: str = "user") -> NotAllEqual3:
-    return model.post(NotAllEqual3(x, y, z), category)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .engine import IntVar, Model
 from .precedence import encode_all_precedence, encode_pair_precedence
-from .propagators import post_not_all_equal3
+from .propagators import NotAllEqual3
 from .search import Budget, Heuristic, SearchResult, solve
 
 SYM_MODES = ("none", "adjacent", "all")
@@ -54,7 +54,7 @@ def build_schur_model(inst: SchurInstance, sym: str = "none") -> tuple[Model, li
     xs = [model.add_fd_var(range(1, inst.k + 1), name=f"X{i}")
           for i in range(1, inst.n + 1)]
     for a, b, c in sum_triples(inst.n):
-        post_not_all_equal3(model, xs[a - 1], xs[b - 1], xs[c - 1], category="user")
+        model.post(NotAllEqual3(xs[a - 1], xs[b - 1], xs[c - 1]))
     if sym == "adjacent":
         for v in range(1, inst.k):
             encode_pair_precedence(model, v, v + 1, xs)

@@ -106,9 +106,6 @@ def value_permutations(spec: SymmetrySpec) -> list[dict[int, int]]:
     raise TypeError(f"unknown symmetry spec {spec!r}")
 
 
-VARIABLE_GROUPS = ("none", "full", "reflection", "rotation")
-
-
 def variable_permutations(kind: str, n: int) -> list[tuple[int, ...]]:
     """Index permutations pi, applied as image[i] = a[pi[i]]."""
     ident = tuple(range(n))

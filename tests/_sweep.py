@@ -2,10 +2,10 @@
 
 One model per (encoding, n) pair is reused across every domain combination:
 push a choice point, retain the combination, propagate, compare against the
-solution-filtered oracle, pop.  The oracle side filters a precomputed full
-solution list instead of re-enumerating, which keeps full sweeps at tens of
-microseconds per instance; finite-domain sweeps index that list by
-(position, value) as big-int masks of solution ids.
+solution-filtered oracle, pop.  The oracle side indexes a precomputed full
+solution list instead of re-enumerating: by (position, value) for
+finite-domain sweeps and by (set, element, in or out) for set sweeps, as
+big-int masks of solution ids, so a combo costs one AND per fixed choice.
 """
 import itertools
 
@@ -86,72 +86,53 @@ def bound_pairs(universe):
     return out
 
 
-def _mask(s, order):
-    bits = 0
-    for v in s:
-        bits |= 1 << order[v]
-    return bits
-
-
 def sweep_set(values, universe, n, combos=None):
-    """Check the set encoding's lb/ub fixpoint against the oracle, exhaustively."""
-    universe = sorted(universe)
-    order = {v: i for i, v in enumerate(universe)}
-    full = (1 << len(universe)) - 1
+    """Check the set encoding's lb/ub fixpoint against the oracle, exhaustively.
 
+    A combo gives each set its (lb, ub); it is applied by fixing the sets'
+    bits, and the oracle side indexes the solutions by (set, element, in or
+    out) as big-int masks of solution ids, like ``sweep_fd``.
+    """
+    universe = sorted(universe)
     m = Model()
-    svars = [m.add_set_var(set(), set(universe)) for _ in range(n)]
+    svars = [m.add_set_var(set(), universe) for _ in range(n)]
     encode_set_precedence(m, values, svars)
     if m.propagate() is FAILED:
         raise AssertionError("set encoding fails on free bounds")
 
     all_sets = [frozenset(c) for r in range(len(universe) + 1)
                 for c in itertools.combinations(universe, r)]
-    sols = [tuple(_mask(s, order) for s in sets)
-            for sets in itertools.product(all_sets, repeat=n)
+    sols = [sets for sets in itertools.product(all_sets, repeat=n)
             if set_precedence_holds(values, sets)]
+    # has[i][v][b] = mask of the ids of the solutions with (v in S_i) == b
+    has = [{v: [0, 0] for v in universe} for _ in range(n)]
+    for sid, sets in enumerate(sols):
+        for i, s in enumerate(sets):
+            for v in universe:
+                has[i][v][v in s] |= 1 << sid
     if combos is None:
         combos = itertools.product(bound_pairs(universe), repeat=n)
 
     checked = 0
     mismatches = []
     for combo in combos:
+        # (set, element, bit) for every bit the combo fixes
+        fixed = [(i, v, int(v in lb)) for i, (lb, ub) in enumerate(combo)
+                 for v in universe if v in lb or v not in ub]
         m.push_choice()
-        alive = True
-        for sv, (lb, ub) in zip(svars, combo):
-            for v in lb:
-                if not m.include_value(sv, v):
-                    alive = False
-                    break
-            if not alive:
-                break
-            for v in set(universe) - ub:
-                if not m.exclude_value(sv, v):
-                    alive = False
-                    break
-            if not alive:
-                break
+        alive = all(m.retain_values(svars[i].bits[v], (b,)) for i, v, b in fixed)
         if alive and m.propagate() is not FAILED:
-            enc = [(_mask(sv.lb, order), _mask(sv.ub, order)) for sv in svars]
+            enc = [(sv.lb, sv.ub) for sv in svars]
         else:
             enc = None
         m.pop_choice()
 
-        masks = [(_mask(lb, order), _mask(ub, order)) for lb, ub in combo]
-        surv = [t for t in sols
-                if all(t[i] & masks[i][0] == masks[i][0]
-                       and t[i] & ~masks[i][1] & full == 0
-                       for i in range(n))]
-        if surv:
-            orc = []
-            for i in range(n):
-                lo, hi = full, 0
-                for t in surv:
-                    lo &= t[i]
-                    hi |= t[i]
-                orc.append((lo, hi))
-        else:
-            orc = None
+        surv = (1 << len(sols)) - 1
+        for i, v, b in fixed:
+            surv &= has[i][v][b]
+        orc = [(frozenset(v for v in universe if not has[i][v][0] & surv),
+                frozenset(v for v in universe if has[i][v][1] & surv))
+               for i in range(n)] if surv else None
 
         if enc != orc:
             mismatches.append((combo, enc, orc))

@@ -55,6 +55,23 @@ def test_schur_unwritable_csv_exits_two_before_search(tmp_path, capsys,
     assert "argument --csv: cannot write" in err
 
 
+def test_refused_arguments_leave_no_csv_behind(tmp_path, capsys):
+    path = tmp_path / "out.csv"
+    for argv in (["--csv", str(path), "--n", "0", "--k", "3"],
+                 ["--n", "4", "--k", "0", "--csv", str(path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["schur", "--sym", "all", "--mode", "first", *argv])
+        assert exc.value.code == 2
+        assert not path.exists()
+    # a file that was already there stays as it was
+    path.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(SystemExit):
+        main(["schur", "--csv", str(path), "--n", "0", "--k", "3",
+              "--sym", "all", "--mode", "first"])
+    assert path.read_text(encoding="utf-8") == "kept\n"
+    capsys.readouterr()
+
+
 def test_verify_theorems_exits_nonzero_with_report(capsys, monkeypatch):
     rc = main(["verify-theorems"])
     out = capsys.readouterr().out

@@ -24,17 +24,27 @@ def test_set_var_bounds_validated():
     m = Model()
     s = m.add_set_var({1}, {1, 2, 3})
     assert s.lb == {1} and s.ub == {1, 2, 3}
-    assert s.card_lo == 1 and s.card_hi == 3
+    m.push_choice()
+    # a required element cannot be dropped
+    assert not m.retain_values(s.bits[1], (0,))
+    assert m.failed
+    m.pop_choice()
+    assert s.lb == {1} and s.ub == {1, 2, 3}
     with pytest.raises(ValueError):
         m.add_set_var({4}, {1, 2})
 
 
-def test_set_var_cardinality_intersected():
+def test_add_set_var_makes_one_bit_per_ub_element():
     m = Model()
-    s = m.add_set_var({1}, {1, 2, 3}, card=(0, 2))
-    assert (s.card_lo, s.card_hi) == (1, 2)
+    s = m.add_set_var({1}, {1, 2, 5}, name="S")
+    assert sorted(s.bits) == [1, 2, 5]
+    assert len({id(b) for b in s.bits.values()}) == 3
+    assert s.bits[1].domain == {1}
+    assert s.bits[2].domain == s.bits[5].domain == {0, 1}
+    assert s.lb == {1} and s.ub == {1, 2, 5}
+    assert m.add_set_var(set(), set()).bits == {}
     with pytest.raises(ValueError):
-        m.add_set_var({1, 2}, {1, 2, 3}, card=(3, 1))
+        m.add_set_var({1, 4}, {1, 2})
 
 
 def test_remove_and_retain():
@@ -66,13 +76,16 @@ def test_assign():
 def test_set_ops_and_guards():
     m = Model()
     s = m.add_set_var(set(), {1, 2, 3})
-    assert m.include_value(s, 1)
+    m.push_choice()
+    assert m.retain_values(s.bits[1], (1,))
     assert s.lb == {1}
-    assert m.exclude_value(s, 2)
+    assert m.retain_values(s.bits[2], (0,))
     assert s.ub == {1, 3}
-    # include a value outside ub fails the model
-    assert not m.include_value(s, 2)
+    # including an element already excluded fails the model
+    assert not m.retain_values(s.bits[2], (1,))
     assert m.failed
+    m.pop_choice()
+    assert s.lb == set() and s.ub == {1, 2, 3}
 
 
 def test_push_pop_restores_everything():
@@ -83,14 +96,13 @@ def test_push_pop_restores_everything():
     m.post(p)
     m.push_choice()
     m.remove_value(x, 1)
-    m.include_value(s, 2)
-    m.exclude_value(s, 3)
+    m.retain_values(s.bits[2], (1,))
+    m.retain_values(s.bits[3], (0,))
     m.set_entailed(p)
-    assert p.entailed
+    assert p.entailed and s.lb == {1, 2} and s.ub == {1, 2}
     m.pop_choice()
     assert x.values() == (1, 2, 3)
     assert s.lb == {1} and s.ub == {1, 2, 3}
-    assert (s.card_lo, s.card_hi) == (1, 3)
     assert not p.entailed
 
 
@@ -183,14 +195,11 @@ def test_trail_restores_random_edits(data):
             x = xs[data.draw(st.integers(0, 2))]
             if len(x.domain) > 1:
                 m.remove_value(x, data.draw(st.sampled_from(sorted(x.domain))))
-        elif kind == "inc":
+        elif kind in ("inc", "exc"):
             free = sorted(s.ub - s.lb)
             if free:
-                m.include_value(s, data.draw(st.sampled_from(free)))
-        elif kind == "exc":
-            free = sorted(s.ub - s.lb)
-            if free:
-                m.exclude_value(s, data.draw(st.sampled_from(free)))
+                bit = s.bits[data.draw(st.sampled_from(free))]
+                m.retain_values(bit, (1,) if kind == "inc" else (0,))
         else:
             m.set_entailed(data.draw(st.sampled_from(props)))
     m.pop_choice()

@@ -15,7 +15,7 @@ from valprec.precedence import (
     post_lex_chain,
     post_lex_leq,
 )
-from valprec.propagators import post_not_all_equal3, post_table3
+from valprec.propagators import NotAllEqual3, TernaryTable
 
 FAILED = PropagationStatus.FAILED
 AT_FIXPOINT = PropagationStatus.AT_FIXPOINT
@@ -31,7 +31,7 @@ def domains_of(xs):
 def test_table_single_tuple_fixes_all():
     m = Model()
     xs = [m.add_fd_var({0, 1}, name=f"x{i}") for i in range(3)]
-    post_table3(m, *xs, {(0, 0, 0)})
+    m.post(TernaryTable(*xs, {(0, 0, 0)}))
     assert m.propagate() is AT_FIXPOINT
     assert [x.value() for x in xs] == [0, 0, 0]
 
@@ -39,7 +39,7 @@ def test_table_single_tuple_fixes_all():
 def test_table_full_product_entailed_without_pruning():
     m = Model()
     xs = [m.add_fd_var({0, 1}) for _ in range(3)]
-    prop = post_table3(m, *xs, set(itertools.product([0, 1], repeat=3)))
+    prop = m.post(TernaryTable(*xs, set(itertools.product([0, 1], repeat=3))))
     assert m.propagate() is AT_FIXPOINT
     assert prop.entailed
     assert domains_of(xs) == [{0, 1}] * 3
@@ -62,14 +62,14 @@ def test_table_rejects_second_value_before_first():
     x = m.add_fd_var({2})
     s = m.add_fd_var({0})
     t = m.add_fd_var({0, 1})
-    post_table3(m, x, s, t, _first_seen_triples(1, 2, [1, 2, 3]))
+    m.post(TernaryTable(x, s, t, _first_seen_triples(1, 2, [1, 2, 3])))
     assert m.propagate() is FAILED
 
 
 def test_table_empty_after_filter_fails():
     m = Model()
     xs = [m.add_fd_var({0, 1}) for _ in range(3)]
-    post_table3(m, *xs, {(2, 2, 2)})
+    m.post(TernaryTable(*xs, {(2, 2, 2)}))
     assert m.propagate() is FAILED
 
 
@@ -81,7 +81,7 @@ def test_table_fixpoint_matches_oracle(data):
     triples = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=20))
     m = Model()
     xs = [m.add_fd_var(d) for d in doms]
-    post_table3(m, *xs, triples)
+    m.post(TernaryTable(*xs, triples))
     status = m.propagate()
     expect = gac_by_definition(lambda t: t in triples, doms)
     if expect is None:
@@ -360,7 +360,7 @@ def test_nae_prunes_third_when_two_equal():
     x = m.add_fd_var({5})
     y = m.add_fd_var({5})
     z = m.add_fd_var({4, 5, 6})
-    post_not_all_equal3(m, x, y, z)
+    m.post(NotAllEqual3(x, y, z))
     assert m.propagate() is AT_FIXPOINT
     assert z.domain == {4, 6}
 
@@ -370,7 +370,7 @@ def test_nae_entailed_on_disjoint_pair():
     x = m.add_fd_var({1})
     y = m.add_fd_var({2})
     z = m.add_fd_var({1, 2, 3})
-    prop = post_not_all_equal3(m, x, y, z)
+    prop = m.post(NotAllEqual3(x, y, z))
     assert m.propagate() is AT_FIXPOINT
     assert prop.entailed
     assert z.domain == {1, 2, 3}
@@ -379,7 +379,7 @@ def test_nae_entailed_on_disjoint_pair():
 def test_nae_all_same_constant_fails():
     m = Model()
     vs = [m.add_fd_var({7}) for _ in range(3)]
-    post_not_all_equal3(m, *vs)
+    m.post(NotAllEqual3(*vs))
     assert m.propagate() is FAILED
 
 
@@ -387,7 +387,7 @@ def test_nae_aliased_pair_becomes_disequality():
     m = Model()
     x = m.add_fd_var({3, 4})
     z = m.add_fd_var({3})
-    post_not_all_equal3(m, x, x, z)
+    m.post(NotAllEqual3(x, x, z))
     assert m.propagate() is AT_FIXPOINT
     assert x.domain == {4}
 
@@ -395,7 +395,7 @@ def test_nae_aliased_pair_becomes_disequality():
 def test_nae_fully_aliased_fails():
     m = Model()
     x = m.add_fd_var({1, 2})
-    post_not_all_equal3(m, x, x, x)
+    m.post(NotAllEqual3(x, x, x))
     assert m.propagate() is FAILED
 
 
@@ -404,7 +404,7 @@ def test_nae_fully_aliased_fails():
 def test_nae_matches_oracle(doms):
     m = Model()
     vs = [m.add_fd_var(d) for d in doms]
-    post_not_all_equal3(m, *vs)
+    m.post(NotAllEqual3(*vs))
     status = m.propagate()
     expect = gac_by_definition(lambda t: not (t[0] == t[1] == t[2]), doms)
     if expect is None:

@@ -7,7 +7,7 @@ from valprec.engine import Model
 from valprec.oracle import all_precedence_holds
 from valprec.precedence import (encode_all_precedence, encode_pair_precedence,
                                 post_less_than)
-from valprec.propagators import post_not_all_equal3
+from valprec.propagators import NotAllEqual3
 from valprec.search import Budget, Heuristic, solve
 
 
@@ -84,7 +84,7 @@ def test_backtracks_bounded_by_nodes():
     m = Model()
     xs = [m.add_fd_var({1, 2, 3}) for _ in range(4)]
     for i in range(3):
-        post_not_all_equal3(m, xs[i], xs[i + 1], xs[(i + 2) % 4])
+        m.post(NotAllEqual3(xs[i], xs[i + 1], xs[(i + 2) % 4]))
     res = solve(m, xs)
     assert res.stats.backtracks <= res.stats.nodes
 
