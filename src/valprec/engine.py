@@ -8,10 +8,11 @@ that the :class:`Model` replaces and never mutates: every change trails one
 ``(owner, attribute, old_value)`` record, and ``push_choice``/``pop_choice``
 bracket search decisions by restoring those records.
 
-A propagator watches variables.  Any change to a watched variable schedules
-it on a FIFO queue with per-propagator deduplication, and ``propagate`` runs
-the queue to a fixpoint; a propagator that reports entailment is never woken
-again until backtracking undoes the report.
+A propagator watches variables.  A change to a watched variable schedules it
+on a FIFO queue with per-propagator deduplication; a propagator class that
+sets ``wakes_on_fix`` is scheduled only when a watched variable becomes
+fixed.  ``propagate`` runs the queue to a fixpoint; a propagator that
+reports entailment is never woken again until backtracking undoes the report.
 """
 from __future__ import annotations
 
@@ -29,15 +30,17 @@ class IntVar:
     """Integer variable with an explicit finite domain.
 
     ``domain`` is a frozenset owned by the model, which replaces it on every
-    change; read it directly or through ``values()``.
+    change; read it directly or through ``values()``.  ``watchers`` are woken
+    on every change, ``fix_watchers`` only when the domain becomes a singleton.
     """
 
-    __slots__ = ("name", "domain", "watchers")
+    __slots__ = ("name", "domain", "watchers", "fix_watchers")
 
     def __init__(self, values: Iterable[int], name: str):
         self.name = name
         self.domain: frozenset[int] = frozenset(values)
         self.watchers: list[Propagator] = []
+        self.fix_watchers: list[Propagator] = []
 
     def values(self) -> tuple[int, ...]:
         return tuple(sorted(self.domain))
@@ -93,12 +96,15 @@ class Propagator:
     """Base class for propagators.
 
     Subclasses implement ``filter(model) -> bool`` (False means failure) and
-    list the variables they watch in ``watches`` before posting.  A filter may
-    call ``model.set_entailed(self)`` once its constraint can no longer be
+    list the variables they watch in ``watches`` before posting.  Any change
+    to a watched variable wakes the propagator, or only a change that fixes
+    it if the class sets ``wakes_on_fix``.  A filter may call
+    ``model.set_entailed(self)`` once its constraint can no longer be
     violated; the engine then stops waking it on this branch.
     """
 
     __slots__ = ("entailed", "queued", "watches")
+    wakes_on_fix = False
 
     def __init__(self):
         self.entailed = False
@@ -161,9 +167,10 @@ class Model:
     def post(self, prop: Propagator, category: str = "user") -> Propagator:
         self.propagators.append(prop)
         self.posted_counts[category] = self.posted_counts.get(category, 0) + 1
-        for var in prop.watches:
-            var.watchers.append(prop)
-        self._schedule(prop)
+        for var in dict.fromkeys(prop.watches):
+            (var.fix_watchers if prop.wakes_on_fix else var.watchers).append(prop)
+        prop.queued = True
+        self._queue.append(prop)
         return prop
 
     def posted_total(self) -> int:
@@ -180,8 +187,11 @@ class Model:
         """Trail ``var.domain``, set it to ``new`` and wake ``var``'s watchers."""
         self._trail.append((var, "domain", var.domain))
         var.domain = new
-        for prop in var.watchers:
-            self._schedule(prop)
+        queue = self._queue
+        for prop in var.watchers + var.fix_watchers if len(new) == 1 else var.watchers:
+            if not prop.queued and not prop.entailed:
+                prop.queued = True
+                queue.append(prop)
 
     def remove_value(self, var: IntVar, v: int) -> bool:
         """Remove ``v`` from ``var``; False on domain wipeout."""
@@ -209,11 +219,6 @@ class Model:
         return self.retain_values(var, (v,))
 
     # ----------------------------------------------------------------- queue
-
-    def _schedule(self, prop: Propagator) -> None:
-        if not prop.queued and not prop.entailed:
-            prop.queued = True
-            self._queue.append(prop)
 
     def propagate(self) -> PropagationStatus:
         """Run queued propagators to a fixpoint."""

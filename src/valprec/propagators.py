@@ -55,10 +55,12 @@ class NotAllEqual3(Propagator):
     """At least two of x, y, z differ.  Arguments may repeat.
 
     With a repeated argument the constraint collapses to a disequality on the
-    remaining pair, which is what gets propagated then.
+    remaining pair, which is what gets propagated then.  Nothing can be pruned
+    before a variable is fixed, so the propagator wakes only on fixes.
     """
 
     __slots__ = ("x", "y", "z")
+    wakes_on_fix = True
 
     def __init__(self, x: IntVar, y: IntVar, z: IntVar):
         super().__init__()
@@ -66,9 +68,10 @@ class NotAllEqual3(Propagator):
         self.watches = [x, y, z]
 
     def _neq(self, m: Model, a: IntVar, b: IntVar) -> bool:
-        if a.is_assigned() and not m.remove_value(b, a.value()):
+        da, db = a.domain, b.domain
+        if len(da) == 1 and not m.remove_value(b, *da):
             return False
-        if b.is_assigned() and not m.remove_value(a, b.value()):
+        if len(db) == 1 and not m.remove_value(a, *db):
             return False
         if not (a.domain & b.domain):
             m.set_entailed(self)
@@ -82,13 +85,17 @@ class NotAllEqual3(Propagator):
             return self._neq(m, x, z)
         if y is z or x is z:
             return self._neq(m, x, y)
-        trio = (x, y, z)
-        for a, b, c in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-            va, vb, vc = trio[a], trio[b], trio[c]
-            if va.is_assigned() and vb.is_assigned() and va.value() == vb.value():
-                if not m.remove_value(vc, va.value()):
-                    return False
+        # Two equal singletons remove their value from the third variable.
+        # The domains are read once: a removal that succeeds cannot make
+        # another pair equal singletons.
+        dx, dy, dz = x.domain, y.domain, z.domain
+        if len(dx) == 1:
+            if dx == dy and not m.remove_value(z, *dx):
+                return False
+            if dx == dz and not m.remove_value(y, *dx):
+                return False
+        elif len(dy) == 1 and dy == dz and not m.remove_value(x, *dy):
+            return False
         if not (x.domain & y.domain & z.domain):
             m.set_entailed(self)
         return True
-

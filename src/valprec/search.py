@@ -67,12 +67,10 @@ def solve(model: Model, variables: Sequence[IntVar],
     t0 = time.perf_counter()
 
     def pick() -> Optional[IntVar]:
-        free = [v for v in variables if not v.is_assigned()]
-        if not free:
-            return None
+        free = (v for v in variables if len(v.domain) > 1)
         if heuristic.var == "mindom":
-            return min(free, key=lambda v: len(v.domain))
-        return free[0]
+            return min(free, key=lambda v: len(v.domain), default=None)
+        return next(free, None)
 
     def over_budget() -> bool:
         if budget is None:

@@ -141,10 +141,10 @@ def test_posted_counts_by_category():
 class _Recorder(Propagator):
     """Counts filter calls; never prunes."""
 
-    def __init__(self, var):
+    def __init__(self, *watches):
         super().__init__()
         self.calls = 0
-        self.watches = [var]
+        self.watches = list(watches)
 
     def filter(self, model):
         self.calls += 1
@@ -177,6 +177,86 @@ def test_entailed_propagator_not_rescheduled():
     m.remove_value(x, 1)
     m.propagate()
     assert p.calls == 0
+
+
+class _FixRecorder(_Recorder):
+    wakes_on_fix = True
+
+
+def _posted(m, prop):
+    """Post ``prop``, run its first filter and reset its call count."""
+    m.post(prop)
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    prop.calls = 0
+    return prop
+
+
+def test_fix_watcher_ignores_removal_leaving_two_values():
+    m = Model()
+    x = m.add_fd_var([1, 2, 3, 4])
+    p = _posted(m, _FixRecorder(x))
+    assert x.fix_watchers == [p] and x.watchers == []
+    m.remove_value(x, 2)
+    m.retain_values(x, (1, 3, 9))
+    m.propagate()
+    assert x.values() == (1, 3)
+    assert p.calls == 0
+
+
+@pytest.mark.parametrize("fix", [
+    lambda m, x: m.remove_value(x, 1),
+    lambda m, x: m.retain_values(x, (2, 9)),
+    lambda m, x: m.assign(x, 2),
+])
+def test_fix_watcher_woken_once_by_each_kind_of_fix(fix):
+    m = Model()
+    x = m.add_fd_var([1, 2, 3])
+    p = _posted(m, _FixRecorder(x))
+    m.remove_value(x, 3)
+    m.propagate()
+    assert p.calls == 0
+    assert fix(m, x)
+    assert x.values() == (2,)
+    m.propagate()
+    assert p.calls == 1
+
+
+def test_plain_watcher_woken_by_every_change():
+    m = Model()
+    x = m.add_fd_var([1, 2, 3, 4])
+    p = _posted(m, _Recorder(x))
+    assert x.watchers == [p] and x.fix_watchers == []
+    m.remove_value(x, 4)
+    m.propagate()
+    m.retain_values(x, (1, 2))
+    m.propagate()
+    m.assign(x, 1)
+    m.propagate()
+    assert p.calls == 3
+
+
+def test_entailed_fix_watcher_not_rescheduled():
+    m = Model()
+    x = m.add_fd_var([1, 2, 3])
+    p = _posted(m, _FixRecorder(x))
+    m.set_entailed(p)
+    m.assign(x, 1)
+    m.propagate()
+    assert p.calls == 0
+
+
+@pytest.mark.parametrize("cls", [_Recorder, _FixRecorder])
+def test_repeated_watch_filters_once_per_change(cls):
+    m = Model()
+    x = m.add_fd_var([1, 2, 3])
+    y = m.add_fd_var([1, 2])
+    p = _posted(m, cls(x, y, x))
+    assert (x.watchers + x.fix_watchers).count(p) == 1
+    m.remove_value(x, 3)
+    m.propagate()
+    m.assign(x, 1)
+    m.propagate()
+    assert p.calls == (2 if cls is _Recorder else 1)
 
 
 @given(st.data())

@@ -414,6 +414,50 @@ def test_nae_matches_oracle(doms):
         assert domains_of(vs) == expect
 
 
+@given(st.data())
+def test_nae_incremental_edits_match_oracle(data):
+    """After each edit and propagation the domains are GAC of the edited ones.
+
+    The propagator wakes only on fixes, so this checks that every fix that
+    makes pruning possible wakes it, through removals and assignments alike.
+    """
+    doms = [data.draw(st.sets(st.integers(0, 3), min_size=1, max_size=4))
+            for _ in range(3)]
+    a, b, c = data.draw(st.sampled_from([(0, 1, 2), (0, 0, 2), (0, 2, 2),
+                                         (0, 2, 0)]))
+    m = Model()
+    vs = [m.add_fd_var(d) for d in doms]
+    m.post(NotAllEqual3(vs[a], vs[b], vs[c]))
+
+    def pred(t):
+        return not (t[a] == t[b] == t[c])
+
+    def at_oracle_fixpoint(status):
+        expect = gac_by_definition(pred, doms)
+        if expect is None:
+            assert status is FAILED
+            return False
+        assert status is AT_FIXPOINT
+        assert domains_of(vs) == expect
+        return True
+
+    if not at_oracle_fixpoint(m.propagate()):
+        return
+    for _ in range(data.draw(st.integers(1, 6))):
+        free = [v for v in vs if len(v.domain) > 1]
+        if not free:
+            return
+        var = data.draw(st.sampled_from(free))
+        value = data.draw(st.sampled_from(sorted(var.domain)))
+        if data.draw(st.booleans()):
+            assert m.remove_value(var, value)
+        else:
+            assert m.assign(var, value)
+        doms = domains_of(vs)
+        if not at_oracle_fixpoint(m.propagate()):
+            return
+
+
 # ---------------------------------------------------------------- implication
 
 

@@ -19,7 +19,7 @@ from valprec.schur import (
     sum_triples,
     write_csv,
 )
-from valprec.search import Budget
+from valprec.search import Budget, Heuristic
 from valprec.symmetry import FullInterchange
 
 
@@ -124,6 +124,22 @@ def test_budget_halts_row():
     lines = text.splitlines()
     assert lines[-1].split()[-1] == "yes"
     assert "-" in lines[-1].split()
+
+
+@pytest.mark.parametrize("var, backtracks", [("lex", 2497), ("mindom", 2496)])
+def test_s44_4_budgeted_search_counts_pinned(var, backtracks):
+    """The first 5,000 nodes of S(44,4) with full precedence, ascending values.
+
+    Easy instances settle before a missed wake can change the search; on
+    this one a propagator that is not woken when it could prune changes the
+    backtrack count.
+    """
+    row, res = run_one(SchurInstance(44, 4), sym="all", mode="first",
+                       budget=Budget(max_nodes=5000),
+                       heuristic=Heuristic(var=var, val="asc"))
+    assert (res.stats.nodes, res.stats.backtracks, res.halted) == (5000, backtracks, True)
+    assert res.stats.solutions == 0
+    assert (row.user_constraints, row.encoding_constraints) == (484, 44)
 
 
 def test_csv_format_is_pinned():
