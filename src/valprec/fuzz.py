@@ -1,18 +1,23 @@
 """Randomized equivalence checking of encoding fixpoints against the oracle.
 
-One case = one random instance of one symmetry family.  The chain encoding is
-propagated to fixpoint and compared with the definition-based oracle (GAC for
-finite-domain families, lb/ub bound consistency for sets).  Any divergence is
-shrunk greedily (drop a variable, then drop single values) before reporting.
-Fixed seed means byte-identical reports.
+One case = one random instance of one symmetry family: a list of domains, or
+of (lb, ub) set bounds for the set family.  ``fd_fixpoint``/``set_fixpoint``
+propagate the chain encoding to fixpoint, and the result is compared with the
+definition-based oracle (GAC for finite-domain families, lb/ub bound
+consistency for sets).  The witnesses in ``verify`` build their models
+through the same two helpers.  Any divergence is reduced by the one greedy
+``shrink`` (drop an entry, then narrow one: a domain loses a value, a set's
+ub loses an element outside its lb) before reporting.  Fixed seed means
+byte-identical reports.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from itertools import chain
+from typing import Callable, Iterable, Optional, Sequence
 
-from .engine import Model, PropagationStatus
+from .engine import IntVar, Model, PropagationStatus, SetVar
 from .oracle import (SetBounds, all_precedence_holds,
                      bc_by_definition, gac_by_definition,
                      pair_precedence_holds, partition_precedence_holds,
@@ -55,106 +60,85 @@ def post_encoding(model: Model, spec: SymmetrySpec, xs) -> None:
         raise TypeError(f"no encoding for {spec!r}")
 
 
-def fd_fixpoint(spec: SymmetrySpec,
-                domains: Sequence[set[int]]) -> Optional[list[set[int]]]:
+def fd_fixpoint(domains: Sequence[set[int]],
+                post: Callable[[Model, list[IntVar]], object]) -> Optional[list[set[int]]]:
+    """Domains after ``post(model, xs)`` on fresh variables and propagation, or None."""
     model = Model()
     xs = [model.add_fd_var(d) for d in domains]
-    post_encoding(model, spec, xs)
+    post(model, xs)
     if model.propagate() is PropagationStatus.FAILED:
         return None
     return [set(x.domain) for x in xs]
 
 
-def check_fd_instance(spec: SymmetrySpec, domains: Sequence[set[int]]):
-    """(agree, encoding fixpoint, oracle GAC) for one finite-domain instance."""
-    enc = fd_fixpoint(spec, domains)
-    orc = gac_by_definition(predicate_for(spec), domains)
-    return enc == orc, enc, orc
-
-
 SetInstance = list[tuple[set[int], set[int]]]
 
 
-def set_fixpoint(values: Sequence[int],
-                 bounds: SetInstance) -> Optional[list[tuple[set[int], set[int]]]]:
+def set_fixpoint(bounds: SetInstance,
+                 post: Callable[[Model, list[SetVar]], object]) -> Optional[SetInstance]:
+    """(lb, ub) pairs after ``post(model, sets)`` on fresh sets and propagation, or None."""
     model = Model()
     svars = [model.add_set_var(lb, ub) for lb, ub in bounds]
-    encode_set_precedence(model, values, svars)
+    post(model, svars)
     if model.propagate() is PropagationStatus.FAILED:
         return None
     return [(set(s.lb), set(s.ub)) for s in svars]
 
 
-def check_set_instance(values: Sequence[int], bounds: SetInstance):
-    """(agree, encoding bounds, oracle bounds), comparing lb/ub only.
+def check_fd_instance(spec: SymmetrySpec, domains: Sequence[set[int]]):
+    """(agree, encoding fixpoint, oracle GAC) for one finite-domain instance."""
+    enc = fd_fixpoint(domains, lambda model, xs: post_encoding(model, spec, xs))
+    orc = gac_by_definition(predicate_for(spec), domains)
+    return enc == orc, enc, orc
 
-    The oracle's cardinality range is left out: set variables have none.
-    """
-    enc = set_fixpoint(values, bounds)
-    orc_raw = bc_by_definition(
+
+def check_set_instance(values: Sequence[int], bounds: SetInstance):
+    """(agree, encoding bounds, oracle bounds) for one set instance."""
+    enc = set_fixpoint(bounds, lambda model, sets: encode_set_precedence(model, values, sets))
+    orc = bc_by_definition(
         lambda sets: set_precedence_holds(values, sets),
         [SetBounds(frozenset(lb), frozenset(ub)) for lb, ub in bounds])
-    orc = None if orc_raw is None else [(set(sb.lb), set(sb.ub)) for sb in orc_raw]
+    if orc is not None:
+        orc = [(set(sb.lb), set(sb.ub)) for sb in orc]
     return enc == orc, enc, orc
 
 
 # ------------------------------------------------------------------ shrinking
 
 
-def shrink_fd(spec: SymmetrySpec, domains: list[set[int]]) -> list[set[int]]:
-    cur = [set(d) for d in domains]
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(cur)):
-            cand = cur[:i] + cur[i + 1:]
-            if cand and not check_fd_instance(spec, cand)[0]:
-                cur, improved = cand, True
-                break
-        if improved:
-            continue
-        for i in range(len(cur)):
-            if len(cur[i]) <= 1:
-                continue
-            for v in sorted(cur[i]):
-                cand = [set(d) for d in cur]
-                cand[i].discard(v)
-                if not check_fd_instance(spec, cand)[0]:
-                    cur, improved = cand, True
-                    break
-            if improved:
-                break
-    return cur
+def shrink(case: list, narrower: Callable[[object], Iterable],
+           diverges: Callable[[list], bool]) -> list:
+    """Greedily move to the first smaller case that still diverges, until none does.
+
+    Smaller cases are tried in a fixed order: ``case`` with one entry dropped
+    (never down to no entry), then with one entry replaced by each of
+    ``narrower(entry)``, entry by entry.
+    """
+    while True:
+        drops = [case[:i] + case[i + 1:] for i in range(len(case))] if len(case) > 1 else []
+        narrowings = (case[:i] + [e] + case[i + 1:]
+                      for i, entry in enumerate(case) for e in narrower(entry))
+        smaller = next((c for c in chain(drops, narrowings) if diverges(c)), None)
+        if smaller is None:
+            return case
+        case = smaller
 
 
-def shrink_set(values: Sequence[int], bounds: SetInstance) -> SetInstance:
-    cur = [(set(lb), set(ub)) for lb, ub in bounds]
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(cur)):
-            cand = cur[:i] + cur[i + 1:]
-            if cand and not check_set_instance(values, cand)[0]:
-                cur, improved = cand, True
-                break
-        if improved:
-            continue
-        for i, (lb, ub) in enumerate(cur):
-            for v in sorted(ub - lb):
-                cand = [(set(a), set(b)) for a, b in cur]
-                cand[i][1].discard(v)
-                if not check_set_instance(values, cand)[0]:
-                    cur, improved = cand, True
-                    break
-            if improved:
-                break
-    return cur
+def _narrow_domain(domain: set[int]) -> list[set[int]]:
+    """The domain with one value dropped, for each value; none for a singleton."""
+    return [domain - {v} for v in sorted(domain)] if len(domain) > 1 else []
+
+
+def _narrow_bounds(bounds: tuple[set[int], set[int]]) -> list[tuple[set[int], set[int]]]:
+    """The bounds with one element of ub - lb dropped from ub, for each one."""
+    lb, ub = bounds
+    return [(lb, ub - {v}) for v in sorted(ub - lb)]
 
 
 # ------------------------------------------------------------------ reporting
 
 
-def _render_domains(doms) -> str:
+def render_domains(doms) -> str:
     if doms is None:
         return "failed"
     return " ".join("{" + ",".join(map(str, sorted(d))) + "}" for d in doms)
@@ -200,6 +184,9 @@ def format_fuzz(report: FuzzReport) -> str:
 
 # ----------------------------------------------------------------- generation
 
+# A random case comes with what the case loop needs to know of its kind:
+# (label, entries, checker, narrowing step, renderer).
+
 
 def _random_domains(rng: random.Random, n: int, universe: Sequence[int]) -> list[set[int]]:
     pool = list(universe)
@@ -231,7 +218,8 @@ def _random_fd_case(rng: random.Random, family: str):
         universe = range(4)
     else:
         raise ValueError(family)
-    return spec, _random_domains(rng, n, list(universe))
+    return (f"{spec} domains=", _random_domains(rng, n, list(universe)),
+            lambda case: check_fd_instance(spec, case), _narrow_domain, render_domains)
 
 
 def _random_set_case(rng: random.Random):
@@ -251,7 +239,8 @@ def _random_set_case(rng: random.Random):
             elif r < 0.7:
                 ub.add(v)
         bounds.append((lb, ub))
-    return values, bounds
+    return (f"values={values} bounds=", bounds,
+            lambda case: check_set_instance(values, case), _narrow_bounds, _render_bounds)
 
 
 def fuzz_equivalence(seed: int, cases: int) -> FuzzReport:
@@ -263,24 +252,12 @@ def fuzz_equivalence(seed: int, cases: int) -> FuzzReport:
     for i in range(cases):
         family = FAMILIES[i % len(FAMILIES)]
         report.checked[family] = report.checked.get(family, 0) + 1
-        if family == "set":
-            values, bounds = _random_set_case(rng)
-            ok, _, _ = check_set_instance(values, bounds)
-            if not ok:
-                small = shrink_set(values, bounds)
-                _, enc, orc = check_set_instance(values, small)
-                report.divergences.append(Divergence(
-                    family,
-                    f"values={values} bounds={_render_bounds(small)} -> "
-                    f"encoding {_render_bounds(enc)} vs oracle {_render_bounds(orc)}"))
-        else:
-            spec, domains = _random_fd_case(rng, family)
-            ok, _, _ = check_fd_instance(spec, domains)
-            if not ok:
-                small = shrink_fd(spec, domains)
-                _, enc, orc = check_fd_instance(spec, small)
-                report.divergences.append(Divergence(
-                    family,
-                    f"{spec} domains={_render_domains(small)} -> "
-                    f"encoding {_render_domains(enc)} vs oracle {_render_domains(orc)}"))
+        label, case, check, narrower, render = (
+            _random_set_case(rng) if family == "set" else _random_fd_case(rng, family))
+        if not check(case)[0]:
+            small = shrink(case, narrower, lambda c: not check(c)[0])
+            _, enc, orc = check(small)
+            report.divergences.append(Divergence(
+                family, f"{label}{render(small)} -> "
+                        f"encoding {render(enc)} vs oracle {render(orc)}"))
     return report

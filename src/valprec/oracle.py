@@ -108,33 +108,30 @@ def increasing_seq_holds(values: Sequence[int], xs: Sequence[int]) -> bool:
 # --------------------------------------------------------- consistency oracles
 
 
-def _check_cap(size: int, cap: int) -> None:
-    if size > cap:
-        raise ValueError(f"enumeration space {size} exceeds cap {cap}")
+def _check_cap(size: int) -> None:
+    if size > ENUM_CAP:
+        raise ValueError(f"enumeration space {size} exceeds cap {ENUM_CAP}")
 
 
 def enumerate_solutions(pred: Callable[[tuple[int, ...]], bool],
-                        domains: Sequence[Iterable[int]],
-                        cap: int = ENUM_CAP) -> list[tuple[int, ...]]:
+                        domains: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
     doms = [sorted(d) for d in domains]
     size = 1
     for d in doms:
         size *= len(d)
-    _check_cap(size, cap)
+    _check_cap(size)
     return [t for t in itertools.product(*doms) if pred(t)]
 
 
 def gac_by_definition(pred: Callable[[tuple[int, ...]], bool],
-                      domains: Sequence[Iterable[int]],
-                      cap: int = ENUM_CAP) -> Optional[list[set[int]]]:
+                      domains: Sequence[Iterable[int]]) -> Optional[list[set[int]]]:
     """Domains after removing every value without a solution, None if wiped out."""
-    sols = enumerate_solutions(pred, domains, cap)
+    sols = enumerate_solutions(pred, domains)
     return gac_from_solutions(sols, domains)
 
 
 def iterated_gac(preds: Sequence[Callable[[tuple[int, ...]], bool]],
-                 domains: Sequence[Iterable[int]],
-                 cap: int = ENUM_CAP) -> Optional[list[set[int]]]:
+                 domains: Sequence[Iterable[int]]) -> Optional[list[set[int]]]:
     """Fixpoint of per-constraint GAC over several predicates, None on wipeout.
 
     This is the reference for what a decomposition can prune: each constraint
@@ -145,7 +142,7 @@ def iterated_gac(preds: Sequence[Callable[[tuple[int, ...]], bool]],
     while changed:
         changed = False
         for pred in preds:
-            nxt = gac_by_definition(pred, doms, cap)
+            nxt = gac_by_definition(pred, doms)
             if nxt is None:
                 return None
             if nxt != doms:
@@ -175,47 +172,34 @@ def gac_from_solutions(solutions: Iterable[Sequence[int]],
 
 @dataclass(frozen=True)
 class SetBounds:
-    """Bound domain of a set variable: lb subset-of S subset-of ub, |S| in card."""
+    """Bound domain of a set variable: lb subset-of S subset-of ub."""
     lb: frozenset[int]
     ub: frozenset[int]
-    card_lo: int = 0
-    card_hi: int = 1 << 30
 
     def subsets(self) -> list[frozenset[int]]:
         extra = sorted(self.ub - self.lb)
-        out = []
-        for r in range(len(extra) + 1):
-            for combo in itertools.combinations(extra, r):
-                s = self.lb | set(combo)
-                if self.card_lo <= len(s) <= self.card_hi:
-                    out.append(frozenset(s))
-        return out
+        return [self.lb | frozenset(combo)
+                for r in range(len(extra) + 1)
+                for combo in itertools.combinations(extra, r)]
 
 
 def bc_by_definition(pred: Callable[[tuple[frozenset[int], ...]], bool],
-                     set_bounds: Sequence[SetBounds],
-                     cap: int = ENUM_CAP) -> Optional[list[SetBounds]]:
+                     set_bounds: Sequence[SetBounds]) -> Optional[list[SetBounds]]:
     """Bound-consistent closure of set bounds by enumeration, None if unsatisfiable.
 
     ``pred`` is called with a tuple of frozensets.  Lower bounds grow to the
-    intersection of supports, upper bounds shrink to their union,
-    cardinalities to the extremes seen.
+    intersection of supports, upper bounds shrink to their union.
     """
     choices = [sb.subsets() for sb in set_bounds]
     size = 1
     for c in choices:
         size *= len(c)
-    _check_cap(size, cap)
+    _check_cap(size)
     supports = [sets for sets in itertools.product(*choices) if pred(sets)]
     if not supports:
         return None
-    new_sets = []
-    for seen in zip(*supports):
-        lb = frozenset.intersection(*seen)
-        ub = frozenset.union(*seen)
-        cards = [len(s) for s in seen]
-        new_sets.append(SetBounds(lb, ub, min(cards), max(cards)))
-    return new_sets
+    return [SetBounds(frozenset.intersection(*seen), frozenset.union(*seen))
+            for seen in zip(*supports)]
 
 
 # ----------------------------------------------------------------- orbit tools

@@ -5,15 +5,20 @@ through the decomposition it is claimed to beat, then checks the documented
 outcome.  Every item also checks the chain's fixpoint against the brute-force
 oracle on the same instance (GAC for finite-domain variables, lb/ub bound
 consistency for set variables), so a recorded expectation cannot drift from
-the definition of the constraint.
+the definition of the constraint.  Every model, chain or decomposition, is
+built and propagated by ``fuzz.fd_fixpoint``/``fuzz.set_fixpoint``, and the
+chain-vs-oracle check is the fuzzer's own ``check_fd_instance``/
+``check_set_instance``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import combinations
+from typing import Callable, Sequence
 
-from .engine import IntVar, Model, PropagationStatus
-from .fuzz import _render_domains, check_fd_instance, check_set_instance
+from .engine import Model
+from .fuzz import (check_fd_instance, check_set_instance, fd_fixpoint,
+                   render_domains, set_fixpoint)
 from .oracle import all_precedence_holds, iterated_gac
 from .precedence import (encode_all_precedence, encode_matrix_precedence,
                          encode_pair_precedence, encode_puget_surjection,
@@ -38,30 +43,20 @@ class TheoremReport:
         return all(it.ok for it in self.items)
 
 
-def fixpoint(model: Model, xs: Sequence[IntVar]) -> Optional[list[set[int]]]:
-    """Propagate to fixpoint; the resulting domains, or None on failure."""
-    if model.propagate() is PropagationStatus.FAILED:
-        return None
-    return [set(x.domain) for x in xs]
+def _per_group(encode: Callable[[Model, Sequence[int], list], object],
+               groups: Sequence[Sequence[int]]):
+    """A post step for ``fd_fixpoint``/``set_fixpoint`` that calls
+    ``encode(model, group, vars)`` once per value group."""
+    def post(model: Model, xs: list) -> None:
+        for group in groups:
+            encode(model, group, xs)
+    return post
 
 
-def _fixpoint_of(domains: Sequence[set[int]],
-                 encode: Callable[[Model, Sequence[int], list[IntVar]], object],
-                 groups: Sequence[Sequence[int]]) -> Optional[list[set[int]]]:
-    """Fixpoint of ``encode(model, group, xs)`` posted once per value group."""
-    model = Model()
-    xs = [model.add_fd_var(d) for d in domains]
-    for group in groups:
-        encode(model, group, xs)
-    return fixpoint(model, xs)
-
-
-def _post_pairwise(model: Model, values: Sequence[int],
-                   xs: Sequence[IntVar]) -> None:
+def _post_pairwise(model: Model, values: Sequence[int], xs: list) -> None:
     """The full-order rule over values, split into one pair chain per pair."""
-    for j in range(len(values)):
-        for k in range(j + 1, len(values)):
-            encode_pair_precedence(model, values[j], values[k], xs)
+    for first, second in combinations(values, 2):
+        encode_pair_precedence(model, first, second, xs)
 
 
 def _check_full_vs_pairwise() -> TheoremItem:
@@ -69,7 +64,7 @@ def _check_full_vs_pairwise() -> TheoremItem:
     values = (1, 2, 3, 4)
 
     agrees, full, oracle = check_fd_instance(FullInterchange(values), domains)
-    pairwise = _fixpoint_of(domains, _post_pairwise, [values])
+    pairwise = fd_fixpoint(domains, _per_group(_post_pairwise, [values]))
 
     ok = (agrees and full == [{1}, {2}, {1, 3}, {3, 4}]
           and pairwise == [set(d) for d in domains])
@@ -78,8 +73,8 @@ def _check_full_vs_pairwise() -> TheoremItem:
         ok=ok,
         expected="chain and oracle prune 1 from X2; all-pairs decomposition "
                  "prunes nothing",
-        observed=f"chain: {_render_domains(full)}; oracle: {_render_domains(oracle)}; "
-                 f"pairwise: {_render_domains(pairwise)}")
+        observed=f"chain: {render_domains(full)}; oracle: {render_domains(oracle)}; "
+                 f"pairwise: {render_domains(pairwise)}")
 
 
 def _check_partition_vs_per_class() -> TheoremItem:
@@ -87,7 +82,7 @@ def _check_partition_vs_per_class() -> TheoremItem:
     classes = ((1, 2, 3), (4, 5, 6))
 
     agrees, joint, oracle = check_fd_instance(PartitionInterchange(classes), domains)
-    per_class = _fixpoint_of(domains, encode_all_precedence, classes)
+    per_class = fd_fixpoint(domains, _per_group(encode_all_precedence, classes))
 
     reference = iterated_gac(
         [lambda t, c=c: all_precedence_holds(c, t) for c in classes], domains)
@@ -98,8 +93,8 @@ def _check_partition_vs_per_class() -> TheoremItem:
         ok=ok,
         expected="joint chain and oracle fail; per-class chains reach a "
                  "consistent fixpoint",
-        observed=f"joint: {_render_domains(joint)}; oracle: {_render_domains(oracle)}; "
-                 f"per-class: {_render_domains(per_class)}")
+        observed=f"joint: {render_domains(joint)}; oracle: {render_domains(oracle)}; "
+                 f"per-class: {render_domains(per_class)}")
 
 
 def _check_wreath_vs_pairwise() -> TheoremItem:
@@ -120,8 +115,8 @@ def _check_wreath_vs_pairwise() -> TheoremItem:
              + [[spec.code(u, v) for v in spec.inner] for u in spec.outer])
 
     agrees, chain, oracle = check_fd_instance(spec, domains)
-    per_rule = _fixpoint_of(domains, encode_all_precedence, rules)
-    pairwise = _fixpoint_of(domains, _post_pairwise, rules)
+    per_rule = fd_fixpoint(domains, _per_group(encode_all_precedence, rules))
+    pairwise = fd_fixpoint(domains, _per_group(_post_pairwise, rules))
 
     unchanged = [set(d) for d in domains]
     ok = (agrees and chain == [{0}, {2}, {3, 4}, {2, 3}]
@@ -131,9 +126,9 @@ def _check_wreath_vs_pairwise() -> TheoremItem:
         ok=ok,
         expected="chain and oracle prune code 0 (pair <1,3>) from X2; "
                  "per-rule chains and their pairwise split prune nothing",
-        observed=f"chain: {_render_domains(chain)}; oracle: {_render_domains(oracle)}; "
-                 f"per-rule: {_render_domains(per_rule)}; "
-                 f"pairwise: {_render_domains(pairwise)}")
+        observed=f"chain: {render_domains(chain)}; oracle: {render_domains(oracle)}; "
+                 f"per-rule: {render_domains(per_rule)}; "
+                 f"pairwise: {render_domains(pairwise)}")
 
 
 def _check_matrix_vs_chain() -> TheoremItem:
@@ -141,7 +136,7 @@ def _check_matrix_vs_chain() -> TheoremItem:
     values = (1, 2, 3)
 
     agrees, chain, oracle = check_fd_instance(FullInterchange(values), domains)
-    matrix = _fixpoint_of(domains, encode_matrix_precedence, [values])
+    matrix = fd_fixpoint(domains, _per_group(encode_matrix_precedence, [values]))
 
     ok = (agrees and chain == [{1}, {1, 2}]
           and matrix == [set(d) for d in domains])
@@ -150,8 +145,8 @@ def _check_matrix_vs_chain() -> TheoremItem:
         ok=ok,
         expected="chain and oracle prune 2 from X1 and 3 from X2; "
                  "channelled matrix prunes neither",
-        observed=f"chain: {_render_domains(chain)}; oracle: {_render_domains(oracle)}; "
-                 f"matrix: {_render_domains(matrix)}")
+        observed=f"chain: {render_domains(chain)}; oracle: {render_domains(oracle)}; "
+                 f"matrix: {render_domains(matrix)}")
 
 
 def _check_set_chain_vs_pairwise() -> TheoremItem:
@@ -161,15 +156,9 @@ def _check_set_chain_vs_pairwise() -> TheoremItem:
     agrees, chain, oracle = check_set_instance(values, bounds)
     tightened = chain is not None and chain[0][0] == {0}
 
-    m2 = Model()
-    sets2 = [m2.add_set_var(lb, ub) for lb, ub in bounds]
-    for j in range(len(values)):
-        for k in range(j + 1, len(values)):
-            encode_set_precedence(m2, [values[j], values[k]], sets2)
-    failed2 = m2.propagate() is PropagationStatus.FAILED
-    unchanged = not failed2 and all(
-        s.lb == set(lb) and s.ub == set(ub)
-        for s, (lb, ub) in zip(sets2, bounds))
+    pairwise = set_fixpoint(
+        bounds, _per_group(encode_set_precedence, list(combinations(values, 2))))
+    unchanged = pairwise == bounds
 
     def s1(bnds) -> str:
         if bnds is None:
@@ -191,11 +180,10 @@ def _check_surjection_vs_chain() -> TheoremItem:
     domains = [{1}, {1, 2}, {1, 3}, {3, 4}, {2}, {3}, {4}]
     values = (1, 2, 3, 4)
 
-    m1 = Model()
-    xs1 = [m1.add_fd_var(d) for d in domains]
-    enc = encode_puget_surjection(m1, xs1, values)
-    surj = fixpoint(m1, xs1)
-    z_doms = [set(z.domain) for z in enc.first_index]
+    encodings = []
+    surj = fd_fixpoint(domains, lambda model, xs: encodings.append(
+        encode_puget_surjection(model, xs, values)))
+    z_doms = [set(z.domain) for z in encodings[0].first_index]
     stated_z = [{1}, {2, 5}, {3, 4, 6}, {4, 7}]
 
     agrees, chain, oracle = check_fd_instance(FullInterchange(values), domains)
@@ -207,9 +195,9 @@ def _check_surjection_vs_chain() -> TheoremItem:
         ok=ok,
         expected="implications stay at the stated fixpoint with X2 untouched; "
                  "chain and oracle prune 1 from X2",
-        observed=f"implication fixpoint X: {_render_domains(surj)}, "
-                 f"Z: {_render_domains(z_doms)}; "
-                 f"chain: {_render_domains(chain)}; oracle: {_render_domains(oracle)}")
+        observed=f"implication fixpoint X: {render_domains(surj)}, "
+                 f"Z: {render_domains(z_doms)}; "
+                 f"chain: {render_domains(chain)}; oracle: {render_domains(oracle)}")
 
 
 def verify_theorems() -> TheoremReport:

@@ -1,6 +1,7 @@
 """The command-line surface: subcommands, output, exit codes."""
 import csv
 import io
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +98,18 @@ def test_fuzz_exits_zero_on_clean_run(capsys):
     assert rc == 0
     assert out.splitlines()[0] == "fuzz seed=2 cases=40"
     assert "no divergences" in out
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["fuzz", "--seed", "7", "--cases", "400"], "fuzz_seed7_cases400.txt"),
+    (["verify-theorems"], "verify_theorems.txt"),
+])
+def test_output_matches_golden_bytes(argv, golden, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_parser_rejects_bad_arguments():

@@ -1,13 +1,14 @@
 """Randomized encoding-vs-oracle agreement harness."""
 import pytest
 
+from valprec import fuzz
 from valprec.fuzz import (
     FAMILIES,
     check_fd_instance,
     check_set_instance,
     format_fuzz,
     fuzz_equivalence,
-    shrink_fd,
+    shrink,
 )
 from valprec.symmetry import FullInterchange, PairInterchange
 
@@ -47,14 +48,69 @@ def test_set_check_compares_lb_ub_only():
     assert enc[0] == ({0}, {0})
 
 
-def test_shrinker_reduces_divergent_instances():
-    # plant a fake divergence: a predicate the checker will call through a
-    # spec whose encoding is deliberately mismatched is hard to fake, so
-    # instead verify the shrinker is a no-op on agreeing instances
+def test_shrinker_leaves_agreeing_instance_alone():
     spec = PairInterchange(first=1, second=2)
     doms = [{1, 2}, {1, 2}]
     assert check_fd_instance(spec, doms)[0]
-    assert shrink_fd(spec, [set(d) for d in doms]) == doms
+    diverges = lambda case: not check_fd_instance(spec, case)[0]
+    assert shrink(doms, lambda d: [d - {v} for v in d], diverges) == doms
+
+
+# format_fuzz(fuzz_equivalence(seed=1, cases=200)) when the full-order and set
+# encoders drop their last listed value; every divergence is shown shrunk.
+PLANTED_WEAKNESS_REPORT = (
+    "fuzz seed=1 cases=200\n"
+    "  pair: 40 checked\n"
+    "  full: 40 checked\n"
+    "  partition: 40 checked\n"
+    "  wreath: 40 checked\n"
+    "  set: 40 checked\n"
+    "23 divergence(s):\n"
+    "  [set] values=[0, 1] bounds=[[]..[1]] -> encoding [[]..[1]] vs oracle [[]..[]]\n"
+    "  [full] FullInterchange(values=(3, 4, 2)) domains={2} -> encoding {2} vs oracle failed\n"
+    "  [full] FullInterchange(values=(2, 1)) domains={1} -> encoding {1} vs oracle failed\n"
+    "  [full] FullInterchange(values=(2, 1, 5, 3)) domains={3} -> encoding {3} vs oracle failed\n"
+    "  [set] values=[1, 2] bounds=[[2]..[2]] -> encoding [[2]..[2]] vs oracle failed\n"
+    "  [full] FullInterchange(values=(3, 4, 1)) domains={1} -> encoding {1} vs oracle failed\n"
+    "  [set] values=[2, 0, 1] bounds=[[]..[1]] -> encoding [[]..[1]] vs oracle [[]..[]]\n"
+    "  [full] FullInterchange(values=(1, 2)) domains={2} -> encoding {2} vs oracle failed\n"
+    "  [set] values=[2, 0, 1] bounds=[[]..[1]] -> encoding [[]..[1]] vs oracle [[]..[]]\n"
+    "  [full] FullInterchange(values=(4, 1, 2)) domains={2} -> encoding {2} vs oracle failed\n"
+    "  [set] values=[1, 0] bounds=[[0]..[0]] -> encoding [[0]..[0]] vs oracle failed\n"
+    "  [full] FullInterchange(values=(2, 1)) domains={1} -> encoding {1} vs oracle failed\n"
+    "  [set] values=[0, 1] bounds=[[2]..[1, 2]] -> encoding [[2]..[1, 2]] vs oracle [[2]..[2]]\n"
+    "  [full] FullInterchange(values=(2, 3)) domains={3} -> encoding {3} vs oracle failed\n"
+    "  [full] FullInterchange(values=(2, 3, 1, 4)) domains={4} -> encoding {4} vs oracle failed\n"
+    "  [full] FullInterchange(values=(2, 5, 1)) domains={1} -> encoding {1} vs oracle failed\n"
+    "  [set] values=[0, 1] bounds=[[1]..[1]] -> encoding [[1]..[1]] vs oracle failed\n"
+    "  [set] values=[0, 1] bounds=[[]..[1]] -> encoding [[]..[1]] vs oracle [[]..[]]\n"
+    "  [full] FullInterchange(values=(4, 3)) domains={3} -> encoding {3} vs oracle failed\n"
+    "  [full] FullInterchange(values=(2, 4, 5)) domains={5} -> encoding {5} vs oracle failed\n"
+    "  [full] FullInterchange(values=(2, 1)) domains={1} -> encoding {1} vs oracle failed\n"
+    "  [full] FullInterchange(values=(2, 3, 1)) domains={1} -> encoding {1} vs oracle failed\n"
+    "  [set] values=[0, 2, 1] bounds=[[1]..[1]] -> encoding [[1]..[1]] vs oracle failed\n"
+)
+
+
+def test_shrinker_reduces_divergent_instances(monkeypatch):
+    post_encoding, encode_set_precedence = fuzz.post_encoding, fuzz.encode_set_precedence
+
+    def weak_post_encoding(model, spec, xs):
+        if isinstance(spec, FullInterchange):
+            if len(spec.values) == 1:
+                return
+            spec = FullInterchange(spec.values[:-1])
+        post_encoding(model, spec, xs)
+
+    def weak_set_precedence(model, values, sets):
+        return encode_set_precedence(model, values[:-1], sets)
+
+    monkeypatch.setattr(fuzz, "post_encoding", weak_post_encoding)
+    monkeypatch.setattr(fuzz, "encode_set_precedence", weak_set_precedence)
+    report = fuzz_equivalence(seed=1, cases=200)
+    assert {d.family for d in report.divergences} == {"full", "set"}
+    assert len(report.divergences) == 23
+    assert format_fuzz(report) == PLANTED_WEAKNESS_REPORT
 
 
 def test_fuzz_run_is_clean_and_covers_families():

@@ -112,9 +112,10 @@ def test_gac_trivial_predicates():
 
 
 def test_gac_cap_refused():
+    # 100**5 = 10**10 assignments, over ENUM_CAP
     doms = [set(range(100))] * 5
     with pytest.raises(ValueError):
-        gac_by_definition(lambda t: True, doms, cap=10_000)
+        gac_by_definition(lambda t: True, doms)
 
 
 @given(st.data())
@@ -178,7 +179,6 @@ def test_bc_unconstrained_bounds_unchanged():
     assert new_sets is not None
     assert new_sets[0].lb == frozenset({1})
     assert new_sets[0].ub == frozenset({1, 2, 3})
-    assert (new_sets[0].card_lo, new_sets[0].card_hi) == (1, 3)
 
 
 def test_bc_unsatisfiable_returns_none():
@@ -187,10 +187,10 @@ def test_bc_unsatisfiable_returns_none():
 
 
 def test_bc_cap_refused():
-    # 8 sets with 16 subsets each: 2**32 combinations against a cap of 10,000
+    # 8 sets with 16 subsets each: 2**32 combinations, over ENUM_CAP
     bounds = [SetBounds(frozenset(), frozenset(range(4)))] * 8
     with pytest.raises(ValueError):
-        bc_by_definition(lambda sets: True, bounds, cap=10_000)
+        bc_by_definition(lambda sets: True, bounds)
 
 
 # ----------------------------------------------------------------- orbit tools
