@@ -6,7 +6,9 @@ chains in :mod:`valprec.precedence`.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain, groupby
+from operator import itemgetter
+from typing import Iterable, Optional
 
 from .engine import IntVar, Model, Propagator
 
@@ -14,9 +16,18 @@ from .engine import IntVar, Model, Propagator
 
 
 class TernaryTable(Propagator):
-    """GAC table constraint over three integer variables."""
+    """GAC table constraint over three integer variables.
 
-    __slots__ = ("x", "y", "z", "triples")
+    With a repeated argument each position is supported on its own, which
+    is sound but weaker than GAC on the relation of the distinct variables.
+    A filter scans the tuples that can still be live.  It picks the argument
+    with the smallest domain; once that domain has lost a value since
+    posting, only the tuples holding one of its remaining values at that
+    position are scanned, read from a per-position index (value -> tuples)
+    built on first use and never trailed.
+    """
+
+    __slots__ = ("x", "y", "z", "triples", "posted_sizes", "by_value")
 
     def __init__(self, x: IntVar, y: IntVar, z: IntVar,
                  triples: Iterable[tuple[int, int, int]]):
@@ -24,6 +35,29 @@ class TernaryTable(Propagator):
         self.x, self.y, self.z = x, y, z
         self.triples = tuple(sorted(set(triples)))
         self.watches = [x, y, z]
+        self.posted_sizes = (len(x.domain), len(y.domain), len(z.domain))
+        self.by_value: list[Optional[dict[int, tuple]]] = [None, None, None]
+
+    def _index(self, pos: int) -> dict[int, tuple]:
+        key = itemgetter(pos)
+        index = {a: tuple(group) for a, group
+                 in groupby(sorted(self.triples, key=key), key)}
+        self.by_value[pos] = index
+        return index
+
+    def _candidates(self, dx, dy, dz) -> Iterable[tuple[int, int, int]]:
+        """Every tuple, or, once the smallest domain is narrower than at
+        posting, only those whose value at its position is in it."""
+        if len(dx) <= len(dy) and len(dx) <= len(dz):
+            pos, dom = 0, dx
+        elif len(dy) <= len(dz):
+            pos, dom = 1, dy
+        else:
+            pos, dom = 2, dz
+        if len(dom) == self.posted_sizes[pos]:
+            return self.triples
+        index = self.by_value[pos] or self._index(pos)
+        return chain.from_iterable([index.get(a, ()) for a in dom])
 
     def filter(self, m: Model) -> bool:
         dx, dy, dz = self.x.domain, self.y.domain, self.z.domain
@@ -31,7 +65,7 @@ class TernaryTable(Propagator):
         sy: set[int] = set()
         sz: set[int] = set()
         live = 0
-        for u, v, w in self.triples:
+        for u, v, w in self._candidates(dx, dy, dz):
             if u in dx and v in dy and w in dz:
                 sx.add(u)
                 sy.add(v)

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from valprec.engine import Model, PropagationStatus
+from valprec.fuzz import fd_fixpoint, set_fixpoint
 from valprec.oracle import (
     SetBounds,
     all_precedence_holds,
@@ -42,30 +43,23 @@ def domains_of(xs):
     return [set(x.domain) for x in xs]
 
 
-def fixpoint(encode, doms, *args, **kwargs):
-    """Build a model over doms, run the encoding, return domains or None."""
-    m = Model()
-    xs = [m.add_fd_var(d, name=f"X{i + 1}") for i, d in enumerate(doms)]
-    encode(m, *args, xs=xs, **kwargs)
-    if m.propagate() is FAILED:
-        return None
-    return domains_of(xs)
-
-
 # ------------------------------------------------------------ pair precedence
 
 
 def test_pair_first_position_cannot_take_second_value():
-    got = fixpoint(encode_pair_precedence, [{1, 2}, {1, 2}], 1, 2)
+    got = fd_fixpoint([{1, 2}, {1, 2}],
+                      lambda m, xs: encode_pair_precedence(m, 1, 2, xs))
     assert got == [{1}, {1, 2}]
 
 
 def test_pair_single_variable_second_value_fails():
-    assert fixpoint(encode_pair_precedence, [{2}], 1, 2) is None
+    assert fd_fixpoint([{2}],
+                       lambda m, xs: encode_pair_precedence(m, 1, 2, xs)) is None
 
 
 def test_pair_other_values_pass_through():
-    got = fixpoint(encode_pair_precedence, [{3, 4}, {2, 3}], 1, 2)
+    got = fd_fixpoint([{3, 4}, {2, 3}],
+                      lambda m, xs: encode_pair_precedence(m, 1, 2, xs))
     assert got == [{3, 4}, {3}]
 
 
@@ -84,7 +78,8 @@ def test_pair_chain_matches_oracle_300_cases():
         doms = [set(rng.sample(range(1, d + 1), rng.randint(1, d)))
                 for _ in range(n)]
         vj, vk = rng.sample(range(1, d + 1), 2)
-        got = fixpoint(encode_pair_precedence, doms, vj, vk)
+        got = fd_fixpoint(doms,
+                          lambda m, xs: encode_pair_precedence(m, vj, vk, xs))
         want = gac_by_definition(
             lambda t: pair_precedence_holds(vj, vk, t), doms)
         if want is None:
@@ -99,7 +94,7 @@ def test_pair_chain_matches_oracle_300_cases():
 def test_all_precedence_prunes_beyond_pairwise():
     doms = [{1}, {1, 2}, {1, 3}, {3, 4}]
     values = [1, 2, 3, 4]
-    got = fixpoint(encode_all_precedence, doms, values)
+    got = fd_fixpoint(doms, lambda m, xs: encode_all_precedence(m, values, xs))
     assert got == [{1}, {2}, {1, 3}, {3, 4}]
 
     # every pairwise ordering alone leaves the domains untouched
@@ -113,7 +108,8 @@ def test_all_precedence_prunes_beyond_pairwise():
 
 
 def test_all_precedence_forces_first_variable():
-    got = fixpoint(encode_all_precedence, [{1, 2, 3}] * 3, [1, 2, 3])
+    got = fd_fixpoint([{1, 2, 3}] * 3,
+                      lambda m, xs: encode_all_precedence(m, [1, 2, 3], xs))
     assert got is not None
     assert got[0] == {1}
 
@@ -136,7 +132,8 @@ def test_all_chain_matches_oracle_300_cases():
         values = rng.sample(range(1, d + 1), m_vals)
         doms = [set(rng.sample(range(1, d + 1), rng.randint(1, d)))
                 for _ in range(n)]
-        got = fixpoint(encode_all_precedence, doms, values)
+        got = fd_fixpoint(doms,
+                          lambda m, xs: encode_all_precedence(m, values, xs))
         want = gac_by_definition(
             lambda t: all_precedence_holds(values, t), doms)
         if want is None:
@@ -151,7 +148,8 @@ def test_all_chain_matches_oracle_300_cases():
 def test_partition_fails_where_per_class_chains_do_not():
     doms = [{1, 2, 3, 4, 5, 6}] * 3 + [{3}, {6}]
     classes = [[1, 2, 3], [4, 5, 6]]
-    assert fixpoint(encode_partial_precedence, doms, classes) is None
+    assert fd_fixpoint(doms,
+                       lambda m, xs: encode_partial_precedence(m, classes, xs)) is None
 
     m = Model()
     xs = [m.add_fd_var(d) for d in doms]
@@ -170,8 +168,10 @@ def test_partition_single_class_equals_all_precedence():
         doms = [set(rng.sample(range(1, 5), rng.randint(1, 4)))
                 for _ in range(n)]
         values = rng.sample(range(1, 5), rng.randint(2, 4))
-        a = fixpoint(encode_partial_precedence, doms, [values])
-        b = fixpoint(encode_all_precedence, doms, values)
+        a = fd_fixpoint(doms,
+                        lambda m, xs: encode_partial_precedence(m, [values], xs))
+        b = fd_fixpoint(doms,
+                        lambda m, xs: encode_all_precedence(m, values, xs))
         assert a == b
 
 
@@ -204,7 +204,8 @@ def test_partition_chain_matches_oracle_200_cases():
         classes = [vals[:cut], vals[cut:]]
         doms = [set(rng.sample(range(1, d + 1), rng.randint(1, d)))
                 for _ in range(n)]
-        got = fixpoint(encode_partial_precedence, doms, classes)
+        got = fd_fixpoint(doms,
+                          lambda m, xs: encode_partial_precedence(m, classes, xs))
         want = gac_by_definition(
             lambda t: partition_precedence_holds(classes, t), doms)
         if want is None:
@@ -218,14 +219,15 @@ def test_partition_chain_matches_oracle_200_cases():
 
 def test_wreath_first_variable_forced_to_least_pair():
     spec = WreathInterchange(outer=(1, 2), inner=(3, 4))
-    got = fixpoint(encode_wreath_precedence, [set(spec.codes)] * 2,
-                   [1, 2], [3, 4])
+    got = fd_fixpoint([set(spec.codes)] * 2,
+                      lambda m, xs: encode_wreath_precedence(m, [1, 2], [3, 4], xs))
     assert got is not None
     assert got[0] == {spec.code(1, 3)}
 
 
 def test_wreath_out_of_range_codes_pruned():
-    got = fixpoint(encode_wreath_precedence, [{0, 7}], [1, 2], [3, 4])
+    got = fd_fixpoint([{0, 7}],
+                      lambda m, xs: encode_wreath_precedence(m, [1, 2], [3, 4], xs))
     assert got == [{0}]
 
 
@@ -236,7 +238,8 @@ def test_wreath_chain_matches_oracle_200_cases():
         n = rng.randint(1, 5)
         doms = [set(rng.sample(spec.codes, rng.randint(1, 4)))
                 for _ in range(n)]
-        got = fixpoint(encode_wreath_precedence, doms, [1, 2], [3, 4])
+        got = fd_fixpoint(doms,
+                          lambda m, xs: encode_wreath_precedence(m, [1, 2], [3, 4], xs))
         want = gac_by_definition(
             lambda t: wreath_precedence_holds(spec, t), doms)
         if want is None:
@@ -252,7 +255,8 @@ def test_wreath_larger_inner_group():
         n = rng.randint(1, 4)
         doms = [set(rng.sample(spec.codes, rng.randint(1, 6)))
                 for _ in range(n)]
-        got = fixpoint(encode_wreath_precedence, doms, [1, 2], [3, 4, 5])
+        got = fd_fixpoint(doms, lambda m, xs: encode_wreath_precedence(
+            m, [1, 2], [3, 4, 5], xs))
         want = gac_by_definition(
             lambda t: wreath_precedence_holds(spec, t), doms)
         if want is None:
@@ -284,7 +288,8 @@ def test_matrix_weaker_than_chain_on_open_prefix():
     assert m.propagate() is AT_FIXPOINT
     assert domains_of(xs) == doms
 
-    got = fixpoint(encode_all_precedence, doms, [1, 2, 3])
+    got = fd_fixpoint(doms,
+                      lambda m, xs: encode_all_precedence(m, [1, 2, 3], xs))
     assert got == [{1}, {1, 2}]
 
 
@@ -337,7 +342,8 @@ def test_puget_implications_alone_miss_chain_pruning():
     assert domains_of(xs) == doms
     assert domains_of(enc.first_index) == [{1}, {2, 5}, {3, 4, 6}, {4, 7}]
 
-    got = fixpoint(encode_all_precedence, doms, [1, 2, 3, 4])
+    got = fd_fixpoint(doms,
+                      lambda m, xs: encode_all_precedence(m, [1, 2, 3, 4], xs))
     assert got is not None
     assert got[1] == {2}
 
@@ -357,18 +363,10 @@ def test_puget_ground_solutions_match_surjective_precedence():
 # ----------------------------------------------------------------- set chains
 
 
-def set_fixpoint(values, bounds):
-    m = Model()
-    sets = [m.add_set_var(lb, ub) for lb, ub in bounds]
-    encode_set_precedence(m, values, sets)
-    if m.propagate() is FAILED:
-        return None
-    return [(set(s.lb), set(s.ub)) for s in sets]
-
-
 def test_set_chain_tightens_first_bound():
     bounds = [(set(), {0}), (set(), {1}), (set(), {1}), (set(), {0}), ({2}, {2})]
-    got = set_fixpoint([0, 1, 2], bounds)
+    got = set_fixpoint(bounds,
+                       lambda m, sets: encode_set_precedence(m, [0, 1, 2], sets))
     assert got is not None
     assert got[0] == ({0}, {0})
 
@@ -399,7 +397,8 @@ def test_set_chain_matches_bc_oracle_200_cases():
             lb = {v for v in ub if rng.random() < 0.3}
             bounds.append((lb, ub))
         values = rng.sample(universe, rng.randint(2, 3))
-        got = set_fixpoint(values, bounds)
+        got = set_fixpoint(bounds,
+                           lambda m, sets: encode_set_precedence(m, values, sets))
         want = bc_by_definition(
             lambda sets: set_precedence_holds(values, sets),
             [SetBounds(frozenset(lb), frozenset(ub)) for lb, ub in bounds])
@@ -436,7 +435,8 @@ def test_increasing_seq_matches_oracle_200_cases():
         values = [1, 2, 3][:rng.randint(2, 3)]
         doms = [set(rng.sample(values, rng.randint(1, len(values))))
                 for _ in range(n)]
-        got = fixpoint(encode_increasing_seq, doms, values=values)
+        got = fd_fixpoint(doms,
+                          lambda m, xs: encode_increasing_seq(m, xs, values))
         want = gac_by_definition(
             lambda t: increasing_seq_holds(values, t), doms)
         if want is None:
@@ -446,7 +446,8 @@ def test_increasing_seq_matches_oracle_200_cases():
 
 
 def test_increasing_seq_unlisted_value_fails():
-    assert fixpoint(encode_increasing_seq, [{9}], values=[1, 2]) is None
+    assert fd_fixpoint([{9}],
+                       lambda m, xs: encode_increasing_seq(m, xs, [1, 2])) is None
 
 
 # --------------------------------------------- reflection and rotation orders
@@ -497,7 +498,7 @@ def test_rotation_lex_on_shared_variables_sound_and_exact_on_grounds():
     for _ in range(300):
         n = rng.randint(1, 5)
         doms = [set(rng.sample([0, 1, 2], rng.randint(1, 3))) for _ in range(n)]
-        got = fixpoint(encode_rotation_lex, doms)
+        got = fd_fixpoint(doms, lambda m, xs: encode_rotation_lex(m, xs))
         want = gac_by_definition(_rotation_least, doms)
         if want is not None:
             assert got is not None

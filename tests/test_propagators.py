@@ -91,6 +91,94 @@ def test_table_fixpoint_matches_oracle(data):
         assert domains_of(xs) == expect
 
 
+def _full_scan_entailed(prop):
+    """Entailment as a scan of every tuple finds it on the current domains."""
+    x, y, z = prop.x, prop.y, prop.z
+    live = [(u, v, w) for u, v, w in prop.triples
+            if u in x.domain and v in y.domain and w in z.domain]
+    supports = [len({t[i] for t in live}) for i in range(3)]
+    distinct = x is not y and y is not z and x is not z
+    return distinct and len(live) == supports[0] * supports[1] * supports[2]
+
+
+def _positionwise_fixpoint(triples, args, doms):
+    """Each position made GAC on its own, repeated until no domain changes.
+
+    This is what a table over aliased arguments reaches: a tuple supports a
+    value at one position even if it needs another value of the same
+    variable at another position.  None on wipeout.
+    """
+    doms = [set(d) for d in doms]
+    while True:
+        per_position = gac_by_definition(lambda t: t in triples,
+                                         [doms[i] for i in args])
+        if per_position is None:
+            return None
+        narrowed = [set(d) for d in doms]
+        for i, support in zip(args, per_position):
+            narrowed[i] &= support
+        if not all(narrowed):
+            return None
+        if narrowed == doms:
+            return doms
+        doms = narrowed
+
+
+def test_table_narrowed_fixpoints_match_oracle_and_full_scan():
+    """Random tables narrowed under choice points, arguments possibly aliased.
+
+    Narrowing an argument below its posted domain makes the filter scan
+    only the indexed slice of the table.  Each fixpoint must still be the
+    oracle's GAC (with aliased arguments: the positionwise fixpoint, which
+    contains it), and entailment what a scan of every tuple gives.  Popping
+    a choice must restore the domains and the entailment of its push.
+    """
+    rng = random.Random(2007)
+    pool = list(itertools.product(range(5), repeat=3))
+    indexed = 0
+    for _ in range(300):
+        args = rng.choice([(0, 1, 2), (0, 0, 2), (0, 2, 2), (0, 2, 0), (0, 0, 0)])
+        triples = set(rng.sample(pool, rng.randint(1, 40)))
+        doms = [set(rng.sample(range(5), rng.randint(1, 5))) for _ in range(3)]
+        m = Model()
+        vs = [m.add_fd_var(d) for d in doms]
+        prop = m.post(TernaryTable(*(vs[i] for i in args), triples))
+
+        def at_oracle_fixpoint(status):
+            want = gac_by_definition(
+                lambda t: tuple(t[i] for i in args) in triples, doms)
+            if len(set(args)) < 3:
+                gac, want = want, _positionwise_fixpoint(triples, args, doms)
+                assert gac is None or all(w >= g for w, g in zip(want, gac))
+            if want is None:
+                assert status is FAILED
+                return False
+            assert status is AT_FIXPOINT
+            assert domains_of(vs) == want
+            assert prop.entailed == _full_scan_entailed(prop)
+            return True
+
+        ok = at_oracle_fixpoint(m.propagate())
+        pushed = []
+        for _ in range(rng.randint(1, 10)):
+            free = [v for v in vs if len(v.domain) > 1]
+            if ok and free and rng.random() < 0.7:
+                pushed.append((domains_of(vs), prop.entailed))
+                m.push_choice()
+                var = rng.choice(free)
+                keep = rng.sample(sorted(var.domain),
+                                  rng.randint(1, len(var.domain) - 1))
+                assert m.retain_values(var, keep)
+                doms = domains_of(vs)
+                ok = at_oracle_fixpoint(m.propagate())
+            elif pushed:
+                m.pop_choice()
+                assert (domains_of(vs), prop.entailed) == pushed.pop()
+                ok = True
+        indexed += any(index is not None for index in prop.by_value)
+    assert indexed >= 100
+
+
 # ------------------------------------------------------------------- lex leq
 
 

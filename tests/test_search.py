@@ -4,11 +4,12 @@ import itertools
 import pytest
 
 from valprec.engine import Model
-from valprec.oracle import all_precedence_holds
+from valprec.oracle import all_precedence_holds, wreath_precedence_holds
 from valprec.precedence import (encode_all_precedence, encode_pair_precedence,
-                                post_less_than)
-from valprec.propagators import NotAllEqual3
+                                encode_wreath_precedence, post_less_than)
+from valprec.propagators import NotAllEqual3, TernaryTable
 from valprec.search import Budget, Heuristic, solve
+from valprec.symmetry import WreathInterchange
 
 
 def two_var_model():
@@ -141,3 +142,23 @@ def test_deep_search_needs_no_recursion():
     assert res.solutions == [(1,) * 1200]
     assert res.stats.nodes == 1200
     assert res.stats.backtracks == 0
+
+
+def test_wreath_enumeration_counts_pinned():
+    """5x5 pair-value codes over 9 variables, lex-asc, 2,000-node budget.
+
+    The search narrows table arguments below their posted domains at every
+    node, so its counts pin the tables' indexed filtering on a real chain.
+    """
+    spec = WreathInterchange(tuple(range(1, 6)), tuple(range(1, 6)))
+    m = Model()
+    xs = [m.add_fd_var(spec.codes, name=f"X{i}") for i in range(9)]
+    encode_wreath_precedence(m, spec.outer, spec.inner, xs)
+    tables = [p for p in m.propagators if isinstance(p, TernaryTable)]
+    assert (len(tables), sum(len(t.triples) for t in tables)) == (9, 4_411)
+    res = solve(m, xs, Heuristic("lex", "asc"), mode="all",
+                budget=Budget(max_nodes=2000))
+    stats = res.stats
+    assert (stats.nodes, stats.backtracks, stats.solutions) == (2000, 0, 997)
+    assert len(res.solutions) == 997
+    assert all(wreath_precedence_holds(spec, sol) for sol in res.solutions)
