@@ -1,14 +1,14 @@
 """Randomized equivalence checking of encoding fixpoints against the oracle.
 
 One case = one random instance of one symmetry family: a list of domains, or
-of (lb, ub) set bounds for the set family.  ``fd_fixpoint``/``set_fixpoint``
-propagate the chain encoding to fixpoint, and the result is compared with the
-definition-based oracle (GAC for finite-domain families, lb/ub bound
-consistency for sets).  The witnesses in ``verify`` build their models
-through the same two helpers.  Any divergence is reduced by the one greedy
-``shrink`` (drop an entry, then narrow one: a domain loses a value, a set's
-ub loses an element outside its lb) before reporting.  Fixed seed means
-byte-identical reports.
+of (lb, ub) set bounds for the set family.  ``fd_fixpoint`` propagates the
+chain encoding to fixpoint, and the result is compared with the oracle's GAC
+by definition.  A set instance is checked as the 0/1 domains of its sets'
+bits, where GAC is lb/ub bound consistency on the sets.  The witnesses in
+``verify`` build their models through ``fd_fixpoint`` too.  Any divergence
+is reduced by the one greedy ``shrink`` (drop an entry, then narrow one: a
+domain loses a value, a set's ub loses an element outside its lb) before
+reporting.  Fixed seed means byte-identical reports.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import IntVar, Model, PropagationStatus, SetVar
-from .oracle import (SetBounds, all_precedence_holds,
-                     bc_by_definition, gac_by_definition,
+from .oracle import (all_precedence_holds, gac_by_definition,
                      pair_precedence_holds, partition_precedence_holds,
                      set_precedence_holds, wreath_precedence_holds)
 from .precedence import (encode_all_precedence, encode_pair_precedence,
@@ -73,16 +72,39 @@ def fd_fixpoint(domains: Sequence[set[int]],
 
 SetInstance = list[tuple[set[int], set[int]]]
 
+# A set instance over a universe of elements is checked on its sets' bits:
+# one 0/1 domain per (set, element), row by row.  GAC on the bits is lb/ub
+# bound consistency on the sets: lb holds the bits that are 1 in every
+# support, ub the bits that are 1 in some.
 
-def set_fixpoint(bounds: SetInstance,
-                 post: Callable[[Model, list[SetVar]], object]) -> Optional[SetInstance]:
-    """(lb, ub) pairs after ``post(model, sets)`` on fresh sets and propagation, or None."""
-    model = Model()
-    svars = [model.add_set_var(lb, ub) for lb, ub in bounds]
-    post(model, svars)
-    if model.propagate() is PropagationStatus.FAILED:
-        return None
-    return [(set(s.lb), set(s.ub)) for s in svars]
+
+def set_bits(bounds: SetInstance, universe: Sequence[int]) -> list[set[int]]:
+    """{1} for an element of lb, {0, 1} for one of ub - lb, {0} for any other."""
+    return [{1} if v in lb else {0, 1} if v in ub else {0}
+            for lb, ub in bounds for v in universe]
+
+
+def _rows(flat: Sequence, universe: Sequence[int], n: int) -> list[dict]:
+    """``flat`` cut into ``n`` rows, one per set, each keyed by element."""
+    w = len(universe)
+    return [dict(zip(universe, flat[i * w:(i + 1) * w])) for i in range(n)]
+
+
+def on_set_bits(post: Callable[[Model, list[SetVar]], object],
+                universe: Sequence[int], n: int) -> Callable[[Model, list[IntVar]], object]:
+    """A post step for ``fd_fixpoint`` on ``n`` sets' bits that calls
+    ``post(model, sets)`` on the sets made of them."""
+    def post_bits(model: Model, xs: list[IntVar]):
+        return post(model, [SetVar(row, f"s{i}")
+                            for i, row in enumerate(_rows(xs, universe, n))])
+    return post_bits
+
+
+def set_bits_holds(values: Sequence[int], universe: Sequence[int], n: int):
+    """``set_precedence_holds`` on ``n`` sets given by their bits."""
+    return lambda t: set_precedence_holds(
+        values, [frozenset(v for v, b in row.items() if b)
+                 for row in _rows(t, universe, n)])
 
 
 def check_fd_instance(spec: SymmetrySpec, domains: Sequence[set[int]]):
@@ -93,13 +115,24 @@ def check_fd_instance(spec: SymmetrySpec, domains: Sequence[set[int]]):
 
 
 def check_set_instance(values: Sequence[int], bounds: SetInstance):
-    """(agree, encoding bounds, oracle bounds) for one set instance."""
-    enc = set_fixpoint(bounds, lambda model, sets: encode_set_precedence(model, values, sets))
-    orc = bc_by_definition(
-        lambda sets: set_precedence_holds(values, sets),
-        [SetBounds(frozenset(lb), frozenset(ub)) for lb, ub in bounds])
-    if orc is not None:
-        orc = [(set(sb.lb), set(sb.ub)) for sb in orc]
+    """(agree, encoding bounds, oracle bounds) for one set instance.
+
+    Both sides are computed on the sets' bits and read back as (lb, ub) pairs.
+    """
+    universe = sorted(set(values).union(*(ub for _, ub in bounds)))
+    n = len(bounds)
+
+    def read_bounds(doms: Optional[list[set[int]]]) -> Optional[SetInstance]:
+        if doms is None:
+            return None
+        return [({v for v, d in row.items() if 0 not in d},
+                 {v for v, d in row.items() if 1 in d})
+                for row in _rows(doms, universe, n)]
+
+    bits = set_bits(bounds, universe)
+    enc = read_bounds(fd_fixpoint(bits, on_set_bits(
+        lambda model, sets: encode_set_precedence(model, values, sets), universe, n)))
+    orc = read_bounds(gac_by_definition(set_bits_holds(values, universe, n), bits))
     return enc == orc, enc, orc
 
 

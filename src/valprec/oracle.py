@@ -108,18 +108,14 @@ def increasing_seq_holds(values: Sequence[int], xs: Sequence[int]) -> bool:
 # --------------------------------------------------------- consistency oracles
 
 
-def _check_cap(size: int) -> None:
-    if size > ENUM_CAP:
-        raise ValueError(f"enumeration space {size} exceeds cap {ENUM_CAP}")
-
-
 def enumerate_solutions(pred: Callable[[tuple[int, ...]], bool],
                         domains: Sequence[Iterable[int]]) -> list[tuple[int, ...]]:
     doms = [sorted(d) for d in domains]
     size = 1
     for d in doms:
         size *= len(d)
-    _check_cap(size)
+    if size > ENUM_CAP:
+        raise ValueError(f"enumeration space {size} exceeds cap {ENUM_CAP}")
     return [t for t in itertools.product(*doms) if pred(t)]
 
 
@@ -127,7 +123,9 @@ def gac_by_definition(pred: Callable[[tuple[int, ...]], bool],
                       domains: Sequence[Iterable[int]]) -> Optional[list[set[int]]]:
     """Domains after removing every value without a solution, None if wiped out."""
     sols = enumerate_solutions(pred, domains)
-    return gac_from_solutions(sols, domains)
+    if not sols:
+        return None
+    return [set(column) for column in zip(*sols)]
 
 
 def iterated_gac(preds: Sequence[Callable[[tuple[int, ...]], bool]],
@@ -149,57 +147,6 @@ def iterated_gac(preds: Sequence[Callable[[tuple[int, ...]], bool]],
                 doms = nxt
                 changed = True
     return doms
-
-
-def gac_from_solutions(solutions: Iterable[Sequence[int]],
-                       domains: Sequence[Iterable[int]]) -> Optional[list[set[int]]]:
-    """GAC domains given a precomputed superset of candidate solutions.
-
-    ``solutions`` must contain every solution inside ``domains`` (extra tuples
-    outside the domains are ignored), so a full-space solution list can be
-    reused across many subdomain queries.
-    """
-    doms = [set(d) for d in domains]
-    out: list[set[int]] = [set() for _ in doms]
-    for t in solutions:
-        if all(v in d for v, d in zip(t, doms)):
-            for s, v in zip(out, t):
-                s.add(v)
-    if any(not s for s in out):
-        return None
-    return out
-
-
-@dataclass(frozen=True)
-class SetBounds:
-    """Bound domain of a set variable: lb subset-of S subset-of ub."""
-    lb: frozenset[int]
-    ub: frozenset[int]
-
-    def subsets(self) -> list[frozenset[int]]:
-        extra = sorted(self.ub - self.lb)
-        return [self.lb | frozenset(combo)
-                for r in range(len(extra) + 1)
-                for combo in itertools.combinations(extra, r)]
-
-
-def bc_by_definition(pred: Callable[[tuple[frozenset[int], ...]], bool],
-                     set_bounds: Sequence[SetBounds]) -> Optional[list[SetBounds]]:
-    """Bound-consistent closure of set bounds by enumeration, None if unsatisfiable.
-
-    ``pred`` is called with a tuple of frozensets.  Lower bounds grow to the
-    intersection of supports, upper bounds shrink to their union.
-    """
-    choices = [sb.subsets() for sb in set_bounds]
-    size = 1
-    for c in choices:
-        size *= len(c)
-    _check_cap(size)
-    supports = [sets for sets in itertools.product(*choices) if pred(sets)]
-    if not supports:
-        return None
-    return [SetBounds(frozenset.intersection(*seen), frozenset.union(*seen))
-            for seen in zip(*supports)]
 
 
 # ----------------------------------------------------------------- orbit tools

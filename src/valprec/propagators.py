@@ -18,8 +18,7 @@ from .engine import IntVar, Model, Propagator
 class TernaryTable(Propagator):
     """GAC table constraint over three integer variables.
 
-    With a repeated argument each position is supported on its own, which
-    is sound but weaker than GAC on the relation of the distinct variables.
+    A repeated argument keeps only the tuples that agree at its positions.
     A filter scans the tuples that can still be live.  It picks the argument
     with the smallest domain; once that domain has lost a value since
     posting, only the tuples holding one of its remaining values at that
@@ -33,7 +32,12 @@ class TernaryTable(Propagator):
                  triples: Iterable[tuple[int, int, int]]):
         super().__init__()
         self.x, self.y, self.z = x, y, z
-        self.triples = tuple(sorted(set(triples)))
+        triples = set(triples)
+        if x is y or y is z or x is z:
+            triples = {(u, v, w) for u, v, w in triples
+                       if (x is not y or u == v) and (y is not z or v == w)
+                       and (x is not z or u == w)}
+        self.triples = tuple(sorted(triples))
         self.watches = [x, y, z]
         self.posted_sizes = (len(x.domain), len(y.domain), len(z.domain))
         self.by_value: list[Optional[dict[int, tuple]]] = [None, None, None]

@@ -3,12 +3,11 @@
 Each item propagates a hand-picked instance through the chain encoding and
 through the decomposition it is claimed to beat, then checks the documented
 outcome.  Every item also checks the chain's fixpoint against the brute-force
-oracle on the same instance (GAC for finite-domain variables, lb/ub bound
-consistency for set variables), so a recorded expectation cannot drift from
-the definition of the constraint.  Every model, chain or decomposition, is
-built and propagated by ``fuzz.fd_fixpoint``/``fuzz.set_fixpoint``, and the
-chain-vs-oracle check is the fuzzer's own ``check_fd_instance``/
-``check_set_instance``.
+oracle's GAC on the same instance (on the sets' 0/1 bits for set variables,
+which is lb/ub bound consistency), so a recorded expectation cannot drift
+from the definition of the constraint.  Every model, chain or decomposition,
+is built and propagated by ``fuzz.fd_fixpoint``, and the chain-vs-oracle
+check is the fuzzer's own ``check_fd_instance``/``check_set_instance``.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from typing import Callable, Sequence
 
 from .engine import Model
 from .fuzz import (check_fd_instance, check_set_instance, fd_fixpoint,
-                   render_domains, set_fixpoint)
+                   on_set_bits, render_domains, set_bits)
 from .oracle import all_precedence_holds, iterated_gac
 from .precedence import (encode_all_precedence, encode_matrix_precedence,
                          encode_pair_precedence, encode_puget_surjection,
@@ -45,8 +44,8 @@ class TheoremReport:
 
 def _per_group(encode: Callable[[Model, Sequence[int], list], object],
                groups: Sequence[Sequence[int]]):
-    """A post step for ``fd_fixpoint``/``set_fixpoint`` that calls
-    ``encode(model, group, vars)`` once per value group."""
+    """A post step that calls ``encode(model, group, vars)`` once per value
+    group."""
     def post(model: Model, xs: list) -> None:
         for group in groups:
             encode(model, group, xs)
@@ -156,9 +155,11 @@ def _check_set_chain_vs_pairwise() -> TheoremItem:
     agrees, chain, oracle = check_set_instance(values, bounds)
     tightened = chain is not None and chain[0][0] == {0}
 
-    pairwise = set_fixpoint(
-        bounds, _per_group(encode_set_precedence, list(combinations(values, 2))))
-    unchanged = pairwise == bounds
+    bits = set_bits(bounds, values)
+    pairwise = fd_fixpoint(bits, on_set_bits(
+        _per_group(encode_set_precedence, list(combinations(values, 2))),
+        values, len(bounds)))
+    unchanged = pairwise == bits
 
     def s1(bnds) -> str:
         if bnds is None:

@@ -8,9 +8,10 @@ brute-force oracle on the same instance.
 import itertools
 import math
 import random
+import runpy
 import statistics
-import time
 from collections import Counter, defaultdict
+from pathlib import Path
 
 from valprec.engine import Model, PropagationStatus
 from valprec.fuzz import check_fd_instance, check_set_instance
@@ -99,7 +100,11 @@ def _random_fd_round(rng):
 
 
 def test_criterion_2_oracle_equivalence():
-    """Encoding fixpoints equal definition-based GAC/BC, with no divergence."""
+    """Encoding fixpoints equal definition-based GAC, with no divergence.
+
+    A set instance is checked on its sets' 0/1 bits, where GAC is lb/ub
+    bound consistency on the sets.
+    """
     failures = []
     checked = 0
 
@@ -344,24 +349,16 @@ def test_criterion_6_documented_incompleteness_pairs():
 # --------------------------------------------------------------- criterion 7
 
 
-def _pair_chain_propagation_seconds(n: int) -> float:
-    best = math.inf
-    for _ in range(5):
-        m = Model()
-        xs = [m.add_fd_var({1, 2, 3, 4}) for _ in range(n)]
-        encode_pair_precedence(m, 1, 2, xs)
-        t0 = time.perf_counter()
-        status = m.propagate()
-        dt = time.perf_counter() - t0
-        assert status is AT_FIXPOINT
-        best = min(best, dt)
-    return best
+# criterion 7 times the chain as scripts/chain_timing.py does, with its function
+propagate_seconds = runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "scripts" / "chain_timing.py")
+)["propagate_seconds"]
 
 
 def test_criterion_7_linear_propagation_cost():
     """Pair-chain propagation scales close to linearly in sequence length."""
     ns = [100, 200, 400, 800]
-    times = [_pair_chain_propagation_seconds(n) for n in ns]
+    times = [propagate_seconds(n, 4, 5) for n in ns]
     slope, _ = statistics.linear_regression(
         [math.log(n) for n in ns], [math.log(t) for t in times])
     detail = ", ".join(f"n={n}: {t * 1e3:.2f}ms" for n, t in zip(ns, times))

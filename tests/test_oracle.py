@@ -5,14 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from valprec.oracle import (
-    SetBounds,
     all_precedence_holds,
-    bc_by_definition,
     enumerate_orbits,
-    enumerate_solutions,
     first_occurrence,
     gac_by_definition,
-    gac_from_solutions,
     increasing_seq_holds,
     iterated_gac,
     pair_precedence_holds,
@@ -130,14 +126,6 @@ def test_gac_idempotent(data):
         assert gac_by_definition(lambda t: t in allowed, got) == got
 
 
-def test_gac_from_solutions_agrees_with_direct():
-    doms = [{1, 2, 3}, {1, 2, 3}]
-    pred = lambda t: t[0] < t[1]
-    sols = enumerate_solutions(pred, doms)
-    assert gac_from_solutions(sols, doms) == gac_by_definition(pred, doms)
-    assert gac_from_solutions([], doms) is None
-
-
 def test_iterated_gac_is_weaker_than_joint():
     doms = [{1, 2}] * 3
     neq = [lambda t, i=i, j=j: t[i] != t[j]
@@ -154,43 +142,6 @@ def test_iterated_gac_reaches_fixpoint_and_reports_wipeout():
     assert got is None
     got = iterated_gac([lambda t: t[0] < t[1], lambda t: t[1] == 2], doms)
     assert got == [{1}, {2}]
-
-
-# ------------------------------------------------------------------- bc oracle
-
-
-def test_bc_tightens_set_lower_bound():
-    values = [0, 1, 2]
-    bounds = [SetBounds(frozenset(), frozenset({0})),
-              SetBounds(frozenset(), frozenset({1})),
-              SetBounds(frozenset(), frozenset({1})),
-              SetBounds(frozenset(), frozenset({0})),
-              SetBounds(frozenset({2}), frozenset({2}))]
-    new_sets = bc_by_definition(lambda sets: set_precedence_holds(values, sets),
-                                bounds)
-    assert new_sets is not None
-    assert new_sets[0].lb == frozenset({0})
-    assert new_sets[0].ub == frozenset({0})
-
-
-def test_bc_unconstrained_bounds_unchanged():
-    bounds = [SetBounds(frozenset({1}), frozenset({1, 2, 3}))]
-    new_sets = bc_by_definition(lambda sets: True, bounds)
-    assert new_sets is not None
-    assert new_sets[0].lb == frozenset({1})
-    assert new_sets[0].ub == frozenset({1, 2, 3})
-
-
-def test_bc_unsatisfiable_returns_none():
-    bounds = [SetBounds(frozenset(), frozenset({0, 1}))]
-    assert bc_by_definition(lambda sets: False, bounds) is None
-
-
-def test_bc_cap_refused():
-    # 8 sets with 16 subsets each: 2**32 combinations, over ENUM_CAP
-    bounds = [SetBounds(frozenset(), frozenset(range(4)))] * 8
-    with pytest.raises(ValueError):
-        bc_by_definition(lambda sets: True, bounds)
 
 
 # ----------------------------------------------------------------- orbit tools

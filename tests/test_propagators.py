@@ -91,6 +91,15 @@ def test_table_fixpoint_matches_oracle(data):
         assert domains_of(xs) == expect
 
 
+def test_table_over_repeated_argument_is_gac():
+    # no tuple has equal first two values, so (x, x, z) has no solution
+    m = Model()
+    x = m.add_fd_var({0, 1})
+    z = m.add_fd_var({0})
+    m.post(TernaryTable(x, x, z, {(0, 1, 0), (1, 0, 0)}))
+    assert m.propagate() is FAILED
+
+
 def _full_scan_entailed(prop):
     """Entailment as a scan of every tuple finds it on the current domains."""
     x, y, z = prop.x, prop.y, prop.z
@@ -101,36 +110,12 @@ def _full_scan_entailed(prop):
     return distinct and len(live) == supports[0] * supports[1] * supports[2]
 
 
-def _positionwise_fixpoint(triples, args, doms):
-    """Each position made GAC on its own, repeated until no domain changes.
-
-    This is what a table over aliased arguments reaches: a tuple supports a
-    value at one position even if it needs another value of the same
-    variable at another position.  None on wipeout.
-    """
-    doms = [set(d) for d in doms]
-    while True:
-        per_position = gac_by_definition(lambda t: t in triples,
-                                         [doms[i] for i in args])
-        if per_position is None:
-            return None
-        narrowed = [set(d) for d in doms]
-        for i, support in zip(args, per_position):
-            narrowed[i] &= support
-        if not all(narrowed):
-            return None
-        if narrowed == doms:
-            return doms
-        doms = narrowed
-
-
 def test_table_narrowed_fixpoints_match_oracle_and_full_scan():
     """Random tables narrowed under choice points, arguments possibly aliased.
 
     Narrowing an argument below its posted domain makes the filter scan
     only the indexed slice of the table.  Each fixpoint must still be the
-    oracle's GAC (with aliased arguments: the positionwise fixpoint, which
-    contains it), and entailment what a scan of every tuple gives.  Popping
+    oracle's GAC, and entailment what a scan of every tuple gives.  Popping
     a choice must restore the domains and the entailment of its push.
     """
     rng = random.Random(2007)
@@ -147,9 +132,6 @@ def test_table_narrowed_fixpoints_match_oracle_and_full_scan():
         def at_oracle_fixpoint(status):
             want = gac_by_definition(
                 lambda t: tuple(t[i] for i in args) in triples, doms)
-            if len(set(args)) < 3:
-                gac, want = want, _positionwise_fixpoint(triples, args, doms)
-                assert gac is None or all(w >= g for w, g in zip(want, gac))
             if want is None:
                 assert status is FAILED
                 return False
