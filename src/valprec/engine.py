@@ -1,4 +1,4 @@
-"""Finite-domain constraint core: variables, trail, and a FIFO propagation queue.
+"""Finite-domain constraint core: variables, trail, and two FIFO propagation queues.
 
 Integer variables keep explicit membership domains, so propagators can do
 exact value-level pruning rather than bounds reasoning.  A set variable is
@@ -9,10 +9,11 @@ that the :class:`Model` replaces and never mutates: every change trails one
 bracket search decisions by restoring those records.
 
 A propagator watches variables.  A change to a watched variable schedules it
-on a FIFO queue with per-propagator deduplication; a propagator class that
-sets ``wakes_on_fix`` is scheduled only when a watched variable becomes
-fixed.  ``propagate`` runs the queue to a fixpoint; a propagator that
-reports entailment is never woken again until backtracking undoes the report.
+on a FIFO queue with per-propagator deduplication, unless its own filter made
+the change.  A propagator class that sets ``wakes_on_fix`` watches fixes
+only: a variable that becomes fixed goes on a second FIFO, and its
+``fix_watchers`` run when it is popped.  ``propagate`` runs both queues to a
+fixpoint; an entailed propagator is not woken until backtracking undoes it.
 """
 from __future__ import annotations
 
@@ -98,9 +99,10 @@ class Propagator:
     Subclasses implement ``filter(model) -> bool`` (False means failure) and
     list the variables they watch in ``watches`` before posting.  Any change
     to a watched variable wakes the propagator, or only a change that fixes
-    it if the class sets ``wakes_on_fix``.  A filter may call
-    ``model.set_entailed(self)`` once its constraint can no longer be
-    violated; the engine then stops waking it on this branch.
+    it if the class sets ``wakes_on_fix``.  A filter must be idempotent: one
+    run reaches its own fixpoint, so its own changes do not wake it again.
+    A filter may call ``model.set_entailed(self)`` once its constraint can
+    no longer be violated; the engine then stops waking it on this branch.
     """
 
     __slots__ = ("entailed", "queued", "watches")
@@ -123,7 +125,7 @@ class AlwaysFail(Propagator):
 
 
 class Model:
-    """A constraint model: variables, propagators, trail, and the queue.
+    """A constraint model: variables, propagators, trail, and the queues.
 
     A change that would empty a domain leaves the variable as it was and
     marks the model failed.  Nothing reads a domain between a failure and
@@ -138,6 +140,7 @@ class Model:
         self._trail: list[tuple[object, str, object]] = []
         self._marks: list[int] = []
         self._queue: deque[Propagator] = deque()
+        self._fixed: deque[IntVar] = deque()
         self._failed = False
 
     # ------------------------------------------------------------------ vars
@@ -184,14 +187,16 @@ class Model:
     # ------------------------------------------------------------- mutation
 
     def _replace(self, var: IntVar, new: frozenset[int]) -> None:
-        """Trail ``var.domain``, set it to ``new`` and wake ``var``'s watchers."""
+        """Trail ``var.domain``, set it to ``new``, wake watchers, queue a fix."""
         self._trail.append((var, "domain", var.domain))
         var.domain = new
         queue = self._queue
-        for prop in var.watchers + var.fix_watchers if len(new) == 1 else var.watchers:
+        for prop in var.watchers:
             if not prop.queued and not prop.entailed:
                 prop.queued = True
                 queue.append(prop)
+        if len(new) == 1 and var.fix_watchers:
+            self._fixed.append(var)
 
     def remove_value(self, var: IntVar, v: int) -> bool:
         """Remove ``v`` from ``var``; False on domain wipeout."""
@@ -221,20 +226,30 @@ class Model:
     # ----------------------------------------------------------------- queue
 
     def propagate(self) -> PropagationStatus:
-        """Run queued propagators to a fixpoint."""
-        while self._queue and not self._failed:
-            prop = self._queue.popleft()
-            prop.queued = False
-            if not prop.entailed and not prop.filter(self):
-                self._failed = True
-        if self._failed:
-            self._clear_queue()
-            return PropagationStatus.FAILED
-        return PropagationStatus.AT_FIXPOINT
+        """Drain the propagator queue, then pop one fixed variable and run a
+        snapshot of its fix watchers; repeat to a fixpoint or a failure."""
+        queue, fixed = self._queue, self._fixed
+        while not self._failed:
+            if queue:
+                prop = queue.popleft()
+                if not prop.entailed and not prop.filter(self):
+                    self._failed = True
+                prop.queued = False
+            elif fixed:
+                for prop in tuple(fixed.popleft().fix_watchers):
+                    if not prop.entailed and not prop.filter(self):
+                        self._failed = True
+                        break
+            else:
+                return PropagationStatus.AT_FIXPOINT
+        self._clear_queue()
+        return PropagationStatus.FAILED
 
     def _clear_queue(self) -> None:
-        while self._queue:
-            self._queue.popleft().queued = False
+        for prop in self._queue:
+            prop.queued = False
+        self._queue.clear()
+        self._fixed.clear()
 
     # ----------------------------------------------------------------- trail
 

@@ -1,8 +1,8 @@
 """Propagators: ternary tables and not-all-equal.
 
-Every filter here is monotone.  Everything else, lexicographic ordering, set
-variables and the small relations included, is compiled to ternary table
-chains in :mod:`valprec.precedence`.
+Every filter here is monotone and idempotent.  Everything else, lexicographic
+ordering, set variables and the small relations included, is compiled to
+ternary table chains in :mod:`valprec.precedence`.
 """
 from __future__ import annotations
 
@@ -65,9 +65,7 @@ class TernaryTable(Propagator):
 
     def filter(self, m: Model) -> bool:
         dx, dy, dz = self.x.domain, self.y.domain, self.z.domain
-        sx: set[int] = set()
-        sy: set[int] = set()
-        sz: set[int] = set()
+        sx, sy, sz = set(), set(), set()
         live = 0
         for u, v, w in self._candidates(dx, dy, dz):
             if u in dx and v in dy and w in dz:
@@ -92,9 +90,12 @@ class TernaryTable(Propagator):
 class NotAllEqual3(Propagator):
     """At least two of x, y, z differ.  Arguments may repeat.
 
-    With a repeated argument the constraint collapses to a disequality on the
-    remaining pair, which is what gets propagated then.  Nothing can be pruned
-    before a variable is fixed, so the propagator wakes only on fixes.
+    Nothing can be pruned before two arguments are fixed, so only two
+    distinct arguments, ``x`` and ``y``, are watched, for fixes.  A fixed
+    watched argument hands its watch to the third, ``z``, if that is unfixed.
+    Moves are not trailed: backtracking unfixes variables in reverse order,
+    so the watched pair is unfixed wherever fewer than two arguments are.  A
+    repeated argument leaves a disequality on the pair (``z`` is None).
     """
 
     __slots__ = ("x", "y", "z")
@@ -102,38 +103,36 @@ class NotAllEqual3(Propagator):
 
     def __init__(self, x: IntVar, y: IntVar, z: IntVar):
         super().__init__()
-        self.x, self.y, self.z = x, y, z
-        self.watches = [x, y, z]
-
-    def _neq(self, m: Model, a: IntVar, b: IntVar) -> bool:
-        da, db = a.domain, b.domain
-        if len(da) == 1 and not m.remove_value(b, *da):
-            return False
-        if len(db) == 1 and not m.remove_value(a, *db):
-            return False
-        if not (a.domain & b.domain):
-            m.set_entailed(self)
-        return True
+        args = list(dict.fromkeys((x, y, z)))
+        self.watches = args[:2]
+        self.x, self.y, self.z = (args + [None])[:3] if len(args) > 1 else (x, x, None)
 
     def filter(self, m: Model) -> bool:
         x, y, z = self.x, self.y, self.z
-        if x is y and y is z:
-            return False
-        if x is y:
-            return self._neq(m, x, z)
-        if y is z or x is z:
-            return self._neq(m, x, y)
-        # Two equal singletons remove their value from the third variable.
-        # The domains are read once: a removal that succeeds cannot make
-        # another pair equal singletons.
+        if z is None:
+            return x is not y and _differ(m, x, y) and _differ(m, y, x)
         dx, dy, dz = x.domain, y.domain, z.domain
+        if len(dz) == 1:
+            if dz == dx:
+                return _differ(m, z, y)
+            return dz != dy or _differ(m, z, x)
+        # z takes the watch of a fixed x or y; then only x and y can be equal.
         if len(dx) == 1:
-            if dx == dy and not m.remove_value(z, *dx):
-                return False
-            if dx == dz and not m.remove_value(y, *dx):
-                return False
-        elif len(dy) == 1 and dy == dz and not m.remove_value(x, *dy):
-            return False
-        if not (x.domain & y.domain & z.domain):
-            m.set_entailed(self)
-        return True
+            self.x, self.z = z, x
+            x.fix_watchers.remove(self)
+        elif len(dy) == 1:
+            self.y, self.z = z, y
+            y.fix_watchers.remove(self)
+        else:
+            return True
+        z.fix_watchers.append(self)
+        return dx != dy or _differ(m, x, z)
+
+
+def _differ(m: Model, fixed: IntVar, other: IntVar) -> bool:
+    """Remove a fixed variable's value from ``other`` if it is still there."""
+    if len(fixed.domain) == 1:
+        (v,) = fixed.domain
+        if v in other.domain:
+            return m.remove_value(other, v)
+    return True

@@ -286,3 +286,96 @@ def test_trail_restores_random_edits(data):
     assert [set(x.domain) for x in xs] == snap[0]
     assert s.lb == snap[1] and s.ub == snap[2]
     assert [p.entailed for p in props] == snap[3]
+
+
+class _Retain(_Recorder):
+    """Restricts ``var`` to ``keep`` on every run: an idempotent filter."""
+
+    def __init__(self, var, keep, *watches):
+        super().__init__(*watches)
+        self.var, self.keep = var, keep
+
+    def filter(self, model):
+        self.calls += 1
+        return model.retain_values(self.var, self.keep)
+
+
+def test_own_change_does_not_requeue_but_another_filters_does():
+    m = Model()
+    x = m.add_fd_var(range(1, 6))
+    a = m.post(_Retain(x, {1, 2, 3}, x))
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert x.values() == (1, 2, 3) and a.calls == 1
+    b = m.post(_Retain(x, {2, 3, 4}, x))
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert x.values() == (2, 3)
+    assert (a.calls, b.calls) == (2, 1)
+
+
+class _Guard(_Recorder):
+    """Fails once its watched variable has lost the value 9."""
+
+    def filter(self, model):
+        self.calls += 1
+        return 9 in self.watches[0].domain
+
+
+def test_no_stale_fix_runs_after_failure_or_pop():
+    m = Model()
+    x = m.add_fd_var([1, 9])
+    y = m.add_fd_var([1, 2])
+    _posted(m, _Guard(x))
+    p = _posted(m, _FixRecorder(y))
+    m.push_choice()
+    m.assign(y, 1)
+    m.remove_value(x, 9)           # the guard is queued before y's fix runs
+    assert m.propagate() is PropagationStatus.FAILED
+    assert p.calls == 0
+    m.pop_choice()
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert p.calls == 0
+    m.push_choice()
+    m.assign(y, 2)                 # fixed, then unfixed before any propagate
+    m.pop_choice()
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert p.calls == 0 and y.values() == (1, 2)
+
+
+class _Mover(_FixRecorder):
+    """Moves its watch from ``at`` to ``to`` when ``at`` is fixed."""
+
+    def __init__(self, at, to):
+        super().__init__(at)
+        self.at, self.to = at, to
+
+    def filter(self, model):
+        self.calls += 1
+        if len(self.at.domain) == 1:
+            self.at.fix_watchers.remove(self)
+            self.to.fix_watchers.append(self)
+            self.at = self.to
+        return True
+
+
+@pytest.mark.parametrize("same", [False, True])
+def test_fix_watcher_moving_its_watch_runs_once_per_fix(same):
+    """A snapshot of the fix watchers runs: a watcher that moves its watch,
+    even to the back of the same list, is not run twice for one fix and
+    does not make the next watcher be skipped."""
+    m = Model()
+    x = m.add_fd_var([1, 2])
+    y = m.add_fd_var([1, 2])
+    mover = _posted(m, _Mover(x, x if same else y))
+    rec = _posted(m, _FixRecorder(x))
+    assert x.fix_watchers == [mover, rec]
+    m.push_choice()
+    m.assign(x, 1)
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert (mover.calls, rec.calls) == (1, 1)
+    assert x.fix_watchers == ([rec, mover] if same else [rec])
+    if not same:
+        assert y.fix_watchers == [mover]
+        m.pop_choice()
+        m.assign(y, 1)
+        assert m.propagate() is PropagationStatus.AT_FIXPOINT
+        assert (mover.calls, rec.calls) == (2, 1)

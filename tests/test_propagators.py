@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from valprec.engine import Model, PropagationStatus
-from valprec.oracle import gac_by_definition
+from valprec.oracle import gac_by_definition, iterated_gac
 from valprec.precedence import (
     post_channel,
     post_exactly_one,
@@ -121,7 +121,7 @@ def test_table_narrowed_fixpoints_match_oracle_and_full_scan():
     rng = random.Random(2007)
     pool = list(itertools.product(range(5), repeat=3))
     indexed = 0
-    for _ in range(300):
+    for _ in range(400):
         args = rng.choice([(0, 1, 2), (0, 0, 2), (0, 2, 2), (0, 2, 0), (0, 0, 0)])
         triples = set(rng.sample(pool, rng.randint(1, 40)))
         doms = [set(rng.sample(range(5), rng.randint(1, 5))) for _ in range(3)]
@@ -435,15 +435,18 @@ def test_nae_prunes_third_when_two_equal():
     assert z.domain == {4, 6}
 
 
-def test_nae_entailed_on_disjoint_pair():
+def test_nae_disjoint_pair_prunes_nothing():
     m = Model()
     x = m.add_fd_var({1})
     y = m.add_fd_var({2})
     z = m.add_fd_var({1, 2, 3})
     prop = m.post(NotAllEqual3(x, y, z))
     assert m.propagate() is AT_FIXPOINT
-    assert prop.entailed
+    assert not prop.entailed
     assert z.domain == {1, 2, 3}
+    assert m.assign(z, 1)
+    assert m.propagate() is AT_FIXPOINT
+    assert domains_of([x, y, z]) == [{1}, {2}, {1}]
 
 
 def test_nae_all_same_constant_fails():
@@ -526,6 +529,63 @@ def test_nae_incremental_edits_match_oracle(data):
         doms = domains_of(vs)
         if not at_oracle_fixpoint(m.propagate()):
             return
+
+
+def _nae_network(rng):
+    """Random domains and NAE triples over them, aliased triples included."""
+    n = rng.randint(3, 5)
+    doms = [set(rng.sample(range(4), rng.randint(2, 4))) for _ in range(n)]
+    triples = []
+    for _ in range(rng.randint(1, 5)):
+        a, b, c = (rng.randrange(n) for _ in range(3))
+        if rng.random() < 0.2:
+            b = a
+        triples.append(rng.sample((a, b, c), 3))
+    return doms, triples
+
+
+def test_nae_networks_match_iterated_oracle_under_choices():
+    """Networks of NAEs under push/remove/pop sequences.
+
+    Each NAE watches only two of its arguments and moves a watch on a fix
+    without trailing the move, so backtracking must leave the watches able
+    to see every later fix.  After every propagation the domains must be
+    the fixpoint of per-constraint GAC, and FAILED exactly when that
+    fixpoint wipes out; a pop must restore the domains of its push.
+    """
+    rng = random.Random(2006)
+    for _ in range(1000):
+        doms, triples = _nae_network(rng)
+        preds = [lambda t, a=a, b=b, c=c: not (t[a] == t[b] == t[c])
+                 for a, b, c in triples]
+        m = Model()
+        vs = [m.add_fd_var(d) for d in doms]
+        for a, b, c in triples:
+            m.post(NotAllEqual3(vs[a], vs[b], vs[c]))
+
+        def at_oracle_fixpoint(status, doms):
+            want = iterated_gac(preds, doms)
+            if want is None:
+                assert status is FAILED
+                return False
+            assert status is AT_FIXPOINT
+            assert domains_of(vs) == want
+            return True
+
+        ok = at_oracle_fixpoint(m.propagate(), doms)
+        pushed = []
+        for _ in range(rng.randint(1, 20)):
+            free = [v for v in vs if len(v.domain) > 1]
+            if ok and free and rng.random() < 0.6:
+                pushed.append(domains_of(vs))
+                m.push_choice()
+                for var in rng.sample(free, rng.randint(1, min(2, len(free)))):
+                    assert m.remove_value(var, rng.choice(sorted(var.domain)))
+                ok = at_oracle_fixpoint(m.propagate(), domains_of(vs))
+            elif pushed:
+                m.pop_choice()
+                assert domains_of(vs) == pushed.pop()
+                ok = True
 
 
 # ---------------------------------------------------------------- implication

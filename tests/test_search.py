@@ -8,6 +8,7 @@ from valprec.oracle import all_precedence_holds, wreath_precedence_holds
 from valprec.precedence import (encode_all_precedence, encode_pair_precedence,
                                 encode_wreath_precedence, post_less_than)
 from valprec.propagators import NotAllEqual3, TernaryTable
+from valprec.schur import SchurInstance, build_schur_model
 from valprec.search import Budget, Heuristic, solve
 from valprec.symmetry import WreathInterchange
 
@@ -162,3 +163,22 @@ def test_wreath_enumeration_counts_pinned():
     assert (stats.nodes, stats.backtracks, stats.solutions) == (2000, 0, 997)
     assert len(res.solutions) == 997
     assert all(wreath_precedence_holds(spec, sol) for sol in res.solutions)
+
+
+def test_solve_calls_instance_propagate_once_per_node():
+    """Code that times a search (such as a benchmark) may shadow
+    ``model.propagate`` on the instance, so ``solve`` must call it through
+    the instance once per node, never through an alias of the class's."""
+    model, xs = build_schur_model(SchurInstance(13, 3), "all")
+    calls = 0
+    propagate = model.propagate
+
+    def counted():
+        nonlocal calls
+        calls += 1
+        return propagate()
+
+    model.propagate = counted
+    res = solve(model, xs)
+    assert res.stats.solutions > 0
+    assert calls == res.stats.nodes
