@@ -1,12 +1,11 @@
 """Finite-domain constraint core: variables, trail, and two FIFO propagation queues.
 
-Integer variables keep explicit membership domains, so propagators can do
-exact value-level pruning rather than bounds reasoning.  A set variable is
-its characteristic row: one 0/1 integer variable per element it may hold,
-from which its lower and upper bounds are read.  A domain is a frozenset
-that the :class:`Model` replaces and never mutates: every change trails one
-``(owner, attribute, old_value)`` record, and ``push_choice``/``pop_choice``
-bracket search decisions by restoring those records.
+Integer variables keep explicit membership domains, each an int bitmask, so
+propagators can do exact value-level pruning rather than bounds reasoning.
+A set variable is its characteristic row: one 0/1 integer variable per
+element it may hold, from which its bounds are read.  Only ``Model.narrow``
+changes a domain, trailing one ``(owner, attribute, old_value)`` record;
+``push_choice``/``pop_choice`` bracket search decisions by restoring them.
 
 A propagator watches variables.  A change to a watched variable schedules it
 on a FIFO queue with per-propagator deduplication, unless its own filter made
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 
 class PropagationStatus(enum.Enum):
@@ -27,44 +26,56 @@ class PropagationStatus(enum.Enum):
     FAILED = "failed"
 
 
-class IntVar:
-    """Integer variable with an explicit finite domain.
+def mask_values(mask: int) -> Iterator[int]:
+    """The values whose bits are set in ``mask``, in increasing order."""
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
 
-    ``domain`` is a frozenset owned by the model, which replaces it on every
-    change; read it directly or through ``values()``.  ``watchers`` are woken
-    on every change, ``fix_watchers`` only when the domain becomes a singleton.
+
+class IntVar:
+    """Integer variable with a finite domain of non-negative values.
+
+    ``mask`` is the domain, bit ``v`` set iff ``v`` is in it; ``domain``
+    reads it as a frozenset.  A mask's size grows with the largest value, so
+    ``post_state_chain`` numbers each layer's states from 0.  ``watchers``
+    are woken on every change, ``fix_watchers`` only when it becomes fixed.
     """
 
-    __slots__ = ("name", "domain", "watchers", "fix_watchers")
+    __slots__ = ("name", "mask", "watchers", "fix_watchers")
 
-    def __init__(self, values: Iterable[int], name: str):
+    def __init__(self, mask: int, name: str):
         self.name = name
-        self.domain: frozenset[int] = frozenset(values)
+        self.mask = mask
         self.watchers: list[Propagator] = []
         self.fix_watchers: list[Propagator] = []
 
+    @property
+    def domain(self) -> frozenset[int]:
+        return frozenset(mask_values(self.mask))
+
     def values(self) -> tuple[int, ...]:
-        return tuple(sorted(self.domain))
+        return tuple(mask_values(self.mask))
 
     def min(self) -> int:
-        return min(self.domain)
+        return (self.mask & -self.mask).bit_length() - 1
 
     def max(self) -> int:
-        return max(self.domain)
+        return self.mask.bit_length() - 1
 
     def is_assigned(self) -> bool:
-        return len(self.domain) == 1
+        return not self.mask & (self.mask - 1)
 
     def value(self) -> int:
-        if len(self.domain) != 1:
+        if self.mask & (self.mask - 1):
             raise ValueError(f"{self.name} is not assigned")
-        return next(iter(self.domain))
+        return self.mask.bit_length() - 1
 
     def __contains__(self, v: int) -> bool:
-        return v in self.domain
+        return v >= 0 and bool(self.mask >> v & 1)
 
     def __repr__(self) -> str:
-        return f"IntVar({self.name}, {sorted(self.domain)})"
+        return f"IntVar({self.name}, {list(self.values())})"
 
 
 class SetVar:
@@ -72,7 +83,7 @@ class SetVar:
 
     ``bits[v]`` is a 0/1 :class:`IntVar` that is 1 iff ``v`` is in the set;
     only the elements of the initial upper bound have a bit.  ``lb`` and
-    ``ub`` are read from the bits.
+    ``ub`` are read from the bits' masks.
     """
 
     __slots__ = ("name", "bits")
@@ -83,11 +94,11 @@ class SetVar:
 
     @property
     def lb(self) -> frozenset[int]:
-        return frozenset(v for v, b in self.bits.items() if 0 not in b.domain)
+        return frozenset(v for v, b in self.bits.items() if b.mask == 2)
 
     @property
     def ub(self) -> frozenset[int]:
-        return frozenset(v for v, b in self.bits.items() if 1 in b.domain)
+        return frozenset(v for v, b in self.bits.items() if b.mask & 2)
 
     def __repr__(self) -> str:
         return f"SetVar({self.name}, lb={sorted(self.lb)}, ub={sorted(self.ub)})"
@@ -98,11 +109,10 @@ class Propagator:
 
     Subclasses implement ``filter(model) -> bool`` (False means failure) and
     list the variables they watch in ``watches`` before posting.  Any change
-    to a watched variable wakes the propagator, or only a change that fixes
-    it if the class sets ``wakes_on_fix``.  A filter must be idempotent: one
-    run reaches its own fixpoint, so its own changes do not wake it again.
-    A filter may call ``model.set_entailed(self)`` once its constraint can
-    no longer be violated; the engine then stops waking it on this branch.
+    to a watched variable wakes the propagator, or only a fixing one if the
+    class sets ``wakes_on_fix``.  A filter must be idempotent: its own
+    changes do not wake it again.  It may call ``model.set_entailed(self)``
+    once its constraint cannot be violated; it then sleeps on this branch.
     """
 
     __slots__ = ("entailed", "queued", "watches")
@@ -127,14 +137,12 @@ class AlwaysFail(Propagator):
 class Model:
     """A constraint model: variables, propagators, trail, and the queues.
 
-    A change that would empty a domain leaves the variable as it was and
-    marks the model failed.  Nothing reads a domain between a failure and
-    the next ``pop_choice``.
+    A change that would empty a domain leaves it as it was and marks the
+    model failed; nothing reads a domain until the next ``pop_choice``.
     """
 
     def __init__(self):
-        self._int_count = 0
-        self._set_count = 0
+        self._int_count = self._set_count = 0
         self.propagators: list[Propagator] = []
         self.posted_counts: dict[str, int] = {}
         self._trail: list[tuple[object, str, object]] = []
@@ -146,20 +154,24 @@ class Model:
     # ------------------------------------------------------------------ vars
 
     def add_fd_var(self, values: Iterable[int], name: Optional[str] = None) -> IntVar:
-        vals = frozenset(values)
-        if not vals:
-            raise ValueError("cannot create a variable with an empty domain")
-        v = IntVar(vals, name or f"x{self._int_count}")
+        name = name or f"x{self._int_count}"
+        mask = 0
+        for v in values:
+            if v < 0:
+                raise ValueError(f"{name}: a domain holds no negative value, got {v}")
+            mask |= 1 << v
+        if not mask:
+            raise ValueError(f"{name}: cannot create a variable with an empty domain")
         self._int_count += 1
-        return v
+        return IntVar(mask, name)
 
     def add_set_var(self, lb: Iterable[int], ub: Iterable[int],
                     name: Optional[str] = None) -> SetVar:
         """A set with lb <= S <= ub: one bit per element of ub, fixed to 1 on lb."""
         lb, ub = frozenset(lb), frozenset(ub)
         name = name or f"s{self._set_count}"
-        if not lb <= ub:
-            raise ValueError(f"{name}: lower bound must be within upper bound")
+        if not lb <= ub or min(ub, default=0) < 0:
+            raise ValueError(f"{name}: needs lb within ub and no negative element")
         self._set_count += 1
         return SetVar({v: self.add_fd_var({1} if v in lb else {0, 1},
                                           name=f"{name}[{v}]")
@@ -186,38 +198,37 @@ class Model:
 
     # ------------------------------------------------------------- mutation
 
-    def _replace(self, var: IntVar, new: frozenset[int]) -> None:
-        """Trail ``var.domain``, set it to ``new``, wake watchers, queue a fix."""
-        self._trail.append((var, "domain", var.domain))
-        var.domain = new
+    def narrow(self, var: IntVar, keep: int) -> bool:
+        """Keep the values of ``var`` whose bits are set in ``keep``; False on wipeout."""
+        old = var.mask
+        new = old & keep
+        if new == old:
+            return True
+        if not new:
+            self._failed = True
+            return False
+        self._trail.append((var, "mask", old))
+        var.mask = new
         queue = self._queue
         for prop in var.watchers:
             if not prop.queued and not prop.entailed:
                 prop.queued = True
                 queue.append(prop)
-        if len(new) == 1 and var.fix_watchers:
+        if not new & (new - 1) and var.fix_watchers:
             self._fixed.append(var)
+        return True
 
     def remove_value(self, var: IntVar, v: int) -> bool:
         """Remove ``v`` from ``var``; False on domain wipeout."""
-        if v not in var.domain:
-            return True
-        if len(var.domain) == 1:
-            self._failed = True
-            return False
-        self._replace(var, var.domain - {v})
-        return True
+        return v < 0 or not var.mask >> v & 1 or self.narrow(var, ~(1 << v))
 
     def retain_values(self, var: IntVar, allowed: Iterable[int]) -> bool:
         """Restrict ``var`` to ``allowed``; False on wipeout."""
-        kept = var.domain.intersection(allowed)
-        if len(kept) == len(var.domain):
-            return True
-        if not kept:
-            self._failed = True
-            return False
-        self._replace(var, kept)
-        return True
+        top, keep = var.mask.bit_length(), 0
+        for v in allowed:
+            if 0 <= v < top:
+                keep |= 1 << v
+        return self.narrow(var, keep)
 
     def assign(self, var: IntVar, v: int) -> bool:
         """Fix ``var`` to ``v``; False if ``v`` is not in its domain."""

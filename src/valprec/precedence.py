@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .engine import AlwaysFail, IntVar, Model, Propagator, SetVar
+from .engine import AlwaysFail, IntVar, Model, Propagator, SetVar, mask_values
 from .propagators import TernaryTable
 
 TRANSITION_CAP = 1_000_000
@@ -52,12 +52,12 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
     edges: list[list[tuple]] = []
     tried = 0
     for i, x in enumerate(xs):
-        tried += len(layers[-1]) * len(x.domain)
+        tried += len(layers[-1]) * x.mask.bit_count()
         if tried > TRANSITION_CAP:
             raise ValueError(
                 f"chain {label} would try more than {TRANSITION_CAP} "
                 f"transitions by position {i} of {n}")
-        edges.append([(v, s, t) for s in layers[-1] for v in x.domain
+        edges.append([(v, s, t) for v in mask_values(x.mask) for s in layers[-1]
                       if (t := step(s, v)) is not None])
         layers.append({t for _, _, t in edges[-1]})
     if accept is not None:

@@ -10,7 +10,7 @@ from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .engine import IntVar, Model, Propagator
+from .engine import IntVar, Model, Propagator, mask_values
 
 # --------------------------------------------------------------------- tables
 
@@ -19,67 +19,59 @@ class TernaryTable(Propagator):
     """GAC table constraint over three integer variables.
 
     A repeated argument keeps only the tuples that agree at its positions.
-    A filter scans the tuples that can still be live.  It picks the argument
-    with the smallest domain; once that domain has lost a value since
-    posting, only the tuples holding one of its remaining values at that
-    position are scanned, read from a per-position index (value -> tuples)
-    built on first use and never trailed.
+    ``columns``, set by the first filter, mask the values each position's
+    tuples hold; while each lies in its domain, every tuple is live.
+    Otherwise only the position whose column has the smallest live share is
+    scanned (the smallest estimated slice): its live values' tuples, from a
+    per-position index (value -> tuples) built on first use, never trailed.
     """
 
-    __slots__ = ("x", "y", "z", "triples", "posted_sizes", "by_value")
+    __slots__ = ("x", "y", "z", "triples", "columns", "by_value")
 
     def __init__(self, x: IntVar, y: IntVar, z: IntVar,
                  triples: Iterable[tuple[int, int, int]]):
         super().__init__()
-        self.x, self.y, self.z = x, y, z
+        self.x, self.y, self.z = self.watches = [x, y, z]
         triples = set(triples)
         if x is y or y is z or x is z:
             triples = {(u, v, w) for u, v, w in triples
                        if (x is not y or u == v) and (y is not z or v == w)
                        and (x is not z or u == w)}
         self.triples = tuple(sorted(triples))
-        self.watches = [x, y, z]
-        self.posted_sizes = (len(x.domain), len(y.domain), len(z.domain))
+        self.columns: Optional[tuple[int, int, int]] = None
         self.by_value: list[Optional[dict[int, tuple]]] = [None, None, None]
 
-    def _index(self, pos: int) -> dict[int, tuple]:
-        key = itemgetter(pos)
-        index = {a: tuple(group) for a, group
-                 in groupby(sorted(self.triples, key=key), key)}
-        self.by_value[pos] = index
-        return index
-
-    def _candidates(self, dx, dy, dz) -> Iterable[tuple[int, int, int]]:
-        """Every tuple, or, once the smallest domain is narrower than at
-        posting, only those whose value at its position is in it."""
-        if len(dx) <= len(dy) and len(dx) <= len(dz):
-            pos, dom = 0, dx
-        elif len(dy) <= len(dz):
-            pos, dom = 1, dy
-        else:
-            pos, dom = 2, dz
-        if len(dom) == self.posted_sizes[pos]:
-            return self.triples
-        index = self.by_value[pos] or self._index(pos)
-        return chain.from_iterable([index.get(a, ()) for a in dom])
-
     def filter(self, m: Model) -> bool:
-        dx, dy, dz = self.x.domain, self.y.domain, self.z.domain
-        sx, sy, sz = set(), set(), set()
-        live = 0
-        for u, v, w in self._candidates(dx, dy, dz):
-            if u in dx and v in dy and w in dz:
-                sx.add(u)
-                sy.add(v)
-                sz.add(w)
-                live += 1
-        if live == 0:
+        x, y, z = self.x, self.y, self.z
+        doms = dx, dy, dz = x.mask, y.mask, z.mask
+        cols = self.columns
+        if cols is None:
+            cx = cy = cz = 0
+            for u, v, w in self.triples:
+                cx, cy, cz = cx | 1 << u, cy | 1 << v, cz | 1 << w
+            cols = self.columns = (cx, cy, cz)
+        pos, live, total = None, 1, 1  # shares compare by cross-multiplying
+        for p, col in enumerate(cols):
+            keys = doms[p] & col
+            n, c = keys.bit_count(), col.bit_count()
+            if n < c and n * total < live * c:
+                pos, live, total, scan = p, n, c, keys
+        if pos is None:
+            (sx, sy, sz), live = cols, len(self.triples)
+        else:
+            index = self.by_value[pos]
+            if index is None:
+                key = itemgetter(pos)
+                index = self.by_value[pos] = {
+                    a: tuple(group) for a, group in groupby(sorted(self.triples, key=key), key)}
+            sx = sy = sz = live = 0
+            for u, v, w in chain.from_iterable(map(index.__getitem__, mask_values(scan))):
+                if dx >> u & 1 and dy >> v & 1 and dz >> w & 1:
+                    sx, sy, sz, live = sx | 1 << u, sy | 1 << v, sz | 1 << w, live + 1
+        if not (live and m.narrow(x, sx) and m.narrow(y, sy) and m.narrow(z, sz)):
             return False
-        for var, sup in ((self.x, sx), (self.y, sy), (self.z, sz)):
-            if not m.retain_values(var, sup):
-                return False
-        distinct = self.x is not self.y and self.y is not self.z and self.x is not self.z
-        if distinct and live == len(sx) * len(sy) * len(sz):
+        if x is not y and y is not z and x is not z and \
+                live == sx.bit_count() * sy.bit_count() * sz.bit_count():
             m.set_entailed(self)
         return True
 
@@ -96,6 +88,7 @@ class NotAllEqual3(Propagator):
     Moves are not trailed: backtracking unfixes variables in reverse order,
     so the watched pair is unfixed wherever fewer than two arguments are.  A
     repeated argument leaves a disequality on the pair (``z`` is None).
+    Fixed masks compare whole; ``d ^ fixed`` removes a fixed value from ``d``.
     """
 
     __slots__ = ("x", "y", "z")
@@ -109,30 +102,26 @@ class NotAllEqual3(Propagator):
 
     def filter(self, m: Model) -> bool:
         x, y, z = self.x, self.y, self.z
+        dx, dy = x.mask, y.mask
         if z is None:
-            return x is not y and _differ(m, x, y) and _differ(m, y, x)
-        dx, dy, dz = x.domain, y.domain, z.domain
-        if len(dz) == 1:
+            if x is y:
+                return False
+            if not dx & (dx - 1) and dx & dy:
+                return m.narrow(y, dy ^ dx)
+            return dy & (dy - 1) != 0 or not dx & dy or m.narrow(x, dx ^ dy)
+        dz = z.mask
+        if not dz & (dz - 1):
             if dz == dx:
-                return _differ(m, z, y)
-            return dz != dy or _differ(m, z, x)
+                return not dy & dz or m.narrow(y, dy ^ dz)
+            return dz != dy or not dx & dz or m.narrow(x, dx ^ dz)
         # z takes the watch of a fixed x or y; then only x and y can be equal.
-        if len(dx) == 1:
+        if not dx & (dx - 1):
             self.x, self.z = z, x
             x.fix_watchers.remove(self)
-        elif len(dy) == 1:
+        elif not dy & (dy - 1):
             self.y, self.z = z, y
             y.fix_watchers.remove(self)
         else:
             return True
         z.fix_watchers.append(self)
-        return dx != dy or _differ(m, x, z)
-
-
-def _differ(m: Model, fixed: IntVar, other: IntVar) -> bool:
-    """Remove a fixed variable's value from ``other`` if it is still there."""
-    if len(fixed.domain) == 1:
-        (v,) = fixed.domain
-        if v in other.domain:
-            return m.remove_value(other, v)
-    return True
+        return dx != dy or not dz & dx or m.narrow(z, dz ^ dx)

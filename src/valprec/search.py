@@ -67,9 +67,9 @@ def solve(model: Model, variables: Sequence[IntVar],
     t0 = time.perf_counter()
 
     def pick() -> Optional[IntVar]:
-        free = (v for v in variables if len(v.domain) > 1)
+        free = (v for v in variables if v.mask & (v.mask - 1))
         if heuristic.var == "mindom":
-            return min(free, key=lambda v: len(v.domain), default=None)
+            return min(free, key=lambda v: v.mask.bit_count(), default=None)
         return next(free, None)
 
     def over_budget() -> bool:

@@ -20,6 +20,33 @@ def test_fd_var_empty_domain_rejected():
         m.add_fd_var([])
 
 
+def test_negative_values_refused_by_name():
+    m = Model()
+    with pytest.raises(ValueError, match="^neg: "):
+        m.add_fd_var([0, -1, 2], name="neg")
+    with pytest.raises(ValueError, match="^S: "):
+        m.add_set_var(set(), {-1, 1}, name="S")
+    with pytest.raises(ValueError, match="^T: "):
+        m.add_set_var({-2}, {-2, 1}, name="T")
+
+
+def test_absent_or_negative_value_is_not_in_domain():
+    m = Model()
+    x = m.add_fd_var([0, 2, 3])
+    assert -1 not in x and 1 not in x and 64 not in x
+    m.push_choice()
+    for v in (-1, -64, 1, 5, 10**12):
+        assert m.remove_value(x, v)
+    assert x.values() == (0, 2, 3) and not m.failed
+    assert m.retain_values(x, (-1, 0, 2, 3, 10**12)) and x.values() == (0, 2, 3)
+    assert not m.assign(x, 10**12) and m.failed
+    m.pop_choice()
+    m.push_choice()
+    assert m.remove_value(x, 0) and x.domain == {2, 3}
+    m.pop_choice()
+    assert x.domain == {0, 2, 3}
+
+
 def test_set_var_bounds_validated():
     m = Model()
     s = m.add_set_var({1}, {1, 2, 3})
@@ -259,30 +286,66 @@ def test_repeated_watch_filters_once_per_change(cls):
     assert p.calls == (2 if cls is _Recorder else 1)
 
 
+def _matches_reference(x, ref):
+    """Every domain read of ``x`` agrees with the frozenset ``ref``."""
+    assert x.domain == ref and x.values() == tuple(sorted(ref))
+    assert (x.min(), x.max()) == (min(ref), max(ref))
+    assert x.is_assigned() == (len(ref) == 1)
+    if len(ref) == 1:
+        assert x.value() == min(ref)
+    assert all((v in x) == (v in ref) for v in range(-2, 8))
+
+
 @given(st.data())
 def test_trail_restores_random_edits(data):
+    """Random edits under nested choices, each checked against frozenset
+    reference domains; every pop restores the domains of its push."""
     m = Model()
-    xs = [m.add_fd_var(range(1, 5)) for _ in range(3)]
+    xs = [m.add_fd_var(range(1, 5)) for _ in range(2)] + [m.add_fd_var({0, 3, 6})]
     s = m.add_set_var(set(), {1, 2, 3})
     props = [m.post(_Recorder(x)) for x in xs]
     m.set_entailed(props[0])
+    refs = [frozenset(x.domain) for x in xs + list(s.bits.values())]
     snap = ([set(x.domain) for x in xs], set(s.lb), set(s.ub),
             [p.entailed for p in props])
+    saved = []
     m.push_choice()
-    for _ in range(data.draw(st.integers(0, 8))):
-        kind = data.draw(st.sampled_from(["rm", "inc", "exc", "entail"]))
+    for _ in range(data.draw(st.integers(0, 12))):
+        kind = data.draw(st.sampled_from(["rm", "keep", "inc", "exc", "entail",
+                                          "push", "pop"]))
+        i = data.draw(st.integers(0, 2))
+        x = xs[i]
         if kind == "rm":
-            x = xs[data.draw(st.integers(0, 2))]
-            if len(x.domain) > 1:
-                m.remove_value(x, data.draw(st.sampled_from(sorted(x.domain))))
+            v = data.draw(st.integers(-1, 7))
+            if len(refs[i]) > 1:
+                assert m.remove_value(x, v)
+                refs[i] = refs[i] - {v}
+        elif kind == "keep":
+            keep = data.draw(st.sets(st.integers(-1, 7)))
+            if refs[i] & keep:
+                assert m.retain_values(x, keep)
+                refs[i] = refs[i] & keep
         elif kind in ("inc", "exc"):
             free = sorted(s.ub - s.lb)
             if free:
-                bit = s.bits[data.draw(st.sampled_from(free))]
-                m.retain_values(bit, (1,) if kind == "inc" else (0,))
-        else:
+                v = data.draw(st.sampled_from(free))
+                m.retain_values(s.bits[v], (1,) if kind == "inc" else (0,))
+                refs[2 + v] = frozenset({1} if kind == "inc" else {0})
+        elif kind == "entail":
             m.set_entailed(data.draw(st.sampled_from(props)))
-    m.pop_choice()
+        elif kind == "push":
+            m.push_choice()
+            saved.append(list(refs))
+        elif saved:
+            m.pop_choice()
+            refs = saved.pop()
+        for var, ref in zip(xs + list(s.bits.values()), refs):
+            _matches_reference(var, ref)
+        assert s.lb == {v for v in s.bits if refs[2 + v] == {1}}
+        assert s.ub == {v for v in s.bits if 1 in refs[2 + v]}
+    assert {attr for _, attr, _ in m._trail} <= {"mask", "entailed"}
+    for _ in range(len(saved) + 1):
+        m.pop_choice()
     assert [set(x.domain) for x in xs] == snap[0]
     assert s.lb == snap[1] and s.ub == snap[2]
     assert [p.entailed for p in props] == snap[3]

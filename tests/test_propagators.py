@@ -113,14 +113,17 @@ def _full_scan_entailed(prop):
 def test_table_narrowed_fixpoints_match_oracle_and_full_scan():
     """Random tables narrowed under choice points, arguments possibly aliased.
 
-    Narrowing an argument below its posted domain makes the filter scan
-    only the indexed slice of the table.  Each fixpoint must still be the
-    oracle's GAC, and entailment what a scan of every tuple gives.  Popping
-    a choice must restore the domains and the entailment of its push.
+    Narrowing an argument below the values its column holds makes the
+    filter scan only the indexed slice of the table at the position with
+    the smallest live share; every position must be indexed by some table.
+    Each fixpoint must still be the oracle's GAC, and entailment what a scan
+    of every tuple gives.  Popping a choice must restore the domains and the
+    entailment of its push.
     """
     rng = random.Random(2007)
     pool = list(itertools.product(range(5), repeat=3))
     indexed = 0
+    by_position = [0, 0, 0]
     for _ in range(400):
         args = rng.choice([(0, 1, 2), (0, 0, 2), (0, 2, 2), (0, 2, 0), (0, 0, 0)])
         triples = set(rng.sample(pool, rng.randint(1, 40)))
@@ -158,7 +161,10 @@ def test_table_narrowed_fixpoints_match_oracle_and_full_scan():
                 assert (domains_of(vs), prop.entailed) == pushed.pop()
                 ok = True
         indexed += any(index is not None for index in prop.by_value)
+        for pos, index in enumerate(prop.by_value):
+            by_position[pos] += index is not None
     assert indexed >= 100
+    assert all(by_position), by_position
 
 
 # ------------------------------------------------------------------- lex leq

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from valprec.engine import Model
-from valprec.oracle import enumerate_orbits
+from valprec.oracle import all_precedence_holds, enumerate_orbits
 from valprec.schur import (
     CSV_COLUMNS,
     ReportRow,
@@ -140,6 +140,20 @@ def test_s44_4_budgeted_search_counts_pinned(var, backtracks):
     assert (res.stats.nodes, res.stats.backtracks, res.halted) == (5000, backtracks, True)
     assert res.stats.solutions == 0
     assert (row.user_constraints, row.encoding_constraints) == (484, 44)
+
+
+def test_s44_4_first_solution_counts_pinned():
+    """The benchmark's headline search, S(44,4) with full precedence, lex-asc,
+    to its first solution: the counts the engine must keep, without perfbench."""
+    row, res = run_one(SchurInstance(44, 4), sym="all", mode="first",
+                       heuristic=Heuristic(var="lex", val="asc"))
+    assert (res.stats.nodes, res.stats.backtracks, res.stats.solutions) == (58_830, 29_409, 1)
+    assert (row.user_constraints, row.encoding_constraints) == (484, 44)
+    assert not res.halted
+    (sol,) = res.solutions
+    assert all(not (sol[a - 1] == sol[b - 1] == sol[a + b - 1])
+               for a, b, _ in sum_triples(44))
+    assert all_precedence_holds([1, 2, 3, 4], sol)
 
 
 def test_csv_format_is_pinned():
