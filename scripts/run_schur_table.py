@@ -9,14 +9,14 @@ machine-readable copy.
 import argparse
 import sys
 
-from valprec.cli import positive, writable
+from valprec.cli import interval_length, positive, writable
 from valprec.schur import SchurInstance, format_table, run_bench, write_csv
 from valprec.search import Budget
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--k3-max-n", type=positive(int), default=15,
+    parser.add_argument("--k3-max-n", type=interval_length, default=15,
                         help="largest n for the k=3 all-solutions rows (at least 13)")
     parser.add_argument("--k4", action="store_true",
                         help="also run n=13..15 with k=4 in first-solution mode")

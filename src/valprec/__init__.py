@@ -22,8 +22,8 @@ from .precedence import (TRANSITION_CAP, ChainEncoding, MatrixEncoding,
 from .symmetry import (FullInterchange, PairInterchange, PartitionInterchange,
                        SymmetrySpec, WreathInterchange, assignment_orbit,
                        value_permutations, variable_permutations)
-from .oracle import (Orbit, OrbitReport, enumerate_orbits, enumerate_solutions,
-                     gac_by_definition, iterated_gac)
+from .oracle import (enumerate_orbits, enumerate_solutions, gac_by_definition,
+                     iterated_gac)
 from .search import Budget, Heuristic, SearchResult, SearchStats, solve
 from .schur import (ReportRow, SchurInstance, build_schur_model, format_table,
                     run_bench, run_one, sum_triples, write_csv)

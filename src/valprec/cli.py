@@ -30,6 +30,17 @@ def positive(kind):
     return parse
 
 
+def interval_length(text: str) -> int:
+    """Argparse type: a positive n that ``SchurInstance`` accepts, so an
+    instance too large to build is refused before anything is built."""
+    n = positive(int)(text)
+    try:
+        SchurInstance(n, 1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n
+
+
 def writable(path: str) -> str:
     """Argparse type: a path that opens for writing.
 
@@ -53,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     schur = sub.add_parser("schur", help="solve one Schur instance")
-    schur.add_argument("--n", type=positive(int), required=True, help="interval length")
+    schur.add_argument("--n", type=interval_length, required=True,
+                       help="interval length (at most 2000)")
     schur.add_argument("--k", type=positive(int), required=True, help="number of classes")
     schur.add_argument("--sym", choices=SYM_MODES, required=True,
                        help="symmetry breaking mode")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
-from .engine import IntVar, Model, PropagationStatus, SetVar
+from .engine import IntVar, Model, PropagationStatus, SetVar, mask_values
 from .oracle import (all_precedence_holds, gac_by_definition,
                      pair_precedence_holds, partition_precedence_holds,
                      set_precedence_holds, wreath_precedence_holds)
@@ -67,7 +67,7 @@ def fd_fixpoint(domains: Sequence[set[int]],
     post(model, xs)
     if model.propagate() is PropagationStatus.FAILED:
         return None
-    return [set(x.domain) for x in xs]
+    return [set(mask_values(x.mask)) for x in xs]
 
 
 SetInstance = list[tuple[set[int], set[int]]]

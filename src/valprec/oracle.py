@@ -7,7 +7,6 @@ encodings are tested against: slow, obvious, and trusted.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .symmetry import (SymmetrySpec, WreathInterchange, assignment_orbit,
@@ -52,12 +51,7 @@ def wreath_precedence_holds(spec: WreathInterchange, codes: Sequence[int]) -> bo
     appear in inner-list order.
     """
     pairs = [spec.decode(c) for c in codes]
-    n = len(pairs)
-    outs = [u for u, _ in pairs]
-    if not all(first_occurrence(outs, spec.outer[j], n + 1)
-               < first_occurrence(outs, spec.outer[k], n + 2)
-               for j in range(len(spec.outer))
-               for k in range(j + 1, len(spec.outer))):
+    if not all_precedence_holds(spec.outer, [u for u, _ in pairs]):
         return False
     for u in spec.outer:
         inners = [v for (w, v) in pairs if w == u]
@@ -152,51 +146,33 @@ def iterated_gac(preds: Sequence[Callable[[tuple[int, ...]], bool]],
 # ----------------------------------------------------------------- orbit tools
 
 
-@dataclass(frozen=True)
-class Orbit:
-    canonical: tuple[int, ...]
-    size: int
-
-
-@dataclass
-class OrbitReport:
-    orbits: list[Orbit] = field(default_factory=list)
-
-    @property
-    def num_orbits(self) -> int:
-        return len(self.orbits)
-
-    @property
-    def total(self) -> int:
-        return sum(o.size for o in self.orbits)
-
-    def canonicals(self) -> set[tuple[int, ...]]:
-        return {o.canonical for o in self.orbits}
-
-
-def enumerate_orbits(solutions: Iterable[Sequence[int]],
+def enumerate_orbits(assignments: Iterable[Sequence[int]],
                      spec: Optional[SymmetrySpec] = None,
-                     variable_group: str = "none") -> OrbitReport:
-    """Partition a closed solution set into orbits; canonical = lex-least.
+                     variable_group: str = "none"
+                     ) -> list[frozenset[tuple[int, ...]]]:
+    """Partition a closed set of assignments into the group's orbits.
 
-    Raises ValueError if an image of a solution falls outside the given set,
-    which would mean the set is not exhaustive or the group is not a symmetry.
+    The group is ``spec``'s value permutations (none when omitted) combined
+    with ``variable_group``'s position permutations.  Each orbit is the
+    frozenset of its members, and orbits come in the order of their
+    lex-least members.  Raises ValueError if an image of an assignment falls
+    outside the given set, which would mean the set is not exhaustive or the
+    group is not a symmetry of it.
     """
-    pool = {tuple(s) for s in solutions}
+    pool = {tuple(a) for a in assignments}
     if not pool:
-        return OrbitReport()
-    n = len(next(iter(pool)))
+        return []
     vperms = value_permutations(spec) if spec is not None else [{}]
-    pperms = variable_permutations(variable_group, n)
-    report = OrbitReport()
-    remaining = set(pool)
-    while remaining:
-        seed = min(remaining)
-        orb = assignment_orbit(seed, vperms, pperms)
-        stray = orb - pool
-        if stray:
-            raise ValueError(f"solution set not closed under the group: {min(stray)}")
-        report.orbits.append(Orbit(min(orb), len(orb)))
-        remaining -= orb
-    report.orbits.sort(key=lambda o: o.canonical)
-    return report
+    pperms = variable_permutations(variable_group, len(next(iter(pool))))
+    orbits: list[frozenset[tuple[int, ...]]] = []
+    seen: set[tuple[int, ...]] = set()
+    for t in sorted(pool):
+        if t in seen:
+            continue
+        orbit = frozenset(assignment_orbit(t, vperms, pperms))
+        if not orbit <= pool:
+            raise ValueError("assignment set not closed under the group: "
+                             f"{min(orbit - pool)}")
+        orbits.append(orbit)
+        seen |= orbit
+    return orbits

@@ -84,20 +84,12 @@ def encode_pair_precedence(model: Model, first: int, second: int,
                            xs: Sequence[IntVar]) -> ChainEncoding:
     """second may not occur strictly before the first occurrence of first.
 
-    State 0 = first not seen yet (second forbidden), state 1 = first seen.
+    This is the class chain of the one class [first, second]: its two
+    states are "first not seen yet" (second forbidden) and "first seen".
     """
     if first == second:
         raise ValueError("precedence needs two distinct values")
-
-    def step(s: int, v: int) -> Optional[int]:
-        if v == first:
-            return 1
-        if v == second and s == 0:
-            return None
-        return s
-
-    return post_state_chain(model, xs, step, start=0,
-                            label=f"B[{first}<{second}]")
+    return _class_chain(model, [[first, second]], xs)
 
 
 def _class_chain(model: Model, classes: Sequence[Sequence[int]],
@@ -106,20 +98,23 @@ def _class_chain(model: Model, classes: Sequence[Sequence[int]],
 
     State = one occurrence counter per class: how many of its leading values
     have occurred.  A value may appear only once all earlier values of its
-    class have; values outside every class leave the state unchanged.
+    class have; values outside every class leave the state unchanged.  A
+    class's last value leaves its counter where it is: once every earlier
+    value has occurred it is free, so counting it would only add a state
+    equivalent to the one before.
     """
-    place = {v: (ci, mi) for ci, cls in enumerate(classes)
+    place = {v: (ci, mi, mi == len(cls) - 1) for ci, cls in enumerate(classes)
              for mi, v in enumerate(cls)}
 
     def step(counts: tuple[int, ...], v: int) -> Optional[tuple[int, ...]]:
         if v not in place:
             return counts
-        ci, mi = place[v]
-        if mi < counts[ci]:
+        ci, mi, last = place[v]
+        if mi > counts[ci]:
+            return None
+        if mi < counts[ci] or last:
             return counts
-        if mi == counts[ci]:
-            return counts[:ci] + (mi + 1,) + counts[ci + 1:]
-        return None
+        return counts[:ci] + (mi + 1,) + counts[ci + 1:]
 
     return post_state_chain(model, xs, step, start=(0,) * len(classes),
                             label="Y")

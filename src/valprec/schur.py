@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional, Sequence
 
 from .engine import IntVar, Model
-from .precedence import encode_all_precedence, encode_pair_precedence
+from .precedence import (TRANSITION_CAP, encode_all_precedence,
+                         encode_pair_precedence)
 from .propagators import NotAllEqual3
 from .search import Budget, Heuristic, SearchResult, solve
 
@@ -22,12 +23,21 @@ SYM_MODES = ("none", "adjacent", "all")
 
 @dataclass(frozen=True)
 class SchurInstance:
+    """[1, n] into k sum-free classes.
+
+    The model posts one constraint per sum triple, n^2/4 of them (rounded
+    down), so an instance with more than ``TRANSITION_CAP`` triples, any
+    n > 2000, is refused before anything is built.
+    """
     n: int
     k: int
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise ValueError("need n >= 1 and k >= 1")
+        if self.n * self.n // 4 > TRANSITION_CAP:
+            raise ValueError(f"n={self.n} gives {self.n * self.n // 4} sum "
+                             f"triples, more than TRANSITION_CAP ({TRANSITION_CAP})")
 
     @property
     def label(self) -> str:
@@ -76,8 +86,7 @@ class ReportRow:
     halted: bool
 
 
-CSV_COLUMNS = ("instance", "sym", "user_constraints", "encoding_constraints",
-               "backtracks", "nodes", "solutions", "time_ms", "halted")
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def run_one(inst: SchurInstance, sym: str, mode: str = "all",
@@ -120,14 +129,10 @@ def format_table(rows: Sequence[ReportRow]) -> str:
               "nodes", "solutions", "time_ms", "halted"]
     body = []
     for r in rows:
+        cells = [str(c) for c in astuple(r)]
         if r.halted:
-            cells = [r.instance, r.sym, str(r.user_constraints),
-                     str(r.encoding_constraints), "-", "-", "-",
-                     str(r.time_ms), "yes"]
-        else:
-            cells = [r.instance, r.sym, str(r.user_constraints),
-                     str(r.encoding_constraints), str(r.backtracks),
-                     str(r.nodes), str(r.solutions), str(r.time_ms), "no"]
+            cells[4:7] = ["-"] * 3  # backtracks, nodes, solutions
+        cells[-1] = "yes" if r.halted else "no"
         body.append(cells)
     widths = [max(len(header[i]), *(len(row[i]) for row in body)) if body
               else len(header[i]) for i in range(len(header))]
@@ -142,10 +147,7 @@ def rows_to_csv(rows: Sequence[ReportRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in rows:
-        writer.writerow([r.instance, r.sym, r.user_constraints,
-                         r.encoding_constraints, r.backtracks, r.nodes,
-                         r.solutions, r.time_ms,
-                         "true" if r.halted else "false"])
+        writer.writerow([*astuple(r)[:-1], "true" if r.halted else "false"])
     return buf.getvalue()
 
 

@@ -80,10 +80,7 @@ def value_permutations(spec: SymmetrySpec) -> list[dict[int, int]]:
 
     Values absent from a mapping are fixed; apply with ``perm.get(v, v)``.
     """
-    if isinstance(spec, PairInterchange):
-        a, b = spec.first, spec.second
-        return [{}, {a: b, b: a}]
-    if isinstance(spec, FullInterchange):
+    if isinstance(spec, (PairInterchange, FullInterchange)):
         return _perm_maps(spec.values)
     if isinstance(spec, PartitionInterchange):
         perms = [{}]

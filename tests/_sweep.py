@@ -9,7 +9,7 @@ combo costs one AND per position.  A set encoding is swept on its sets'
 """
 import itertools
 
-from valprec.engine import Model, PropagationStatus
+from valprec.engine import Model, PropagationStatus, mask_values
 from valprec.fuzz import (on_set_bits, post_encoding, predicate_for,
                           set_bits_holds)
 from valprec.oracle import enumerate_solutions
@@ -56,7 +56,7 @@ def sweep(post, pred, universe, n):
                 alive = False
                 break
         if alive and m.propagate() is not FAILED:
-            enc = [set(x.domain) for x in xs]
+            enc = [set(mask_values(x.mask)) for x in xs]
         else:
             enc = None
         m.pop_choice()

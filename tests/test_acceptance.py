@@ -10,13 +10,13 @@ import math
 import random
 import runpy
 import statistics
-from collections import Counter, defaultdict
 from pathlib import Path
 
 from valprec.engine import Model, PropagationStatus
 from valprec.fuzz import check_fd_instance, check_set_instance
 from valprec.oracle import (
     all_precedence_holds,
+    enumerate_orbits,
     increasing_seq_holds,
     partition_precedence_holds,
     wreath_precedence_holds,
@@ -157,81 +157,36 @@ def test_criterion_2_oracle_equivalence():
 # --------------------------------------------------------------- criterion 3
 
 
-def _exactly_one_per_orbit(assignments, orbit_key, satisfies):
-    """Group assignments by orbit and demand exactly one satisfier each."""
-    sats = Counter()
-    orbits = set()
-    for t in assignments:
-        key = orbit_key(t)
-        orbits.add(key)
-        if satisfies(t):
-            sats[key] += 1
-    return orbits == set(sats) and all(v == 1 for v in sats.values())
-
-
-def _group_key(vperms, pperms):
-    def key(t):
-        return min(assignment_orbit(t, vperms, pperms))
-    return key
-
-
 def test_criterion_3_one_canonical_member_per_orbit():
-    """Every symmetry orbit keeps exactly one member under its breaker."""
-    checks = []
+    """Every symmetry orbit keeps exactly one member under its breaker.
 
-    for m in (1, 2, 3):
-        values = tuple(range(1, m + 1))
-        vperms = value_permutations(FullInterchange(values))
-        for n in range(1, 7):
-            pperms = variable_permutations("none", n)
-            ok = _exactly_one_per_orbit(
-                itertools.product(values, repeat=n),
-                _group_key(vperms, pperms),
-                lambda t: all_precedence_holds(values, t))
-            checks.append((f"full m={m} n={n}", ok))
-
+    ``enumerate_orbits`` partitions each group's assignments explicitly, the
+    joint position x value group of the increasing-sequence rule included.
+    """
     classes = ((1, 2), (3,))
-    vperms = value_permutations(PartitionInterchange(classes))
-    for n in range(1, 7):
-        pperms = variable_permutations("none", n)
-        ok = _exactly_one_per_orbit(
-            itertools.product((1, 2, 3), repeat=n),
-            _group_key(vperms, pperms),
-            lambda t: partition_precedence_holds(classes, t))
-        checks.append((f"partition n={n}", ok))
-
     wspec = WreathInterchange((1, 2), (3, 4))
-    vperms = value_permutations(wspec)
-    for n in range(1, 7):
-        pperms = variable_permutations("none", n)
-        ok = _exactly_one_per_orbit(
-            itertools.product(range(4), repeat=n),
-            _group_key(vperms, pperms),
-            lambda t: wreath_precedence_holds(wspec, t))
-        checks.append((f"wreath n={n}", ok))
-
-    # joint position x value group: sorted occurrence counts are a complete
-    # orbit invariant, cross-checked against explicit images for small n
+    # (name, universe, value group, position group, rule)
+    rows = []
     for m in (1, 2, 3):
         values = tuple(range(1, m + 1))
-        vperms = value_permutations(FullInterchange(values))
+        rows.append((f"full m={m}", values, FullInterchange(values), "none",
+                     lambda t, v=values: all_precedence_holds(v, t)))
+    rows.append(("partition", (1, 2, 3), PartitionInterchange(classes), "none",
+                 lambda t: partition_precedence_holds(classes, t)))
+    rows.append(("wreath", range(4), wspec, "none",
+                 lambda t: wreath_precedence_holds(wspec, t)))
+    for m in (1, 2, 3):
+        values = tuple(range(1, m + 1))
+        rows.append((f"incr-seq m={m}", values, FullInterchange(values), "full",
+                     lambda t, v=values: increasing_seq_holds(v, t)))
+
+    checks = []
+    for name, universe, spec, group, holds in rows:
         for n in range(1, 7):
-            def count_key(t):
-                return tuple(sorted((t.count(v) for v in values), reverse=True))
-            if n <= 4:
-                pperms = variable_permutations("full", n)
-                explicit = _group_key(vperms, pperms)
-                pairs = {(count_key(t), explicit(t))
-                         for t in itertools.product(values, repeat=n)}
-                counts = {c for c, _ in pairs}
-                reps = {r for _, r in pairs}
-                agree = len(pairs) == len(counts) == len(reps)
-                checks.append((f"incr-seq invariant m={m} n={n}", agree))
-            ok = _exactly_one_per_orbit(
-                itertools.product(values, repeat=n),
-                count_key,
-                lambda t: increasing_seq_holds(values, t))
-            checks.append((f"incr-seq m={m} n={n}", ok))
+            orbits = enumerate_orbits(itertools.product(universe, repeat=n),
+                                      spec, group)
+            checks.append((f"{name} n={n}",
+                           all(sum(map(holds, orbit)) == 1 for orbit in orbits)))
 
     bad = [name for name, ok in checks if not ok]
     _verdict(3, not bad,
@@ -290,21 +245,21 @@ def test_criterion_4_schur_reproduction():
 
 
 def test_criterion_5_orbit_accounting_on_small_schur():
-    """Free solution count equals the orbit-size sum over canonical solutions."""
+    """The chain's solutions are exactly the lex-least members of the free
+    solutions' orbits."""
     bad = []
     for k in (1, 2, 3):
-        vperms = value_permutations(FullInterchange(tuple(range(1, k + 1))))
-        pperms = variable_permutations("none", 0)
+        spec = FullInterchange(tuple(range(1, k + 1)))
         for n in range(1, 9):
             _, free = run_one(SchurInstance(n, k), sym="none")
             _, broke = run_one(SchurInstance(n, k), sym="all")
-            pperms = variable_permutations("none", n)
-            total = sum(len(assignment_orbit(s, vperms, pperms))
-                        for s in broke.solutions)
-            if total != free.stats.solutions:
-                bad.append(f"S({n},{k}): {total} != {free.stats.solutions}")
+            least = [min(orbit) for orbit in enumerate_orbits(free.solutions, spec)]
+            if least != sorted(broke.solutions):
+                bad.append(f"S({n},{k}): {len(least)} orbits, "
+                           f"{len(broke.solutions)} chain solutions")
     _verdict(5, not bad,
-             "24 instances, exact orbit sums" if not bad else "; ".join(bad))
+             "24 instances, one chain solution per orbit, its lex-least member"
+             if not bad else "; ".join(bad))
 
 
 # --------------------------------------------------------------- criterion 6

@@ -126,7 +126,8 @@ def test_parser_rejects_bad_arguments():
                  ["schur", "--n", "4", "--k", "2", "--sym", "all", "--mode", "first",
                   "--budget-secs", "0"],
                  ["fuzz", "--seed", "1", "--cases", "0"],
-                 ["fuzz", "--seed", "1", "--cases", "-5"]):
+                 ["fuzz", "--seed", "1", "--cases", "-5"],
+                 ["schur", "--n", "2001", "--k", "4", "--sym", "none", "--mode", "first"]):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(argv)
         assert exc.value.code == 2

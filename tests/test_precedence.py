@@ -6,7 +6,7 @@ import time
 import pytest
 
 from valprec.engine import Model, PropagationStatus
-from valprec.fuzz import fd_fixpoint
+from valprec.fuzz import fd_fixpoint, post_encoding, predicate_for
 from valprec.oracle import (
     all_precedence_holds,
     gac_by_definition,
@@ -29,8 +29,9 @@ from valprec.precedence import (
     encode_set_precedence,
     encode_wreath_precedence,
 )
+from valprec.schur import SchurInstance, build_schur_model
 from valprec.search import solve
-from valprec.symmetry import WreathInterchange
+from valprec.symmetry import WreathInterchange, value_permutations
 
 FAILED = PropagationStatus.FAILED
 AT_FIXPOINT = PropagationStatus.AT_FIXPOINT
@@ -65,6 +66,26 @@ def test_pair_identical_values_rejected():
     xs = [m.add_fd_var({1, 2})]
     with pytest.raises(ValueError):
         encode_pair_precedence(m, 5, 5, xs)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda m: encode_set_precedence(m, [1, 1], [m.add_set_var(set(), {1})]),
+     ValueError, "distinct"),
+    (lambda m: encode_increasing_seq(m, [m.add_fd_var({1, 2})], [1, 1]),
+     ValueError, "distinct"),
+    (lambda m: build_schur_model(SchurInstance(4, 2), sym="bogus"),
+     ValueError, "unknown symmetry mode"),
+    (lambda m: m.add_fd_var({1, 2}).value(), ValueError, "not assigned"),
+    (lambda m: value_permutations((1, 2)), TypeError, "unknown symmetry spec"),
+    (lambda m: predicate_for((1, 2)), TypeError, "no predicate"),
+    (lambda m: post_encoding(m, (1, 2), [m.add_fd_var({1, 2})]),
+     TypeError, "no encoding"),
+], ids=["set-repeated-value", "incr-seq-repeated-value", "schur-unknown-sym",
+        "value-of-unfixed", "value-perms-non-spec", "predicate-non-spec",
+        "post-encoding-non-spec"])
+def test_documented_input_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call(Model())
 
 
 def test_pair_chain_matches_oracle_300_cases():
@@ -520,9 +541,9 @@ def test_ground_prefix_grounds_chain_states(encode, args, values_pool):
     (lambda m, xs: encode_pair_precedence(m, 1, 2, xs),
      6, range(1, 4), 27, [1, 2, 2, 2, 2, 2, 2]),
     (lambda m, xs: encode_all_precedence(m, [1, 2, 3], xs),
-     5, range(1, 5), 42, [1, 2, 3, 4, 4, 4]),
+     5, range(1, 5), 34, [1, 2, 3, 3, 3, 3]),
     (lambda m, xs: encode_partial_precedence(m, [[1, 2], [3, 4, 5]], xs),
-     5, range(1, 6), 95, [1, 2, 5, 8, 10, 11]),
+     5, range(1, 6), 60, [1, 2, 4, 5, 5, 5]),
     (lambda m, xs: encode_increasing_seq(m, xs, [1, 2, 3]),
      6, range(1, 4), 27, [1, 1, 2, 4, 6, 7, 7]),
 ])
