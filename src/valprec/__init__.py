@@ -6,9 +6,9 @@ built on ternary chains (precedence), symmetry group descriptions (symmetry),
 a brute-force referee (oracle), DFS search (search), equivalence fuzzing
 (fuzz), witness checks (verify), and the Schur benchmark (schur, cli).
 """
-from .engine import (AlwaysFail, IntVar, Model, PropagationStatus, Propagator,
-                     SetVar)
-from .propagators import NotAllEqual3, TernaryTable
+from .engine import (AlwaysFail, IntVar, Model, NotAllEqual3, PropagationStatus,
+                     Propagator, SetVar)
+from .propagators import TernaryTable
 from .precedence import (TRANSITION_CAP, ChainEncoding, MatrixEncoding,
                          SurjectionEncoding,
                          encode_all_precedence, encode_increasing_seq,

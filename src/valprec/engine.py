@@ -9,16 +9,17 @@ changes a domain, trailing one ``(owner, attribute, old_value)`` record;
 
 A propagator watches variables.  A change to a watched variable schedules it
 on a FIFO queue with per-propagator deduplication, unless its own filter made
-the change.  A propagator class that sets ``wakes_on_fix`` watches fixes
-only: a variable that becomes fixed goes on a second FIFO, and its
-``fix_watchers`` run when it is popped.  ``propagate`` runs both queues to a
-fixpoint; an entailed propagator is not woken until backtracking undoes it.
+the change.  ``NotAllEqual3`` has no filter: it is a rule of the engine.  A
+variable over which one is posted goes on a second FIFO when it becomes
+fixed, and popping it runs the rule over its ``nae_pairs`` in one plain loop.
+``propagate`` runs both queues to a fixpoint; an entailed propagator is not
+woken until backtracking undoes it.
 """
 from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class PropagationStatus(enum.Enum):
@@ -39,16 +40,17 @@ class IntVar:
     ``mask`` is the domain, bit ``v`` set iff ``v`` is in it; ``domain``
     reads it as a frozenset.  A mask's size grows with the largest value, so
     ``post_state_chain`` numbers each layer's states from 0.  ``watchers``
-    are woken on every change, ``fix_watchers`` only when it becomes fixed.
+    are woken on every change.  ``nae_pairs`` holds, flattened, the other
+    two arguments of each :class:`NotAllEqual3` over the variable.
     """
 
-    __slots__ = ("name", "mask", "watchers", "fix_watchers")
+    __slots__ = ("name", "mask", "watchers", "nae_pairs")
 
     def __init__(self, mask: int, name: str):
         self.name = name
         self.mask = mask
         self.watchers: list[Propagator] = []
-        self.fix_watchers: list[Propagator] = []
+        self.nae_pairs: list[IntVar] = []
 
     @property
     def domain(self) -> frozenset[int]:
@@ -109,19 +111,18 @@ class Propagator:
 
     Subclasses implement ``filter(model) -> bool`` (False means failure) and
     list the variables they watch in ``watches`` before posting.  Any change
-    to a watched variable wakes the propagator, or only a fixing one if the
-    class sets ``wakes_on_fix``.  A filter must be idempotent: its own
-    changes do not wake it again.  It may call ``model.set_entailed(self)``
-    once its constraint cannot be violated; it then sleeps on this branch.
+    to a watched variable wakes the propagator.  A filter must be
+    idempotent: its own changes do not wake it again.  It may call
+    ``model.set_entailed(self)`` once its constraint cannot be violated; it
+    then sleeps on this branch.
     """
 
     __slots__ = ("entailed", "queued", "watches")
-    wakes_on_fix = False
 
     def __init__(self):
         self.entailed = False
         self.queued = False
-        self.watches: list[IntVar] = []
+        self.watches: Sequence[IntVar] = ()
 
     def filter(self, model: "Model") -> bool:
         raise NotImplementedError
@@ -132,6 +133,23 @@ class AlwaysFail(Propagator):
 
     def filter(self, model: "Model") -> bool:
         return False
+
+
+class NotAllEqual3(Propagator):
+    """At least two of x, y, z differ; arguments may repeat.  No filter:
+    ``Model.post`` gives each argument the other two as a pair in its
+    ``nae_pairs`` (both distinct arguments of a repeated triple get the two),
+    and when ``propagate`` pops a variable fixed to c, it removes c from one
+    side of each of its pairs whose other side is fixed to c.  That is GAC,
+    since the later of two fixes to c sees the earlier; a triple of one
+    variable fails the model.
+    """
+
+    __slots__ = ("args",)
+
+    def __init__(self, x: IntVar, y: IntVar, z: IntVar):
+        super().__init__()
+        self.args = (x, y, z)
 
 
 class Model:
@@ -182,11 +200,30 @@ class Model:
     def post(self, prop: Propagator, category: str = "user") -> Propagator:
         self.propagators.append(prop)
         self.posted_counts[category] = self.posted_counts.get(category, 0) + 1
+        if isinstance(prop, NotAllEqual3):
+            self._post_nae(*prop.args)
+            return prop
         for var in dict.fromkeys(prop.watches):
-            (var.fix_watchers if prop.wakes_on_fix else var.watchers).append(prop)
+            var.watchers.append(prop)
         prop.queued = True
         self._queue.append(prop)
         return prop
+
+    def _post_nae(self, x: IntVar, y: IntVar, z: IntVar) -> None:
+        """Register the NAE's pairs and queue its already fixed arguments."""
+        if x is y or y is z or x is z:
+            pair = (x, z) if x is y else (x, y)
+            args = dict.fromkeys(pair)
+            if len(args) == 1:
+                self._failed = True
+            for var in args:
+                var.nae_pairs += pair
+        else:
+            args = x, y, z
+            x.nae_pairs += y, z
+            y.nae_pairs += x, z
+            z.nae_pairs += x, y
+        self._fixed.extend(var for var in args if not var.mask & (var.mask - 1))
 
     def posted_total(self) -> int:
         return sum(self.posted_counts.values())
@@ -214,7 +251,7 @@ class Model:
             if not prop.queued and not prop.entailed:
                 prop.queued = True
                 queue.append(prop)
-        if not new & (new - 1) and var.fix_watchers:
+        if not new & (new - 1) and var.nae_pairs:
             self._fixed.append(var)
         return True
 
@@ -237,9 +274,9 @@ class Model:
     # ----------------------------------------------------------------- queue
 
     def propagate(self) -> PropagationStatus:
-        """Drain the propagator queue, then pop one fixed variable and run a
-        snapshot of its fix watchers; repeat to a fixpoint or a failure."""
-        queue, fixed = self._queue, self._fixed
+        """Drain the propagator queue, then pop one fixed variable and apply
+        the NAE rule over its pairs; repeat to a fixpoint or a failure."""
+        queue, fixed, narrow = self._queue, self._fixed, self.narrow
         while not self._failed:
             if queue:
                 prop = queue.popleft()
@@ -247,9 +284,16 @@ class Model:
                     self._failed = True
                 prop.queued = False
             elif fixed:
-                for prop in tuple(fixed.popleft().fix_watchers):
-                    if not prop.entailed and not prop.filter(self):
-                        self._failed = True
+                var = fixed.popleft()
+                c = var.mask
+                pairs = iter(var.nae_pairs)
+                for a, b in zip(pairs, pairs):
+                    # Of a pair with one side fixed to c, the other loses c.
+                    if a.mask == c:
+                        a = b
+                    elif b.mask != c:
+                        continue
+                    if a.mask & c and not narrow(a, a.mask ^ c):
                         break
             else:
                 return PropagationStatus.AT_FIXPOINT

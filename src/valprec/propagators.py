@@ -1,6 +1,7 @@
-"""Propagators: ternary tables and not-all-equal.
+"""Propagators: the ternary table, the one filter, and ``NotAllEqual3``, a
+rule of :mod:`valprec.engine` that is re-exported here.
 
-Every filter here is monotone and idempotent.  Everything else, lexicographic
+The filter is monotone and idempotent.  Everything else, lexicographic
 ordering, set variables and the small relations included, is compiled to
 ternary table chains in :mod:`valprec.precedence`.
 """
@@ -10,7 +11,9 @@ from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from .engine import IntVar, Model, Propagator, mask_values
+from .engine import IntVar, Model, NotAllEqual3, Propagator, mask_values
+
+__all__ = ["NotAllEqual3", "TernaryTable"]
 
 # --------------------------------------------------------------------- tables
 
@@ -74,54 +77,3 @@ class TernaryTable(Propagator):
                 live == sx.bit_count() * sy.bit_count() * sz.bit_count():
             m.set_entailed(self)
         return True
-
-
-# -------------------------------------------------------------- small relations
-
-
-class NotAllEqual3(Propagator):
-    """At least two of x, y, z differ.  Arguments may repeat.
-
-    Nothing can be pruned before two arguments are fixed, so only two
-    distinct arguments, ``x`` and ``y``, are watched, for fixes.  A fixed
-    watched argument hands its watch to the third, ``z``, if that is unfixed.
-    Moves are not trailed: backtracking unfixes variables in reverse order,
-    so the watched pair is unfixed wherever fewer than two arguments are.  A
-    repeated argument leaves a disequality on the pair (``z`` is None).
-    Fixed masks compare whole; ``d ^ fixed`` removes a fixed value from ``d``.
-    """
-
-    __slots__ = ("x", "y", "z")
-    wakes_on_fix = True
-
-    def __init__(self, x: IntVar, y: IntVar, z: IntVar):
-        super().__init__()
-        args = list(dict.fromkeys((x, y, z)))
-        self.watches = args[:2]
-        self.x, self.y, self.z = (args + [None])[:3] if len(args) > 1 else (x, x, None)
-
-    def filter(self, m: Model) -> bool:
-        x, y, z = self.x, self.y, self.z
-        dx, dy = x.mask, y.mask
-        if z is None:
-            if x is y:
-                return False
-            if not dx & (dx - 1) and dx & dy:
-                return m.narrow(y, dy ^ dx)
-            return dy & (dy - 1) != 0 or not dx & dy or m.narrow(x, dx ^ dy)
-        dz = z.mask
-        if not dz & (dz - 1):
-            if dz == dx:
-                return not dy & dz or m.narrow(y, dy ^ dz)
-            return dz != dy or not dx & dz or m.narrow(x, dx ^ dz)
-        # z takes the watch of a fixed x or y; then only x and y can be equal.
-        if not dx & (dx - 1):
-            self.x, self.z = z, x
-            x.fix_watchers.remove(self)
-        elif not dy & (dy - 1):
-            self.y, self.z = z, y
-            y.fix_watchers.remove(self)
-        else:
-            return True
-        z.fix_watchers.append(self)
-        return dx != dy or not dz & dx or m.narrow(z, dz ^ dx)

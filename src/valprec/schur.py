@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import astuple, dataclass, fields
+import time
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional, Sequence
 
-from .engine import IntVar, Model
+from .engine import IntVar, Model, NotAllEqual3
 from .precedence import (TRANSITION_CAP, encode_all_precedence,
                          encode_pair_precedence)
-from .propagators import NotAllEqual3
 from .search import Budget, Heuristic, SearchResult, solve
 
 SYM_MODES = ("none", "adjacent", "all")
@@ -92,7 +92,12 @@ CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 def run_one(inst: SchurInstance, sym: str, mode: str = "all",
             budget: Optional[Budget] = None,
             heuristic: Heuristic = Heuristic()) -> tuple[ReportRow, SearchResult]:
+    """Build and solve one instance; the budget's seconds cover the build too."""
+    t0 = time.perf_counter()
     model, xs = build_schur_model(inst, sym)
+    if budget is not None and budget.max_seconds is not None:
+        left = budget.max_seconds - (time.perf_counter() - t0)
+        budget = replace(budget, max_seconds=max(0.0, left))
     result = solve(model, xs, heuristic=heuristic, mode=mode, budget=budget)
     counts = model.posted_counts
     row = ReportRow(

@@ -1,8 +1,9 @@
-"""Core engine: domains, trail, queue, watchers, entailment."""
+"""Core engine: domains, trail, queue, watchers, entailment, the NAE rule."""
 import pytest
 from hypothesis import given, strategies as st
 
-from valprec.engine import AlwaysFail, Model, PropagationStatus, Propagator
+from valprec.engine import (AlwaysFail, Model, NotAllEqual3, PropagationStatus,
+                            Propagator)
 
 
 def test_fd_var_basics():
@@ -206,10 +207,6 @@ def test_entailed_propagator_not_rescheduled():
     assert p.calls == 0
 
 
-class _FixRecorder(_Recorder):
-    wakes_on_fix = True
-
-
 def _posted(m, prop):
     """Post ``prop``, run its first filter and reset its call count."""
     m.post(prop)
@@ -218,41 +215,58 @@ def _posted(m, prop):
     return prop
 
 
-def test_fix_watcher_ignores_removal_leaving_two_values():
+class _CountedPairs(list):
+    """A ``nae_pairs`` list that counts how often the NAE rule runs over it."""
+    runs = 0
+
+    def __iter__(self):
+        self.runs += 1
+        return super().__iter__()
+
+
+def _counted(var):
+    var.nae_pairs = _CountedPairs(var.nae_pairs)
+    return var.nae_pairs
+
+
+def test_nae_rule_ignores_removal_leaving_two_values():
     m = Model()
-    x = m.add_fd_var([1, 2, 3, 4])
-    p = _posted(m, _FixRecorder(x))
-    assert x.fix_watchers == [p] and x.watchers == []
+    x, y, z = (m.add_fd_var([1, 2, 3, 4]) for _ in range(3))
+    m.post(NotAllEqual3(x, y, z))
+    pairs = _counted(x)
     m.remove_value(x, 2)
     m.retain_values(x, (1, 3, 9))
-    m.propagate()
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
     assert x.values() == (1, 3)
-    assert p.calls == 0
+    assert pairs.runs == 0
 
 
 @pytest.mark.parametrize("fix", [
     lambda m, x: m.remove_value(x, 1),
     lambda m, x: m.retain_values(x, (2, 9)),
     lambda m, x: m.assign(x, 2),
-])
-def test_fix_watcher_woken_once_by_each_kind_of_fix(fix):
+], ids=["remove_value", "retain_values", "assign"])
+def test_nae_rule_runs_once_per_kind_of_fix(fix):
     m = Model()
-    x = m.add_fd_var([1, 2, 3])
-    p = _posted(m, _FixRecorder(x))
+    x, y, z = m.add_fd_var([1, 2, 3]), m.add_fd_var([2]), m.add_fd_var([1, 2, 3])
+    m.post(NotAllEqual3(x, y, z))
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    pairs = _counted(x)
     m.remove_value(x, 3)
-    m.propagate()
-    assert p.calls == 0
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert pairs.runs == 0
     assert fix(m, x)
     assert x.values() == (2,)
-    m.propagate()
-    assert p.calls == 1
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert pairs.runs == 1
+    assert z.values() == (1, 3)
 
 
 def test_plain_watcher_woken_by_every_change():
     m = Model()
     x = m.add_fd_var([1, 2, 3, 4])
     p = _posted(m, _Recorder(x))
-    assert x.watchers == [p] and x.fix_watchers == []
+    assert x.watchers == [p] and x.nae_pairs == []
     m.remove_value(x, 4)
     m.propagate()
     m.retain_values(x, (1, 2))
@@ -262,28 +276,54 @@ def test_plain_watcher_woken_by_every_change():
     assert p.calls == 3
 
 
-def test_entailed_fix_watcher_not_rescheduled():
-    m = Model()
-    x = m.add_fd_var([1, 2, 3])
-    p = _posted(m, _FixRecorder(x))
-    m.set_entailed(p)
-    m.assign(x, 1)
-    m.propagate()
-    assert p.calls == 0
-
-
-@pytest.mark.parametrize("cls", [_Recorder, _FixRecorder])
-def test_repeated_watch_filters_once_per_change(cls):
+def test_repeated_watch_filters_once_per_change():
     m = Model()
     x = m.add_fd_var([1, 2, 3])
     y = m.add_fd_var([1, 2])
-    p = _posted(m, cls(x, y, x))
-    assert (x.watchers + x.fix_watchers).count(p) == 1
+    p = _posted(m, _Recorder(x, y, x))
+    assert x.watchers.count(p) == 1
     m.remove_value(x, 3)
     m.propagate()
     m.assign(x, 1)
     m.propagate()
-    assert p.calls == (2 if cls is _Recorder else 1)
+    assert p.calls == 2
+
+
+def test_nae_arguments_fixed_before_post_prune_at_root():
+    """Posting queues the arguments already fixed, even ones that an
+    earlier propagation has popped already."""
+    m = Model()
+    x, y = m.add_fd_var([2]), m.add_fd_var([1, 2])
+    z, w = m.add_fd_var([1, 2, 3]), m.add_fd_var([1, 2, 3])
+    m.post(NotAllEqual3(x, z, w))
+    m.post(NotAllEqual3(y, z, w))
+    assert m.assign(y, 2)
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert z.values() == w.values() == (1, 2, 3)
+    m.post(NotAllEqual3(x, y, z))
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert z.values() == (1, 3) and w.values() == (1, 2, 3)
+
+
+@pytest.mark.parametrize("order", ["xzx", "zxx", "xxz"])
+def test_nae_repeated_argument_acts_as_disequality(order):
+    for first in ("x", "z"):
+        m = Model()
+        v = {"x": m.add_fd_var([1, 2, 3]), "z": m.add_fd_var([1, 2, 3])}
+        m.post(NotAllEqual3(*(v[c] for c in order)))
+        assert v["x"].nae_pairs == v["z"].nae_pairs and len(v["x"].nae_pairs) == 2
+        assert m.propagate() is PropagationStatus.AT_FIXPOINT
+        m.push_choice()
+        assert m.assign(v[first], 2)
+        assert m.propagate() is PropagationStatus.AT_FIXPOINT
+        assert v["x" if first == "z" else "z"].values() == (1, 3)
+        m.pop_choice()
+        m.push_choice()
+        assert m.assign(v["x"], 2) and m.assign(v["z"], 2)
+        assert m.propagate() is PropagationStatus.FAILED
+        m.pop_choice()
+        assert m.assign(v["x"], 1) and m.assign(v["z"], 3)
+        assert m.propagate() is PropagationStatus.AT_FIXPOINT
 
 
 def _matches_reference(x, ref):
@@ -385,60 +425,22 @@ class _Guard(_Recorder):
 
 def test_no_stale_fix_runs_after_failure_or_pop():
     m = Model()
-    x = m.add_fd_var([1, 9])
-    y = m.add_fd_var([1, 2])
-    _posted(m, _Guard(x))
-    p = _posted(m, _FixRecorder(y))
+    x, y, z = (m.add_fd_var([1, 2]) for _ in range(3))
+    g = m.add_fd_var([1, 9])
+    m.post(NotAllEqual3(x, y, z))
+    _posted(m, _Guard(g))
+    pairs = _counted(y)
     m.push_choice()
     m.assign(y, 1)
-    m.remove_value(x, 9)           # the guard is queued before y's fix runs
+    m.remove_value(g, 9)           # the guard is queued before y's fix runs
     assert m.propagate() is PropagationStatus.FAILED
-    assert p.calls == 0
+    assert pairs.runs == 0
     m.pop_choice()
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
-    assert p.calls == 0
+    assert pairs.runs == 0
     m.push_choice()
     m.assign(y, 2)                 # fixed, then unfixed before any propagate
     m.pop_choice()
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
-    assert p.calls == 0 and y.values() == (1, 2)
-
-
-class _Mover(_FixRecorder):
-    """Moves its watch from ``at`` to ``to`` when ``at`` is fixed."""
-
-    def __init__(self, at, to):
-        super().__init__(at)
-        self.at, self.to = at, to
-
-    def filter(self, model):
-        self.calls += 1
-        if len(self.at.domain) == 1:
-            self.at.fix_watchers.remove(self)
-            self.to.fix_watchers.append(self)
-            self.at = self.to
-        return True
-
-
-@pytest.mark.parametrize("same", [False, True])
-def test_fix_watcher_moving_its_watch_runs_once_per_fix(same):
-    """A snapshot of the fix watchers runs: a watcher that moves its watch,
-    even to the back of the same list, is not run twice for one fix and
-    does not make the next watcher be skipped."""
-    m = Model()
-    x = m.add_fd_var([1, 2])
-    y = m.add_fd_var([1, 2])
-    mover = _posted(m, _Mover(x, x if same else y))
-    rec = _posted(m, _FixRecorder(x))
-    assert x.fix_watchers == [mover, rec]
-    m.push_choice()
-    m.assign(x, 1)
-    assert m.propagate() is PropagationStatus.AT_FIXPOINT
-    assert (mover.calls, rec.calls) == (1, 1)
-    assert x.fix_watchers == ([rec, mover] if same else [rec])
-    if not same:
-        assert y.fix_watchers == [mover]
-        m.pop_choice()
-        m.assign(y, 1)
-        assert m.propagate() is PropagationStatus.AT_FIXPOINT
-        assert (mover.calls, rec.calls) == (2, 1)
+    assert pairs.runs == 0
+    assert x.values() == y.values() == z.values() == (1, 2)

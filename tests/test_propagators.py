@@ -553,11 +553,11 @@ def _nae_network(rng):
 def test_nae_networks_match_iterated_oracle_under_choices():
     """Networks of NAEs under push/remove/pop sequences.
 
-    Each NAE watches only two of its arguments and moves a watch on a fix
-    without trailing the move, so backtracking must leave the watches able
-    to see every later fix.  After every propagation the domains must be
-    the fixpoint of per-constraint GAC, and FAILED exactly when that
-    fixpoint wipes out; a pop must restore the domains of its push.
+    The NAE rule runs only when a fixed variable is popped, and a pop of the
+    choice stack empties that queue, so every fix after a backtrack must be
+    seen again.  After every propagation the domains must be the fixpoint of
+    per-constraint GAC, and FAILED exactly when that fixpoint wipes out; a
+    pop must restore the domains of its push.
     """
     rng = random.Random(2006)
     for _ in range(1000):

@@ -2,9 +2,11 @@
 import csv
 import io
 import itertools
+import time
 
 import pytest
 
+from valprec import schur
 from valprec.engine import Model
 from valprec.oracle import all_precedence_holds
 from valprec.precedence import TRANSITION_CAP
@@ -119,6 +121,23 @@ def test_budget_halts_row():
     assert "-" in lines[-1].split()
 
 
+def test_budget_seconds_count_the_build(monkeypatch):
+    """A build that overruns the budget leaves the search no time: a halted
+    row with 0 nodes."""
+    build = schur.build_schur_model
+
+    def slow_build(inst, sym="none"):
+        time.sleep(0.05)
+        return build(inst, sym)
+
+    monkeypatch.setattr(schur, "build_schur_model", slow_build)
+    row, res = run_one(SchurInstance(20, 4), sym="all",
+                       budget=Budget(max_seconds=0.01))
+    assert row.halted and res.halted
+    assert (row.nodes, row.backtracks, row.solutions) == (0, 0, 0)
+    assert (row.user_constraints, row.encoding_constraints) == (100, 20)
+
+
 @pytest.mark.parametrize("var, backtracks", [("lex", 2497), ("mindom", 2496)])
 def test_s44_4_budgeted_search_counts_pinned(var, backtracks):
     """The first 5,000 nodes of S(44,4) with full precedence, ascending values.
@@ -147,6 +166,16 @@ def test_s44_4_first_solution_counts_pinned():
     assert all(not (sol[a - 1] == sol[b - 1] == sol[a + b - 1])
                for a, b, _ in sum_triples(44))
     assert all_precedence_holds([1, 2, 3, 4], sol)
+
+
+def test_s45_4_unsat_proof_counts_pinned():
+    """The complete S(45,4) search with full precedence, mindom-asc: the
+    UNSAT proof visits every node, so a missed prune anywhere changes it."""
+    row, res = run_one(SchurInstance(45, 4), sym="all", mode="all",
+                       heuristic=Heuristic(var="mindom", val="asc"))
+    assert (res.stats.nodes, res.stats.backtracks, res.stats.solutions) == (157_769, 78_885, 0)
+    assert (row.user_constraints, row.encoding_constraints) == (506, 45)
+    assert not res.halted
 
 
 def test_csv_format_is_pinned():
