@@ -6,8 +6,8 @@ built on ternary chains (precedence), symmetry group descriptions (symmetry),
 a brute-force referee (oracle), DFS search (search), equivalence fuzzing
 (fuzz), witness checks (verify), and the Schur benchmark (schur, cli).
 """
-from .engine import (AlwaysFail, IntVar, Model, NotAllEqual3, PropagationStatus,
-                     Propagator, SetVar)
+from .engine import (IntVar, Model, NotAllEqual3, PropagationStatus, Propagator,
+                     SetVar)
 from .propagators import TernaryTable
 from .precedence import (TRANSITION_CAP, ChainEncoding, MatrixEncoding,
                          SurjectionEncoding,

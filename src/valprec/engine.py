@@ -3,15 +3,16 @@
 Integer variables keep explicit membership domains, each an int bitmask, so
 propagators can do exact value-level pruning rather than bounds reasoning.
 A set variable is its characteristic row: one 0/1 integer variable per
-element it may hold, from which its bounds are read.  Only ``Model.narrow``
-changes a domain, trailing one ``(owner, attribute, old_value)`` record;
-``push_choice``/``pop_choice`` bracket search decisions by restoring them.
+element it may hold, from which its bounds are read.  ``Model.narrow`` is
+the one general domain mutator; the NAE rule's prune in ``propagate`` is the
+only other write site.  The trail has one record layout, ``(var, old_mask)``
+or ``(prop, None)`` for an entailment, and ``pop_choice`` restores it.
 
 A propagator watches variables.  A change to a watched variable schedules it
 on a FIFO queue with per-propagator deduplication, unless its own filter made
-the change.  ``NotAllEqual3`` has no filter: it is a rule of the engine.  A
+the change.  ``NotAllEqual3`` is a rule of the engine, not a propagator.  A
 variable over which one is posted goes on a second FIFO when it becomes
-fixed, and popping it runs the rule over its ``nae_pairs`` in one plain loop.
+fixed, and popping it runs the rule over its ``nae_pairs`` in one loop.
 ``propagate`` runs both queues to a fixpoint; an entailed propagator is not
 woken until backtracking undoes it.
 """
@@ -47,8 +48,7 @@ class IntVar:
     __slots__ = ("name", "mask", "watchers", "nae_pairs")
 
     def __init__(self, mask: int, name: str):
-        self.name = name
-        self.mask = mask
+        self.name, self.mask = name, mask
         self.watchers: list[Propagator] = []
         self.nae_pairs: list[IntVar] = []
 
@@ -120,35 +120,26 @@ class Propagator:
     __slots__ = ("entailed", "queued", "watches")
 
     def __init__(self):
-        self.entailed = False
-        self.queued = False
+        self.entailed = self.queued = False
         self.watches: Sequence[IntVar] = ()
 
     def filter(self, model: "Model") -> bool:
         raise NotImplementedError
 
 
-class AlwaysFail(Propagator):
-    """Posted when a construction step detects unsatisfiability up front."""
-
-    def filter(self, model: "Model") -> bool:
-        return False
-
-
-class NotAllEqual3(Propagator):
-    """At least two of x, y, z differ; arguments may repeat.  No filter:
-    ``Model.post`` gives each argument the other two as a pair in its
-    ``nae_pairs`` (both distinct arguments of a repeated triple get the two),
-    and when ``propagate`` pops a variable fixed to c, it removes c from one
-    side of each of its pairs whose other side is fixed to c.  That is GAC,
-    since the later of two fixes to c sees the earlier; a triple of one
-    variable fails the model.
+class NotAllEqual3:
+    """At least two of x, y, z differ; arguments may repeat.  A rule, not a
+    propagator: ``Model.post`` gives each argument the other two as a pair
+    in its ``nae_pairs`` (both distinct arguments of a repeated triple get
+    the two), and when ``propagate`` pops a variable fixed to c, it removes
+    c from one side of each of its pairs whose other side is fixed to c.
+    That is GAC, since the later of two fixes to c sees the earlier; a
+    triple of one variable fails the model.
     """
 
     __slots__ = ("args",)
 
     def __init__(self, x: IntVar, y: IntVar, z: IntVar):
-        super().__init__()
         self.args = (x, y, z)
 
 
@@ -161,9 +152,9 @@ class Model:
 
     def __init__(self):
         self._int_count = self._set_count = 0
-        self.propagators: list[Propagator] = []
+        self.propagators: list[Propagator | NotAllEqual3] = []
         self.posted_counts: dict[str, int] = {}
-        self._trail: list[tuple[object, str, object]] = []
+        self._trail: list[tuple[IntVar | Propagator, Optional[int]]] = []
         self._marks: list[int] = []
         self._queue: deque[Propagator] = deque()
         self._fixed: deque[IntVar] = deque()
@@ -197,7 +188,8 @@ class Model:
 
     # ----------------------------------------------------------- propagators
 
-    def post(self, prop: Propagator, category: str = "user") -> Propagator:
+    def post(self, prop: Propagator | NotAllEqual3,
+             category: str = "user") -> Propagator | NotAllEqual3:
         self.propagators.append(prop)
         self.posted_counts[category] = self.posted_counts.get(category, 0) + 1
         if isinstance(prop, NotAllEqual3):
@@ -230,7 +222,7 @@ class Model:
 
     def set_entailed(self, prop: Propagator) -> None:
         if not prop.entailed:
-            self._trail.append((prop, "entailed", False))
+            self._trail.append((prop, None))
             prop.entailed = True
 
     # ------------------------------------------------------------- mutation
@@ -244,7 +236,7 @@ class Model:
         if not new:
             self._failed = True
             return False
-        self._trail.append((var, "mask", old))
+        self._trail.append((var, old))
         var.mask = new
         queue = self._queue
         for prop in var.watchers:
@@ -276,7 +268,7 @@ class Model:
     def propagate(self) -> PropagationStatus:
         """Drain the propagator queue, then pop one fixed variable and apply
         the NAE rule over its pairs; repeat to a fixpoint or a failure."""
-        queue, fixed, narrow = self._queue, self._fixed, self.narrow
+        queue, fixed, trail = self._queue, self._fixed, self._trail
         while not self._failed:
             if queue:
                 prop = queue.popleft()
@@ -285,16 +277,26 @@ class Model:
                 prop.queued = False
             elif fixed:
                 var = fixed.popleft()
-                c = var.mask
-                pairs = iter(var.nae_pairs)
+                c, pairs = var.mask, iter(var.nae_pairs)
                 for a, b in zip(pairs, pairs):
                     # Of a pair with one side fixed to c, the other loses c.
                     if a.mask == c:
                         a = b
                     elif b.mask != c:
                         continue
-                    if a.mask & c and not narrow(a, a.mask ^ c):
+                    if not (old := a.mask) & c:
+                        continue
+                    if old == c:
+                        self._failed = True
                         break
+                    trail.append((a, old))
+                    a.mask = new = old ^ c
+                    for prop in a.watchers:
+                        if not prop.queued and not prop.entailed:
+                            prop.queued = True
+                            queue.append(prop)
+                    if not new & (new - 1):
+                        fixed.append(a)
             else:
                 return PropagationStatus.AT_FIXPOINT
         self._clear_queue()
@@ -314,10 +316,13 @@ class Model:
     def pop_choice(self) -> None:
         if not self._marks:
             raise RuntimeError("pop_choice without a matching push_choice")
-        mark = self._marks.pop()
-        while len(self._trail) > mark:
-            owner, attr, old = self._trail.pop()
-            setattr(owner, attr, old)
+        mark, trail = self._marks.pop(), self._trail
+        for owner, old in reversed(trail[mark:]):
+            if old is None:
+                owner.entailed = False
+            else:
+                owner.mask = old
+        del trail[mark:]
         self._failed = False
         self._clear_queue()
 

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .engine import AlwaysFail, IntVar, Model, Propagator, SetVar, mask_values
+from .engine import IntVar, Model, Propagator, SetVar, mask_values
 from .propagators import TernaryTable
 
 TRANSITION_CAP = 1_000_000
@@ -42,7 +42,10 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
     is forbidden in that state.  Only states reachable from ``start`` that can
     still reach layer n (restricted to accepting states when ``accept`` is
     given) are materialized, so state variables carry exact initial domains.
-    Layer i's states become the values 0..k-1 of Y_i in sorted order.
+    Layer i's states become the values 0..k-1 of Y_i in sorted order.  An
+    automaton that accepts nothing posts one table without tuples instead,
+    over its first variable (a new one if there is none), which fails the
+    model at its first filter.
 
     Raises ValueError, before posting anything, when the forward pass would
     try more than ``TRANSITION_CAP`` (state, value) pairs.
@@ -66,7 +69,8 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
         edges[i] = [e for e in edges[i] if e[2] in layers[i + 1]]
         layers[i] = {s for _, s, _ in edges[i]}
     if not layers[0]:
-        return ChainEncoding([], [model.post(AlwaysFail(), "encoding")])
+        x = xs[0] if xs else model.add_fd_var((0,), name=f"{label}0")
+        return ChainEncoding([], [model.post(TernaryTable(x, x, x, ()), "encoding")])
     ids = [{s: k for k, s in enumerate(sorted(layer))} for layer in layers]
     svars = [model.add_fd_var(range(len(layer)), name=f"{label}{i}")
              for i, layer in enumerate(layers)]

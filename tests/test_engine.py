@@ -2,8 +2,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from valprec.engine import (AlwaysFail, Model, NotAllEqual3, PropagationStatus,
+from valprec.engine import (IntVar, Model, NotAllEqual3, PropagationStatus,
                             Propagator)
+from valprec.precedence import post_state_chain
 
 
 def test_fd_var_basics():
@@ -120,8 +121,7 @@ def test_push_pop_restores_everything():
     m = Model()
     x = m.add_fd_var([1, 2, 3])
     s = m.add_set_var({1}, {1, 2, 3})
-    p = AlwaysFail()
-    m.post(p)
+    p = m.post(_Recorder(x))
     m.push_choice()
     m.remove_value(x, 1)
     m.retain_values(s.bits[2], (1,))
@@ -152,18 +152,26 @@ def test_pop_clears_failure():
 
 
 def test_always_fail_propagation():
-    m = Model()
-    m.post(AlwaysFail())
-    assert m.propagate() is PropagationStatus.FAILED
+    """A chain that accepts nothing posts one table without tuples, which
+    fails at its first filter, with or without variables."""
+    for n in (0, 2):
+        m = Model()
+        xs = [m.add_fd_var([1, 2]) for _ in range(n)]
+        post_state_chain(m, xs, lambda s, v: s, start=0, accept=lambda s: False)
+        assert m.posted_counts == {"encoding": 1}
+        assert m.propagate() is PropagationStatus.FAILED
+        assert [x.values() for x in xs] == [(1, 2)] * n
 
 
 def test_posted_counts_by_category():
     m = Model()
-    m.post(AlwaysFail(), category="user")
-    m.post(AlwaysFail(), category="encoding")
-    m.post(AlwaysFail(), category="encoding")
+    x, y = m.add_fd_var([1, 2]), m.add_fd_var([1, 2])
+    posted = [m.post(_Recorder(x), category="user"),
+              m.post(NotAllEqual3(x, y, x), category="encoding"),
+              m.post(_Recorder(y), category="encoding")]
     assert m.posted_counts == {"user": 1, "encoding": 2}
     assert m.posted_total() == 3
+    assert m.propagators == posted
 
 
 class _Recorder(Propagator):
@@ -305,6 +313,33 @@ def test_nae_arguments_fixed_before_post_prune_at_root():
     assert z.values() == (1, 3) and w.values() == (1, 2, 3)
 
 
+def test_nae_prune_in_place_wakes_chains_fails_and_pops():
+    """The rule prunes in place: it trails the old mask, wakes the pruned
+    variable's watchers once, queues it if fixed, and fails on a wipeout."""
+    m = Model()
+    x, y = m.add_fd_var([1, 2, 3]), m.add_fd_var([1, 2, 3])
+    z, u, v = m.add_fd_var([1, 2]), m.add_fd_var([1]), m.add_fd_var([1, 2, 3])
+    m.post(NotAllEqual3(x, y, z))
+    m.post(NotAllEqual3(z, u, v))
+    p = _posted(m, _Recorder(z))
+    initial = [w.values() for w in (x, y, z, u, v)]
+    m.push_choice()
+    assert m.assign(x, 2) and m.assign(y, 2)
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert z.values() == (1,) and p.calls == 1    # pruned by x = y = 2
+    assert v.values() == (2, 3)                    # then z = u = 1 prunes v
+    assert (z, 0b110) in m._trail and (v, 0b1110) in m._trail
+    m.pop_choice()
+    assert [w.values() for w in (x, y, z, u, v)] == initial and m._trail == []
+    m.push_choice()
+    assert m.assign(x, 1) and m.assign(y, 1) and m.assign(z, 1)
+    trail = list(m._trail)
+    assert m.propagate() is PropagationStatus.FAILED
+    assert m._trail == trail and z.values() == (1,)  # z kept its one value
+    m.pop_choice()
+    assert [w.values() for w in (x, y, z, u, v)] == initial and not m.failed
+
+
 @pytest.mark.parametrize("order", ["xzx", "zxx", "xxz"])
 def test_nae_repeated_argument_acts_as_disequality(order):
     for first in ("x", "z"):
@@ -383,7 +418,9 @@ def test_trail_restores_random_edits(data):
             _matches_reference(var, ref)
         assert s.lb == {v for v in s.bits if refs[2 + v] == {1}}
         assert s.ub == {v for v in s.bits if 1 in refs[2 + v]}
-    assert {attr for _, attr, _ in m._trail} <= {"mask", "entailed"}
+    for owner, old in m._trail:   # one layout: (var, old mask) or (prop, None)
+        assert (isinstance(owner, IntVar) and isinstance(old, int)
+                or isinstance(owner, Propagator) and old is None)
     for _ in range(len(saved) + 1):
         m.pop_choice()
     assert [set(x.domain) for x in xs] == snap[0]
