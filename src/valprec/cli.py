@@ -88,13 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
 
     if args.command == "schur":
-        inst = SchurInstance(args.n, args.k)
-        row, _ = run_one(inst, args.sym, mode=args.mode,
-                         budget=Budget(max_seconds=args.budget_secs),
-                         heuristic=_parse_heuristic(args.heuristic))
+        try:
+            # an instance or chain too large to build is refused by its size
+            row, _ = run_one(SchurInstance(args.n, args.k), args.sym, mode=args.mode,
+                             budget=Budget(max_seconds=args.budget_secs),
+                             heuristic=_parse_heuristic(args.heuristic))
+        except ValueError as exc:
+            parser.error(str(exc))
         sys.stdout.write(format_table([row]))
         if args.csv:
             write_csv([row], args.csv)

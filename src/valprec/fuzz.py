@@ -1,24 +1,25 @@
-"""Randomized equivalence checking of encoding fixpoints against the oracle.
+"""Encoding fixpoints checked against the oracle's GAC by definition.
 
-One case = one random instance of one symmetry family: a list of domains, or
-of (lb, ub) set bounds for the set family.  ``fd_fixpoint`` propagates the
-chain encoding to fixpoint, and the result is compared with the oracle's GAC
-by definition.  A set instance is checked as the 0/1 domains of its sets'
-bits, where GAC is lb/ub bound consistency on the sets.  The witnesses in
-``verify`` build their models through ``fd_fixpoint`` too.  Any divergence
-is reduced by the one greedy ``shrink`` (drop an entry, then narrow one: a
-domain loses a value, a set's ub loses an element outside its lb) before
-reporting.  Fixed seed means byte-identical reports.
+``check`` is the one comparison: ``fd_fixpoint`` propagates a post step to
+fixpoint, and the result is compared with the GAC of a predicate.
+``check_fd_instance`` makes it for one symmetry family's chain,
+``check_set_instance`` for a set instance on its sets' 0/1 bits (where GAC
+is lb/ub bound consistency), and ``sweep`` on every combination of small
+domains.  The witnesses in ``verify`` build their models through
+``fd_fixpoint`` too.  ``fuzz_equivalence`` draws random cases, and reduces
+any divergence by the one greedy ``shrink`` (drop an entry, then narrow one:
+a domain loses a value, a set's ub loses an element outside its lb) before
+reporting it.  Fixed seed means byte-identical reports.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, combinations, product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import IntVar, Model, PropagationStatus, SetVar, mask_values
-from .oracle import (all_precedence_holds, gac_by_definition,
+from .oracle import (all_precedence_holds, enumerate_solutions, gac_by_definition,
                      pair_precedence_holds, partition_precedence_holds,
                      set_precedence_holds, wreath_precedence_holds)
 from .precedence import (encode_all_precedence, encode_pair_precedence,
@@ -107,11 +108,18 @@ def set_bits_holds(values: Sequence[int], universe: Sequence[int], n: int):
                  for row in _rows(t, universe, n)])
 
 
+def check(post: Callable[[Model, list[IntVar]], object], pred: Callable[[tuple], bool],
+          domains: Sequence[set[int]]):
+    """(agree, ``post``'s fixpoint, GAC of ``pred``) on ``domains``; None where either fails."""
+    enc = fd_fixpoint(domains, post)
+    orc = gac_by_definition(pred, domains)
+    return enc == orc, enc, orc
+
+
 def check_fd_instance(spec: SymmetrySpec, domains: Sequence[set[int]]):
     """(agree, encoding fixpoint, oracle GAC) for one finite-domain instance."""
-    enc = fd_fixpoint(domains, lambda model, xs: post_encoding(model, spec, xs))
-    orc = gac_by_definition(predicate_for(spec), domains)
-    return enc == orc, enc, orc
+    return check(lambda model, xs: post_encoding(model, spec, xs), predicate_for(spec),
+                 domains)
 
 
 def check_set_instance(values: Sequence[int], bounds: SetInstance):
@@ -129,11 +137,62 @@ def check_set_instance(values: Sequence[int], bounds: SetInstance):
                  {v for v, d in row.items() if 1 in d})
                 for row in _rows(doms, universe, n)]
 
-    bits = set_bits(bounds, universe)
-    enc = read_bounds(fd_fixpoint(bits, on_set_bits(
-        lambda model, sets: encode_set_precedence(model, values, sets), universe, n)))
-    orc = read_bounds(gac_by_definition(set_bits_holds(values, universe, n), bits))
-    return enc == orc, enc, orc
+    agree, enc, orc = check(
+        on_set_bits(lambda model, sets: encode_set_precedence(model, values, sets),
+                    universe, n),
+        set_bits_holds(values, universe, n), set_bits(bounds, universe))
+    return agree, read_bounds(enc), read_bounds(orc)
+
+
+def sweep(post: Callable[[Model, list[IntVar]], object], pred: Callable[[tuple], bool],
+          universe: Sequence[int], n: int):
+    """``check`` on every combination of domains, with one model for them all.
+
+    ``post(model, xs)`` posts on ``n`` variables over ``universe``, and a
+    combination gives each of them a non-empty subset of it: push a choice
+    point, retain the combination, propagate, pop.  The oracle side indexes
+    the solutions on full domains by (position, value), as big-int masks of
+    solution ids, so a combination costs one AND per position.  Returns
+    (checked, mismatches); a mismatch is (combination, fixpoint, oracle GAC).
+    """
+    m = Model()
+    xs = [m.add_fd_var(universe) for _ in range(n)]
+    post(m, xs)
+    if m.propagate() is PropagationStatus.FAILED:
+        raise AssertionError("encoding fails on full domains")
+    root = [x.mask for x in xs]
+
+    # has[i][v] = mask of the ids of the solutions with t[i] == v
+    has = [dict.fromkeys(universe, 0) for _ in range(n)]
+    for sid, t in enumerate(enumerate_solutions(pred, [set(universe)] * n)):
+        for i, v in enumerate(t):
+            has[i][v] |= 1 << sid
+
+    subsets = [frozenset(c) for r in range(1, len(universe) + 1)
+               for c in combinations(sorted(universe), r)]
+    checked = 0
+    mismatches = []
+    for combo in product(subsets, repeat=n):
+        m.push_choice()
+        alive = all(m.retain_values(x, keep) for x, keep in zip(xs, combo))
+        if alive and m.propagate() is not PropagationStatus.FAILED:
+            enc = [set(mask_values(x.mask)) for x in xs]
+        else:
+            enc = None
+        m.pop_choice()
+
+        # the masks of one position are disjoint, so their sum is their union
+        surv = -1
+        for i, keep in enumerate(combo):
+            surv &= sum(has[i][v] for v in keep)
+        orc = [{v for v, ids in has[i].items() if ids & surv}
+               for i in range(n)] if surv else None
+
+        if enc != orc:
+            mismatches.append((combo, enc, orc))
+        checked += 1
+    assert [x.mask for x in xs] == root
+    return checked, mismatches
 
 
 # ------------------------------------------------------------------ shrinking

@@ -26,8 +26,9 @@ class SchurInstance:
     """[1, n] into k sum-free classes.
 
     The model posts one constraint per sum triple, n^2/4 of them (rounded
-    down), so an instance with more than ``TRANSITION_CAP`` triples, any
-    n > 2000, is refused before anything is built.
+    down), and n variables of k values each, so an instance with more than
+    ``TRANSITION_CAP`` triples (any n > 2000) or n*k above it is refused
+    before anything is built.
     """
     n: int
     k: int
@@ -38,6 +39,9 @@ class SchurInstance:
         if self.n * self.n // 4 > TRANSITION_CAP:
             raise ValueError(f"n={self.n} gives {self.n * self.n // 4} sum "
                              f"triples, more than TRANSITION_CAP ({TRANSITION_CAP})")
+        if self.n * self.k > TRANSITION_CAP:
+            raise ValueError(f"n*k={self.n * self.k} is more than TRANSITION_CAP "
+                             f"({TRANSITION_CAP})")
 
     @property
     def label(self) -> str:

@@ -15,11 +15,21 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 
+def _require_values(*groups: Sequence[int]) -> None:
+    """Refuse a group of values that is empty or lists a value twice."""
+    for values in groups:
+        if not values or len(set(values)) != len(values):
+            raise ValueError(f"values must be non-empty and distinct, got {tuple(values)}")
+
+
 @dataclass(frozen=True)
 class PairInterchange:
     """Values first and second may be swapped."""
     first: int
     second: int
+
+    def __post_init__(self):
+        _require_values(self.values)
 
     @property
     def values(self) -> tuple[int, int]:
@@ -30,6 +40,9 @@ class PairInterchange:
 class FullInterchange:
     """All listed values may be permuted arbitrarily; others are fixed."""
     values: tuple[int, ...]
+
+    def __post_init__(self):
+        _require_values(self.values)
 
 
 @dataclass(frozen=True)
@@ -53,6 +66,9 @@ class WreathInterchange:
     """
     outer: tuple[int, ...]
     inner: tuple[int, ...]
+
+    def __post_init__(self):
+        _require_values(self.outer, self.inner)
 
     def code(self, u: int, v: int) -> int:
         return self.outer.index(u) * len(self.inner) + self.inner.index(v)
@@ -113,7 +129,7 @@ def variable_permutations(kind: str, n: int) -> list[tuple[int, ...]]:
     if kind == "reflection":
         return [ident, tuple(range(n - 1, -1, -1))]
     if kind == "rotation":
-        return [tuple((i + r) % n for i in range(n)) for r in range(n)]
+        return [tuple((i + r) % n for i in range(n)) for r in range(max(n, 1))]
     raise ValueError(f"unknown variable group {kind!r}")
 
 

@@ -7,7 +7,8 @@ oracle's GAC on the same instance (on the sets' 0/1 bits for set variables,
 which is lb/ub bound consistency), so a recorded expectation cannot drift
 from the definition of the constraint.  Every model, chain or decomposition,
 is built and propagated by ``fuzz.fd_fixpoint``, and the chain-vs-oracle
-check is the fuzzer's own ``check_fd_instance``/``check_set_instance``.
+check is the fuzzer's one comparison, ``fuzz.check``, through
+``check_fd_instance``/``check_set_instance``.
 """
 from __future__ import annotations
 

@@ -3,7 +3,9 @@
 Each test prints `CRITERION <k>: PASS|FAIL` before asserting, so the verdict
 survives in captured output either way.  Criterion 1 replays the six fixed
 witness instances; each one also checks its chain fixpoint against the
-brute-force oracle on the same instance.
+brute-force oracle on the same instance.  Criterion 2 makes that comparison
+through ``fuzz.sweep`` on every small instance and through
+``fuzz.check_fd_instance``/``check_set_instance`` on random larger ones.
 """
 import itertools
 import math
@@ -13,7 +15,8 @@ import statistics
 from pathlib import Path
 
 from valprec.engine import Model, PropagationStatus
-from valprec.fuzz import check_fd_instance, check_set_instance
+from valprec.fuzz import (check_fd_instance, check_set_instance, on_set_bits,
+                          post_encoding, predicate_for, set_bits_holds, sweep)
 from valprec.oracle import (
     all_precedence_holds,
     enumerate_orbits,
@@ -25,6 +28,7 @@ from valprec.precedence import (
     encode_pair_precedence,
     encode_reflection_lex,
     encode_rotation_lex,
+    encode_set_precedence,
 )
 from valprec.schur import SchurInstance, run_one
 from valprec.search import Budget
@@ -38,8 +42,6 @@ from valprec.symmetry import (
     variable_permutations,
 )
 from valprec.verify import format_report, verify_theorems
-
-from _sweep import sweep_fd, sweep_set
 
 AT_FIXPOINT = PropagationStatus.AT_FIXPOINT
 
@@ -110,7 +112,8 @@ def test_criterion_2_oracle_equivalence():
 
     for name, spec, universe in FD_SWEEPS:
         for n in range(1, 5):
-            c, mis = sweep_fd(spec, universe, n)
+            c, mis = sweep(lambda m, xs: post_encoding(m, spec, xs),
+                           predicate_for(spec), universe, n)
             checked += c
             if mis:
                 failures.append(f"{name} n={n}: {len(mis)} divergences, "
@@ -118,7 +121,10 @@ def test_criterion_2_oracle_equivalence():
 
     for values in ([0, 1, 2], [0, 1]):
         for n in range(1, 4):
-            c, mis = sweep_set(values, [0, 1, 2], n)
+            # every (lb, ub) pair of n sets over {0, 1, 2}, on the sets' bits
+            c, mis = sweep(on_set_bits(lambda m, sets: encode_set_precedence(m, values, sets),
+                                       [0, 1, 2], n),
+                           set_bits_holds(values, [0, 1, 2], n), (0, 1), 3 * n)
             checked += c
             if mis:
                 failures.append(f"set {values} n={n}: {len(mis)} divergences")

@@ -56,6 +56,23 @@ def test_schur_unwritable_csv_exits_two_before_search(tmp_path, capsys,
     assert "argument --csv: cannot write" in err
 
 
+def test_schur_too_large_to_build_exits_two_before_search(capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched an instance too large to build")
+    monkeypatch.setattr("valprec.schur.solve", no_search)
+    for argv, refusal in (
+            (["--n", "100", "--k", "300", "--sym", "all"],
+             "chain Y would try more than 1000000 transitions"),
+            (["--n", "5", "--k", "400000", "--sym", "none", "--budget-secs", "5"],
+             "n*k=2000000 is more than TRANSITION_CAP")):
+        with pytest.raises(SystemExit) as exc:
+            main(["schur", "--mode", "first", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert refusal in err
+
+
 def test_refused_arguments_leave_no_csv_behind(tmp_path, capsys):
     path = tmp_path / "out.csv"
     for argv in (["--csv", str(path), "--n", "0", "--k", "3"],

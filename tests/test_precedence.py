@@ -6,15 +6,11 @@ import time
 import pytest
 
 from valprec.engine import Model, PropagationStatus
-from valprec.fuzz import fd_fixpoint, post_encoding, predicate_for
+from valprec.fuzz import (check, check_fd_instance, fd_fixpoint, post_encoding,
+                          predicate_for)
 from valprec.oracle import (
     all_precedence_holds,
-    gac_by_definition,
     increasing_seq_holds,
-    iterated_gac,
-    pair_precedence_holds,
-    partition_precedence_holds,
-    wreath_precedence_holds,
 )
 from valprec.precedence import (
     TRANSITION_CAP,
@@ -31,7 +27,13 @@ from valprec.precedence import (
 )
 from valprec.schur import SchurInstance, build_schur_model
 from valprec.search import solve
-from valprec.symmetry import WreathInterchange, value_permutations
+from valprec.symmetry import (
+    FullInterchange,
+    PairInterchange,
+    PartitionInterchange,
+    WreathInterchange,
+    value_permutations,
+)
 
 FAILED = PropagationStatus.FAILED
 AT_FIXPOINT = PropagationStatus.AT_FIXPOINT
@@ -80,9 +82,19 @@ def test_pair_identical_values_rejected():
     (lambda m: predicate_for((1, 2)), TypeError, "no predicate"),
     (lambda m: post_encoding(m, (1, 2), [m.add_fd_var({1, 2})]),
      TypeError, "no encoding"),
+    (lambda m: PairInterchange(1, 1), ValueError, "distinct"),
+    (lambda m: FullInterchange((1, 1)), ValueError, "distinct"),
+    (lambda m: FullInterchange(()), ValueError, "non-empty"),
+    (lambda m: WreathInterchange((1, 1), (3, 4)), ValueError, "distinct"),
+    (lambda m: WreathInterchange((1, 2), (3, 3)), ValueError, "distinct"),
+    (lambda m: WreathInterchange((1, 2), ()), ValueError, "non-empty"),
+    (lambda m: WreathInterchange((), (3, 4)), ValueError, "non-empty"),
 ], ids=["set-repeated-value", "incr-seq-repeated-value", "schur-unknown-sym",
         "value-of-unfixed", "value-perms-non-spec", "predicate-non-spec",
-        "post-encoding-non-spec"])
+        "post-encoding-non-spec", "pair-spec-repeated-value",
+        "full-spec-repeated-value", "full-spec-no-values", "wreath-spec-repeated-outer",
+        "wreath-spec-repeated-inner", "wreath-spec-empty-inner",
+        "wreath-spec-empty-outer"])
 def test_documented_input_errors(call, error, match):
     with pytest.raises(error, match=match):
         call(Model())
@@ -96,14 +108,8 @@ def test_pair_chain_matches_oracle_300_cases():
         doms = [set(rng.sample(range(1, d + 1), rng.randint(1, d)))
                 for _ in range(n)]
         vj, vk = rng.sample(range(1, d + 1), 2)
-        got = fd_fixpoint(doms,
-                          lambda m, xs: encode_pair_precedence(m, vj, vk, xs))
-        want = gac_by_definition(
-            lambda t: pair_precedence_holds(vj, vk, t), doms)
-        if want is None:
-            assert got is None
-        else:
-            assert got == want
+        _, got, want = check_fd_instance(PairInterchange(vj, vk), doms)
+        assert got == want, doms
 
 
 # ------------------------------------------------------------- all precedence
@@ -150,14 +156,8 @@ def test_all_chain_matches_oracle_300_cases():
         values = rng.sample(range(1, d + 1), m_vals)
         doms = [set(rng.sample(range(1, d + 1), rng.randint(1, d)))
                 for _ in range(n)]
-        got = fd_fixpoint(doms,
-                          lambda m, xs: encode_all_precedence(m, values, xs))
-        want = gac_by_definition(
-            lambda t: all_precedence_holds(values, t), doms)
-        if want is None:
-            assert got is None
-        else:
-            assert got == want
+        _, got, want = check_fd_instance(FullInterchange(tuple(values)), doms)
+        assert got == want, doms
 
 
 # --------------------------------------------------------- partition classes
@@ -165,18 +165,18 @@ def test_all_chain_matches_oracle_300_cases():
 
 def test_partition_fails_where_per_class_chains_do_not():
     doms = [{1, 2, 3, 4, 5, 6}] * 3 + [{3}, {6}]
-    classes = [[1, 2, 3], [4, 5, 6]]
-    assert fd_fixpoint(doms,
-                       lambda m, xs: encode_partial_precedence(m, classes, xs)) is None
+    classes = ((1, 2, 3), (4, 5, 6))
+    assert check_fd_instance(PartitionInterchange(classes), doms) == (True, None, None)
 
-    m = Model()
-    xs = [m.add_fd_var(d) for d in doms]
+    def per_class(m, xs):
+        for cls in classes:
+            encode_all_precedence(m, cls, xs)
+
+    # the per-class chains stop where each class's rule alone is GAC
+    got = fd_fixpoint(doms, per_class)
+    assert got == [{1, 4}, {1, 2, 4, 5}, {1, 2, 3, 4, 5, 6}, {3}, {6}]
     for cls in classes:
-        encode_all_precedence(m, cls, xs)
-    assert m.propagate() is AT_FIXPOINT
-    want = iterated_gac(
-        [lambda t, c=cls: all_precedence_holds(c, t) for cls in classes], doms)
-    assert domains_of(xs) == want
+        assert check_fd_instance(FullInterchange(cls), got) == (True, got, got)
 
 
 def test_partition_single_class_equals_all_precedence():
@@ -219,17 +219,11 @@ def test_partition_chain_matches_oracle_200_cases():
         d = rng.randint(2, 5)
         vals = rng.sample(range(1, d + 1), rng.randint(2, min(4, d)))
         cut = rng.randint(1, len(vals) - 1)
-        classes = [vals[:cut], vals[cut:]]
+        spec = PartitionInterchange((tuple(vals[:cut]), tuple(vals[cut:])))
         doms = [set(rng.sample(range(1, d + 1), rng.randint(1, d)))
                 for _ in range(n)]
-        got = fd_fixpoint(doms,
-                          lambda m, xs: encode_partial_precedence(m, classes, xs))
-        want = gac_by_definition(
-            lambda t: partition_precedence_holds(classes, t), doms)
-        if want is None:
-            assert got is None
-        else:
-            assert got == want
+        _, got, want = check_fd_instance(spec, doms)
+        assert got == want, doms
 
 
 # --------------------------------------------------------------------- wreath
@@ -256,14 +250,8 @@ def test_wreath_chain_matches_oracle_200_cases():
         n = rng.randint(1, 5)
         doms = [set(rng.sample(spec.codes, rng.randint(1, 4)))
                 for _ in range(n)]
-        got = fd_fixpoint(doms,
-                          lambda m, xs: encode_wreath_precedence(m, [1, 2], [3, 4], xs))
-        want = gac_by_definition(
-            lambda t: wreath_precedence_holds(spec, t), doms)
-        if want is None:
-            assert got is None
-        else:
-            assert got == want
+        _, got, want = check_fd_instance(spec, doms)
+        assert got == want, doms
 
 
 def test_wreath_larger_inner_group():
@@ -273,14 +261,8 @@ def test_wreath_larger_inner_group():
         n = rng.randint(1, 4)
         doms = [set(rng.sample(spec.codes, rng.randint(1, 6)))
                 for _ in range(n)]
-        got = fd_fixpoint(doms, lambda m, xs: encode_wreath_precedence(
-            m, [1, 2], [3, 4, 5], xs))
-        want = gac_by_definition(
-            lambda t: wreath_precedence_holds(spec, t), doms)
-        if want is None:
-            assert got is None
-        else:
-            assert got == want
+        _, got, want = check_fd_instance(spec, doms)
+        assert got == want, doms
 
 
 # ------------------------------------------------------------ matrix encoding
@@ -431,14 +413,9 @@ def test_increasing_seq_matches_oracle_200_cases():
         values = [1, 2, 3][:rng.randint(2, 3)]
         doms = [set(rng.sample(values, rng.randint(1, len(values))))
                 for _ in range(n)]
-        got = fd_fixpoint(doms,
-                          lambda m, xs: encode_increasing_seq(m, xs, values))
-        want = gac_by_definition(
-            lambda t: increasing_seq_holds(values, t), doms)
-        if want is None:
-            assert got is None
-        else:
-            assert got == want
+        _, got, want = check(lambda m, xs: encode_increasing_seq(m, xs, values),
+                             lambda t: increasing_seq_holds(values, t), doms)
+        assert got == want, doms
 
 
 def test_increasing_seq_unlisted_value_fails():
@@ -494,8 +471,7 @@ def test_rotation_lex_on_shared_variables_sound_and_exact_on_grounds():
     for _ in range(300):
         n = rng.randint(1, 5)
         doms = [set(rng.sample([0, 1, 2], rng.randint(1, 3))) for _ in range(n)]
-        got = fd_fixpoint(doms, lambda m, xs: encode_rotation_lex(m, xs))
-        want = gac_by_definition(_rotation_least, doms)
+        _, got, want = check(encode_rotation_lex, _rotation_least, doms)
         if want is not None:
             assert got is not None
             assert all(g >= w for g, w in zip(got, want))

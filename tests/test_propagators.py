@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from valprec.engine import Model, PropagationStatus
+from valprec.fuzz import check
 from valprec.oracle import gac_by_definition, iterated_gac
 from valprec.precedence import (
     post_channel,
@@ -79,16 +80,9 @@ def test_table_fixpoint_matches_oracle(data):
             for _ in range(3)]
     pool = list(itertools.product(range(4), repeat=3))
     triples = data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=20))
-    m = Model()
-    xs = [m.add_fd_var(d) for d in doms]
-    m.post(TernaryTable(*xs, triples))
-    status = m.propagate()
-    expect = gac_by_definition(lambda t: t in triples, doms)
-    if expect is None:
-        assert status is FAILED
-    else:
-        assert status is AT_FIXPOINT
-        assert domains_of(xs) == expect
+    _, got, want = check(lambda m, xs: m.post(TernaryTable(*xs, triples)),
+                         lambda t: t in triples, doms)
+    assert got == want
 
 
 def test_table_over_repeated_argument_is_gac():
@@ -201,21 +195,17 @@ def _lex_pred(n):
     return lambda t: t[:n] <= t[n:]
 
 
+def _post_lex(n):
+    return lambda m, vs: post_lex_leq(m, vs[:n], vs[n:])
+
+
 def test_lex_binary_instances_match_oracle_500_cases():
     rng = random.Random(1405)
     for _ in range(500):
         n = rng.randint(1, 6)
         doms = [set(rng.sample([0, 1], rng.randint(1, 2))) for _ in range(2 * n)]
-        m = Model()
-        vs = [m.add_fd_var(d) for d in doms]
-        post_lex_leq(m, vs[:n], vs[n:])
-        status = m.propagate()
-        expect = gac_by_definition(_lex_pred(n), doms)
-        if expect is None:
-            assert status is FAILED
-        else:
-            assert status is AT_FIXPOINT
-            assert domains_of(vs) == expect
+        _, got, want = check(_post_lex(n), _lex_pred(n), doms)
+        assert got == want, doms
 
 
 @given(st.data())
@@ -223,16 +213,8 @@ def test_lex_general_integer_instances_match_oracle(data):
     n = data.draw(st.integers(1, 3))
     doms = [data.draw(st.sets(st.integers(0, 3), min_size=1, max_size=4))
             for _ in range(2 * n)]
-    m = Model()
-    vs = [m.add_fd_var(d) for d in doms]
-    post_lex_leq(m, vs[:n], vs[n:])
-    status = m.propagate()
-    expect = gac_by_definition(_lex_pred(n), doms)
-    if expect is None:
-        assert status is FAILED
-    else:
-        assert status is AT_FIXPOINT
-        assert domains_of(vs) == expect
+    _, got, want = check(_post_lex(n), _lex_pred(n), doms)
+    assert got == want
 
 
 def test_lex_length_mismatch_rejected():
@@ -253,6 +235,10 @@ def _chain_pred(n, k):
     return pred
 
 
+def _columns(vs, n, k):
+    return [vs[j * n:(j + 1) * n] for j in range(k)]
+
+
 def _chain_cases(seed, cases, k, max_n, values=(0, 1)):
     rng = random.Random(seed)
     for _ in range(cases):
@@ -266,17 +252,9 @@ def test_chain_complete_matches_oracle_200_cases():
                                       _chain_cases(77, 100, 2, 4),
                                       _chain_cases(78, 100, 3, 2, (0, 1, 2)),
                                       _chain_cases(79, 60, 4, 2, (0, 1, 2))):
-        m = Model()
-        vs = [m.add_fd_var(d) for d in doms]
-        cols = [vs[j * n:(j + 1) * n] for j in range(k)]
-        post_lex_chain(m, cols)
-        status = m.propagate()
-        expect = gac_by_definition(_chain_pred(n, k), doms)
-        if expect is None:
-            assert status is FAILED
-        else:
-            assert status is AT_FIXPOINT
-            assert domains_of(vs) == expect
+        _, got, want = check(lambda m, vs: post_lex_chain(m, _columns(vs, n, k)),
+                             _chain_pred(n, k), doms)
+        assert got == want, doms
 
 
 def test_chain_pairwise_is_sound_but_may_prune_less():
@@ -285,19 +263,18 @@ def test_chain_pairwise_is_sound_but_may_prune_less():
         n = rng.randint(1, 3)
         k = 3
         doms = [set(rng.sample([0, 1], rng.randint(1, 2))) for _ in range(k * n)]
-        m = Model()
-        vs = [m.add_fd_var(d) for d in doms]
-        cols = [vs[j * n:(j + 1) * n] for j in range(k)]
-        for a, b in zip(cols, cols[1:]):
-            post_lex_leq(m, b, a)
-        status = m.propagate()
-        expect = gac_by_definition(_chain_pred(n, k), doms)
-        if expect is None:
+
+        def pairwise(m, vs):
+            cols = _columns(vs, n, k)
+            for a, b in zip(cols, cols[1:]):
+                post_lex_leq(m, b, a)
+
+        _, got, want = check(pairwise, _chain_pred(n, k), doms)
+        if want is None:
             # pairwise may fail later, but must never report spurious solutions
             continue
-        assert status is AT_FIXPOINT
-        for got, want in zip(domains_of(vs), expect):
-            assert got >= want
+        assert got is not None
+        assert all(g >= w for g, w in zip(got, want))
 
 
 def test_chain_entailed_on_ground_equal_columns():
@@ -344,16 +321,8 @@ def test_exactly_one_rejects_non_binary():
 @given(st.lists(st.sets(st.integers(0, 1), min_size=1, max_size=2),
                 min_size=1, max_size=6))
 def test_exactly_one_matches_oracle(doms):
-    m = Model()
-    bits = [m.add_fd_var(d) for d in doms]
-    post_exactly_one(m, bits)
-    status = m.propagate()
-    expect = gac_by_definition(lambda t: sum(t) == 1, doms)
-    if expect is None:
-        assert status is FAILED
-    else:
-        assert status is AT_FIXPOINT
-        assert domains_of(bits) == expect
+    _, got, want = check(post_exactly_one, lambda t: sum(t) == 1, doms)
+    assert got == want
 
 
 # ------------------------------------------------------------------- channel
@@ -406,17 +375,9 @@ def test_channel_matches_oracle(data):
                              min_size=1, max_size=4))
     bdoms = [data.draw(st.sets(st.integers(0, 1), min_size=1, max_size=2))
              for _ in values]
-    m = Model()
-    x = m.add_fd_var(xdom)
-    bits = [m.add_fd_var(d) for d in bdoms]
-    post_channel(m, x, bits, values)
-    status = m.propagate()
-    expect = gac_by_definition(_channel_pred(values), [xdom] + bdoms)
-    if expect is None:
-        assert status is FAILED
-    else:
-        assert status is AT_FIXPOINT
-        assert domains_of([x] + bits) == expect
+    _, got, want = check(lambda m, xs: post_channel(m, xs[0], xs[1:], values),
+                         _channel_pred(values), [xdom] + bdoms)
+    assert got == want
 
 
 def test_channel_validates_arguments():
@@ -480,16 +441,9 @@ def test_nae_fully_aliased_fails():
 @given(st.lists(st.sets(st.integers(0, 3), min_size=1, max_size=4),
                 min_size=3, max_size=3))
 def test_nae_matches_oracle(doms):
-    m = Model()
-    vs = [m.add_fd_var(d) for d in doms]
-    m.post(NotAllEqual3(*vs))
-    status = m.propagate()
-    expect = gac_by_definition(lambda t: not (t[0] == t[1] == t[2]), doms)
-    if expect is None:
-        assert status is FAILED
-    else:
-        assert status is AT_FIXPOINT
-        assert domains_of(vs) == expect
+    _, got, want = check(lambda m, vs: m.post(NotAllEqual3(*vs)),
+                         lambda t: not (t[0] == t[1] == t[2]), doms)
+    assert got == want
 
 
 @given(st.data())
@@ -639,18 +593,10 @@ def test_implication_matches_oracle(data):
     op = data.draw(st.sampled_from(["=", "<=", "<", "!="]))
     tests = {"=": lambda w: w == bound, "<=": lambda w: w <= bound,
              "<": lambda w: w < bound, "!=": lambda w: w != bound}
-    m = Model()
-    x = m.add_fd_var(xdom)
-    y = m.add_fd_var(ydom)
-    post_implications(m, [(x, trigger, y, op, bound)])
-    status = m.propagate()
-    expect = gac_by_definition(
+    _, got, want = check(
+        lambda m, xs: post_implications(m, [(xs[0], trigger, xs[1], op, bound)]),
         lambda t: t[0] != trigger or tests[op](t[1]), [xdom, ydom])
-    if expect is None:
-        assert status is FAILED
-    else:
-        assert status is AT_FIXPOINT
-        assert domains_of([x, y]) == expect
+    assert got == want
 
 
 # ------------------------------------------------------------------ less than

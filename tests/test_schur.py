@@ -50,6 +50,10 @@ def test_instance_validation_and_label():
     assert SchurInstance(2000, 4).n == 2000
     with pytest.raises(ValueError, match=str(TRANSITION_CAP)):
         SchurInstance(2001, 4)
+    # n variables of k values each: n*k may reach the cap, not exceed it
+    assert SchurInstance(1000, 1000).k == 1000
+    with pytest.raises(ValueError, match=str(TRANSITION_CAP)):
+        SchurInstance(5, 400_000)
 
 
 def test_small_satisfiable_and_unsatisfiable():

@@ -67,6 +67,9 @@ def test_variable_groups():
     assert set(variable_permutations("reflection", 3)) == {(0, 1, 2), (2, 1, 0)}
     rots = variable_permutations("rotation", 3)
     assert len(rots) == 3
+    # every group holds the identity, the empty one at n = 0 included
+    for kind in ("none", "full", "reflection", "rotation"):
+        assert () in variable_permutations(kind, 0)
     with pytest.raises(ValueError):
         variable_permutations("mirror", 3)
 
