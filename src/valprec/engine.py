@@ -164,11 +164,16 @@ class Model:
 
     def add_fd_var(self, values: Iterable[int], name: Optional[str] = None) -> IntVar:
         name = name or f"x{self._int_count}"
-        mask = 0
-        for v in values:
-            if v < 0:
-                raise ValueError(f"{name}: a domain holds no negative value, got {v}")
-            mask |= 1 << v
+        if isinstance(values, range) and values.step == 1 and values.start >= 0:
+            # one run of bits, built at once: OR-ing k bits in one by one
+            # copies a growing int k times
+            mask = ((1 << len(values)) - 1) << values.start
+        else:
+            mask = 0
+            for v in values:
+                if v < 0:
+                    raise ValueError(f"{name}: a domain holds no negative value, got {v}")
+                mask |= 1 << v
         if not mask:
             raise ValueError(f"{name}: cannot create a variable with an empty domain")
         self._int_count += 1

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import chain, combinations, product
+from functools import partial
+from itertools import chain, combinations, compress, product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import IntVar, Model, PropagationStatus, SetVar, mask_values
@@ -37,13 +38,13 @@ FAMILIES = FD_FAMILIES + ("set",)
 def predicate_for(spec: SymmetrySpec):
     """Ground predicate of the precedence rule this symmetry induces."""
     if isinstance(spec, PairInterchange):
-        return lambda t: pair_precedence_holds(spec.first, spec.second, t)
+        return partial(pair_precedence_holds, spec.first, spec.second)
     if isinstance(spec, FullInterchange):
-        return lambda t: all_precedence_holds(spec.values, t)
+        return partial(all_precedence_holds, spec.values)
     if isinstance(spec, PartitionInterchange):
-        return lambda t: partition_precedence_holds(spec.classes, t)
+        return partial(partition_precedence_holds, spec.classes)
     if isinstance(spec, WreathInterchange):
-        return lambda t: wreath_precedence_holds(spec, t)
+        return partial(wreath_precedence_holds, spec)
     raise TypeError(f"no predicate for {spec!r}")
 
 
@@ -103,9 +104,9 @@ def on_set_bits(post: Callable[[Model, list[SetVar]], object],
 
 def set_bits_holds(values: Sequence[int], universe: Sequence[int], n: int):
     """``set_precedence_holds`` on ``n`` sets given by their bits."""
+    w = len(universe)
     return lambda t: set_precedence_holds(
-        values, [frozenset(v for v, b in row.items() if b)
-                 for row in _rows(t, universe, n)])
+        values, [frozenset(compress(universe, t[i * w:(i + 1) * w])) for i in range(n)])
 
 
 def check(post: Callable[[Model, list[IntVar]], object], pred: Callable[[tuple], bool],

@@ -2,7 +2,10 @@
 
 Everything here works by exhaustive enumeration straight from definitions,
 with no shared machinery with the propagation engine.  It is the referee the
-encodings are tested against: slow, obvious, and trusted.
+encodings are tested against: slow, obvious, and trusted.  The precedence
+predicates stay direct definitions by first occurrences, but each looks up
+every first occurrence it needs once per tuple, with ``list.index``, rather
+than rescanning the tuple for every ordered pair of values.
 """
 from __future__ import annotations
 
@@ -20,22 +23,31 @@ ENUM_CAP = 10_000_000
 
 def first_occurrence(xs: Sequence[int], value: int, default: int) -> int:
     """1-based index of the first position taking value, else default."""
-    return next((i for i, x in enumerate(xs, start=1) if x == value), default)
+    return xs.index(value) + 1 if value in xs else default
 
 
 def pair_precedence_holds(first: int, second: int, xs: Sequence[int]) -> bool:
-    """second never appears strictly before the first occurrence of first."""
+    """second never appears strictly before the first occurrence of first.
+
+    Each of the two first occurrences is read once; an absent first counts
+    as n + 1 and an absent second as n + 2, so two absent values hold.
+    """
     n = len(xs)
     return first_occurrence(xs, first, n + 1) < first_occurrence(xs, second, n + 2)
 
 
 def all_precedence_holds(values: Sequence[int], xs: Sequence[int]) -> bool:
-    """First occurrences of the listed values appear in list order."""
-    n = len(xs)
-    return all(first_occurrence(xs, values[j], n + 1)
-               < first_occurrence(xs, values[k], n + 2)
-               for j in range(len(values))
-               for k in range(j + 1, len(values)))
+    """First occurrences of the listed values appear in list order.
+
+    ``values`` are distinct.  Each first occurrence is read once, an absent
+    value's as n + 1, and the rule holds iff they are already sorted.  That is
+    the pairwise definition (each earlier value's first occurrence before each
+    later one's, and an absent value followed only by absent ones), because
+    distinct values that occur have distinct first positions.
+    """
+    absent = len(xs) + 1
+    firsts = [first_occurrence(xs, v, absent) for v in values]
+    return firsts == sorted(firsts)
 
 
 def partition_precedence_holds(classes: Sequence[Sequence[int]],
@@ -48,7 +60,8 @@ def wreath_precedence_holds(spec: WreathInterchange, codes: Sequence[int]) -> bo
 
     First occurrences of the outer components appear in outer-list order, and
     within each outer component first occurrences of the inner components
-    appear in inner-list order.
+    appear in inner-list order.  Each code is decoded once, and each of these
+    first occurrences is read once, by ``all_precedence_holds``.
     """
     pairs = [spec.decode(c) for c in codes]
     if not all_precedence_holds(spec.outer, [u for u, _ in pairs]):
@@ -62,13 +75,14 @@ def wreath_precedence_holds(spec: WreathInterchange, codes: Sequence[int]) -> bo
 
 def set_pair_precedence_holds(first: int, second: int,
                               sets: Sequence[frozenset[int]]) -> bool:
-    """First set containing first alone precedes the first containing second alone."""
+    """First set containing first alone precedes the first containing second alone.
+
+    Each set is read once, and each of the two first occurrences once.
+    """
     n = len(sets)
-    fj = next((i for i, s in enumerate(sets, start=1) if first in s and second not in s),
-              n + 1)
-    fk = next((i for i, s in enumerate(sets, start=1) if second in s and first not in s),
-              n + 2)
-    return fj < fk
+    # 1 where a set holds first alone, -1 where it holds second alone
+    alone = [(first in s) - (second in s) for s in sets]
+    return first_occurrence(alone, 1, n + 1) < first_occurrence(alone, -1, n + 2)
 
 
 def set_precedence_holds(values: Sequence[int], sets: Sequence[frozenset[int]]) -> bool:
@@ -110,7 +124,7 @@ def enumerate_solutions(pred: Callable[[tuple[int, ...]], bool],
         size *= len(d)
     if size > ENUM_CAP:
         raise ValueError(f"enumeration space {size} exceeds cap {ENUM_CAP}")
-    return [t for t in itertools.product(*doms) if pred(t)]
+    return list(filter(pred, itertools.product(*doms)))
 
 
 def gac_by_definition(pred: Callable[[tuple[int, ...]], bool],

@@ -22,6 +22,17 @@ def test_fd_var_empty_domain_rejected():
         m.add_fd_var([])
 
 
+def test_range_domain_mask():
+    m = Model()
+    assert m.add_fd_var(range(3, 7)).mask == 0b1111000
+    assert m.add_fd_var(range(0, 1)).mask == 1
+    assert m.add_fd_var(range(2, 9, 3)).values() == (2, 5, 8)
+    with pytest.raises(ValueError, match="empty domain"):
+        m.add_fd_var(range(4, 4))
+    with pytest.raises(ValueError, match="^neg: .*got -2"):
+        m.add_fd_var(range(-2, 3), name="neg")
+
+
 def test_negative_values_refused_by_name():
     m = Model()
     with pytest.raises(ValueError, match="^neg: "):

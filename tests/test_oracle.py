@@ -4,6 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from valprec.fuzz import set_bits_holds
 from valprec.oracle import (
     all_precedence_holds,
     enumerate_orbits,
@@ -78,6 +79,68 @@ def test_set_precedence_examples():
                                 [frozenset({0}), frozenset({1}), frozenset({2})])
     assert not set_precedence_holds([0, 1, 2],
                                     [frozenset({0}), frozenset({2}), frozenset({1})])
+
+
+def _pairwise_first_occurrence(xs, value, default):
+    return next((i for i, x in enumerate(xs, start=1) if x == value), default)
+
+
+def _pairwise_all_precedence(values, xs):
+    n = len(xs)
+    return all(_pairwise_first_occurrence(xs, values[j], n + 1)
+               < _pairwise_first_occurrence(xs, values[k], n + 2)
+               for j in range(len(values)) for k in range(j + 1, len(values)))
+
+
+def _pairwise_set_precedence(values, sets):
+    n = len(sets)
+    return all(
+        next((i for i, s in enumerate(sets, start=1) if a in s and b not in s), n + 1)
+        < next((i for i, s in enumerate(sets, start=1) if b in s and a not in s), n + 2)
+        for j, a in enumerate(values) for b in values[j + 1:])
+
+
+def _pairwise_wreath_precedence(spec, codes):
+    pairs = [spec.decode(c) for c in codes]
+    return (_pairwise_all_precedence(spec.outer, [u for u, _ in pairs])
+            and all(_pairwise_all_precedence(spec.inner, [v for w, v in pairs if w == u])
+                    for u in spec.outer))
+
+
+def test_predicates_match_pairwise_definitions_exhaustively():
+    """Each predicate equals the literal pairwise definition on small inputs.
+
+    The pairwise forms above compare the first occurrences of every ordered
+    pair of listed values, the way the definition reads.  ``values`` must be
+    distinct, as every symmetry spec enforces: on a repeated value the
+    pairwise form (value before itself) and a sortedness test of the first
+    occurrences give different answers.
+    """
+    tuples = [t for n in range(6) for t in itertools.product(range(1, 5), repeat=n)]
+    for values in (p for m in range(1, 5) for p in itertools.permutations(range(1, 5), m)):
+        want = [_pairwise_all_precedence(values, t) for t in tuples]
+        assert [all_precedence_holds(values, t) for t in tuples] == want
+        if len(values) == 2:
+            assert [pair_precedence_holds(*values, t) for t in tuples] == want
+
+    for outer, inner in itertools.product(itertools.permutations((1, 2)), repeat=2):
+        spec = WreathInterchange(outer=outer, inner=inner)
+        codes = [c for n in range(6) for c in itertools.product(spec.codes, repeat=n)]
+        assert ([wreath_precedence_holds(spec, c) for c in codes]
+                == [_pairwise_wreath_precedence(spec, c) for c in codes])
+
+    for w in range(1, 4):
+        universe = list(range(w))
+        for n in range(1, 4):
+            rows = list(itertools.product((0, 1), repeat=n * w))
+            sets = [[frozenset(v for v, b in zip(universe, bits[i * w:(i + 1) * w]) if b)
+                     for i in range(n)] for bits in rows]
+            for values in (p for m in range(1, w + 1)
+                           for p in itertools.permutations(universe, m)):
+                want = [_pairwise_set_precedence(values, s) for s in sets]
+                assert list(map(set_bits_holds(values, universe, n), rows)) == want
+                if len(values) == 2:
+                    assert [set_pair_precedence_holds(*values, s) for s in sets] == want
 
 
 def test_increasing_seq_examples():
