@@ -20,14 +20,12 @@ from itertools import chain, combinations, compress, product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import IntVar, Model, PropagationStatus, SetVar, mask_values
-from .oracle import (all_precedence_holds, enumerate_solutions, gac_by_definition,
-                     pair_precedence_holds, partition_precedence_holds,
+from .oracle import (enumerate_solutions, gac_by_definition, partition_precedence_holds,
                      set_precedence_holds, wreath_precedence_holds)
-from .precedence import (encode_all_precedence, encode_pair_precedence,
-                         encode_partial_precedence, encode_set_precedence,
+from .precedence import (encode_partial_precedence, encode_set_precedence,
                          encode_wreath_precedence)
-from .symmetry import (FullInterchange, PairInterchange, PartitionInterchange,
-                       SymmetrySpec, WreathInterchange)
+from .symmetry import (CLASS_SPECS, FullInterchange, PairInterchange,
+                       PartitionInterchange, SymmetrySpec, WreathInterchange)
 
 FD_FAMILIES = ("pair", "full", "partition", "wreath")
 MAX_N = 5  # most variables in a random finite-domain case
@@ -37,11 +35,7 @@ FAMILIES = FD_FAMILIES + ("set",)
 
 def predicate_for(spec: SymmetrySpec):
     """Ground predicate of the precedence rule this symmetry induces."""
-    if isinstance(spec, PairInterchange):
-        return partial(pair_precedence_holds, spec.first, spec.second)
-    if isinstance(spec, FullInterchange):
-        return partial(all_precedence_holds, spec.values)
-    if isinstance(spec, PartitionInterchange):
+    if isinstance(spec, CLASS_SPECS):
         return partial(partition_precedence_holds, spec.classes)
     if isinstance(spec, WreathInterchange):
         return partial(wreath_precedence_holds, spec)
@@ -49,12 +43,9 @@ def predicate_for(spec: SymmetrySpec):
 
 
 def post_encoding(model: Model, spec: SymmetrySpec, xs) -> None:
-    if isinstance(spec, PairInterchange):
-        encode_pair_precedence(model, spec.first, spec.second, xs)
-    elif isinstance(spec, FullInterchange):
-        encode_all_precedence(model, list(spec.values), xs)
-    elif isinstance(spec, PartitionInterchange):
-        encode_partial_precedence(model, [list(c) for c in spec.classes], xs)
+    """Post the precedence chain this symmetry induces on xs."""
+    if isinstance(spec, CLASS_SPECS):
+        encode_partial_precedence(model, spec.classes, xs)
     elif isinstance(spec, WreathInterchange):
         encode_wreath_precedence(model, list(spec.outer), list(spec.inner), xs)
     else:

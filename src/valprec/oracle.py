@@ -2,10 +2,10 @@
 
 Everything here works by exhaustive enumeration straight from definitions,
 with no shared machinery with the propagation engine.  It is the referee the
-encodings are tested against: slow, obvious, and trusted.  The precedence
-predicates stay direct definitions by first occurrences, but each looks up
-every first occurrence it needs once per tuple, with ``list.index``, rather
-than rescanning the tuple for every ordered pair of values.
+encodings are tested against: slow, obvious, and trusted.  Pair, full and
+partial interchange share one precedence predicate, first-occurrence order
+inside value classes, a direct definition that looks up each first
+occurrence once per tuple (``list.index``) rather than once per value pair.
 """
 from __future__ import annotations
 
@@ -26,33 +26,29 @@ def first_occurrence(xs: Sequence[int], value: int, default: int) -> int:
     return xs.index(value) + 1 if value in xs else default
 
 
-def pair_precedence_holds(first: int, second: int, xs: Sequence[int]) -> bool:
-    """second never appears strictly before the first occurrence of first.
+def partition_precedence_holds(classes: Sequence[Sequence[int]],
+                               xs: Sequence[int]) -> bool:
+    """In each class, first occurrences of its values appear in class order.
 
-    Each of the two first occurrences is read once; an absent first counts
-    as n + 1 and an absent second as n + 2, so two absent values hold.
-    """
-    n = len(xs)
-    return first_occurrence(xs, first, n + 1) < first_occurrence(xs, second, n + 2)
-
-
-def all_precedence_holds(values: Sequence[int], xs: Sequence[int]) -> bool:
-    """First occurrences of the listed values appear in list order.
-
-    ``values`` are distinct.  Each first occurrence is read once, an absent
-    value's as n + 1, and the rule holds iff they are already sorted.  That is
-    the pairwise definition (each earlier value's first occurrence before each
-    later one's, and an absent value followed only by absent ones), because
+    Classes are disjoint and distinct-valued.  An absent value's first
+    occurrence counts as n + 1, and the rule fails as soon as one comes
+    earlier than the one before it.  That is the pairwise definition, as
     distinct values that occur have distinct first positions.
     """
     absent = len(xs) + 1
-    firsts = [first_occurrence(xs, v, absent) for v in values]
-    return firsts == sorted(firsts)
+    for cls in classes:
+        prev = 0
+        for v in cls:
+            at = xs.index(v) + 1 if v in xs else absent
+            if at < prev:
+                return False
+            prev = at
+    return True
 
 
-def partition_precedence_holds(classes: Sequence[Sequence[int]],
-                               xs: Sequence[int]) -> bool:
-    return all(all_precedence_holds(cls, xs) for cls in classes)
+def all_precedence_holds(values: Sequence[int], xs: Sequence[int]) -> bool:
+    """First occurrences of the listed values appear in list order: one class."""
+    return partition_precedence_holds((values,), xs)
 
 
 def wreath_precedence_holds(spec: WreathInterchange, codes: Sequence[int]) -> bool:
@@ -60,8 +56,8 @@ def wreath_precedence_holds(spec: WreathInterchange, codes: Sequence[int]) -> bo
 
     First occurrences of the outer components appear in outer-list order, and
     within each outer component first occurrences of the inner components
-    appear in inner-list order.  Each code is decoded once, and each of these
-    first occurrences is read once, by ``all_precedence_holds``.
+    appear in inner-list order.  Each code is decoded once, and the outer
+    order and each outer value's inner order are one-class rules.
     """
     pairs = [spec.decode(c) for c in codes]
     if not all_precedence_holds(spec.outer, [u for u, _ in pairs]):

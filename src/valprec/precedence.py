@@ -20,6 +20,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .engine import IntVar, Model, Propagator, SetVar, mask_values
 from .propagators import TernaryTable
+from .symmetry import FullInterchange, PairInterchange, PartitionInterchange
 
 TRANSITION_CAP = 1_000_000
 
@@ -82,18 +83,20 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
 
 
 # ------------------------------------------------------- value interchange
+#
+# Each class encoder validates by building its symmetry spec and posts the
+# spec's classes as one class chain.  No encoder calls another: a tracer that
+# wraps every encode_* function would count a nested call's tables twice.
 
 
 def encode_pair_precedence(model: Model, first: int, second: int,
                            xs: Sequence[IntVar]) -> ChainEncoding:
     """second may not occur strictly before the first occurrence of first.
 
-    This is the class chain of the one class [first, second]: its two
+    This is the class chain of the one class (first, second): its two
     states are "first not seen yet" (second forbidden) and "first seen".
     """
-    if first == second:
-        raise ValueError("precedence needs two distinct values")
-    return _class_chain(model, [[first, second]], xs)
+    return _class_chain(model, PairInterchange(first, second).classes, xs)
 
 
 def _class_chain(model: Model, classes: Sequence[Sequence[int]],
@@ -128,13 +131,10 @@ def encode_all_precedence(model: Model, values: Sequence[int],
                           xs: Sequence[IntVar]) -> ChainEncoding:
     """First occurrences of the listed values appear in list order.
 
-    Unlisted values pass through without touching the state.
+    The one-class chain, posted even for a single value.  Unlisted values
+    pass through without touching the state.
     """
-    if not values:
-        raise ValueError("need at least one value")
-    if len(set(values)) != len(values):
-        raise ValueError("values must be distinct")
-    return _class_chain(model, [values], xs)
+    return _class_chain(model, FullInterchange(tuple(values)).classes, xs)
 
 
 def encode_partial_precedence(model: Model, classes: Sequence[Sequence[int]],
@@ -143,12 +143,8 @@ def encode_partial_precedence(model: Model, classes: Sequence[Sequence[int]],
 
     Single-value classes impose nothing, so they are skipped.
     """
-    if any(not cls for cls in classes):
-        raise ValueError("classes must be non-empty")
-    flat = [v for cls in classes for v in cls]
-    if len(set(flat)) != len(flat):
-        raise ValueError("classes must be disjoint")
-    classes = [cls for cls in classes if len(cls) > 1]
+    spec = PartitionInterchange(tuple(map(tuple, classes)))
+    classes = [cls for cls in spec.classes if len(cls) > 1]
     if not classes:
         return ChainEncoding([], [])
     return _class_chain(model, classes, xs)

@@ -1,7 +1,9 @@
 """Symmetry groups acting on assignments, and the pair coding for wreath values.
 
 A value symmetry is given by one of the interchange specs below; a variable
-symmetry by a named index group.  Groups are enumerated explicitly (these are
+symmetry by a named index group.  The pair, full and partition specs share
+one ``classes`` view: the disjoint classes of values that may be permuted
+independently.  Groups are enumerated explicitly (these are
 referee-sized instances), acting on assignment tuples via
 
     image[i] = sigma(a[pi(i)])
@@ -24,25 +26,29 @@ def _require_values(*groups: Sequence[int]) -> None:
 
 @dataclass(frozen=True)
 class PairInterchange:
-    """Values first and second may be swapped."""
+    """Values first and second may be swapped: the one class (first, second)."""
     first: int
     second: int
+
+    def __post_init__(self):
+        _require_values(*self.classes)
+
+    @property
+    def classes(self) -> tuple[tuple[int, int]]:
+        return ((self.first, self.second),)
+
+
+@dataclass(frozen=True)
+class FullInterchange:
+    """All listed values may be permuted arbitrarily, as one class; others are fixed."""
+    values: tuple[int, ...]
 
     def __post_init__(self):
         _require_values(self.values)
 
     @property
-    def values(self) -> tuple[int, int]:
-        return (self.first, self.second)
-
-
-@dataclass(frozen=True)
-class FullInterchange:
-    """All listed values may be permuted arbitrarily; others are fixed."""
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        _require_values(self.values)
+    def classes(self) -> tuple[tuple[int, ...]]:
+        return (self.values,)
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,7 @@ class PartitionInterchange:
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _require_values(*self.classes)
         flat = [v for cls in self.classes for v in cls]
         if len(set(flat)) != len(flat):
             raise ValueError("partition classes must be disjoint")
@@ -84,24 +91,21 @@ class WreathInterchange:
 
 SymmetrySpec = Union[PairInterchange, FullInterchange, PartitionInterchange,
                      WreathInterchange]
-
-
-def _perm_maps(values: Sequence[int]) -> list[dict[int, int]]:
-    vals = list(values)
-    return [dict(zip(vals, img)) for img in itertools.permutations(vals)]
+# The specs with a ``classes`` view, for isinstance tests.
+CLASS_SPECS = (PairInterchange, FullInterchange, PartitionInterchange)
 
 
 def value_permutations(spec: SymmetrySpec) -> list[dict[int, int]]:
     """All value permutations of the group, as mappings over the moved values.
 
     Values absent from a mapping are fixed; apply with ``perm.get(v, v)``.
+    A value-class spec's group is the product of its classes' permutations.
     """
-    if isinstance(spec, (PairInterchange, FullInterchange)):
-        return _perm_maps(spec.values)
-    if isinstance(spec, PartitionInterchange):
+    if isinstance(spec, CLASS_SPECS):
         perms = [{}]
         for cls in spec.classes:
-            perms = [p | q for p in perms for q in _perm_maps(cls)]
+            perms = [p | dict(zip(cls, img))
+                     for p in perms for img in itertools.permutations(cls)]
         return perms
     if isinstance(spec, WreathInterchange):
         m, p = len(spec.outer), len(spec.inner)

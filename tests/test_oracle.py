@@ -12,7 +12,6 @@ from valprec.oracle import (
     gac_by_definition,
     increasing_seq_holds,
     iterated_gac,
-    pair_precedence_holds,
     partition_precedence_holds,
     set_pair_precedence_holds,
     set_precedence_holds,
@@ -31,13 +30,13 @@ def test_first_occurrence():
 
 
 def test_pair_precedence_examples():
-    assert pair_precedence_holds(1, 2, [1, 2, 1])
-    assert pair_precedence_holds(1, 2, [1, 1, 1])
-    assert not pair_precedence_holds(1, 2, [2, 1, 1])
-    # neither value present: the missing first defaults earlier than the
-    # missing second, so the constraint holds vacuously
-    assert pair_precedence_holds(1, 2, [3, 3])
-    assert not pair_precedence_holds(1, 2, [3, 2])
+    assert all_precedence_holds((1, 2), [1, 2, 1])
+    assert all_precedence_holds((1, 2), [1, 1, 1])
+    assert not all_precedence_holds((1, 2), [2, 1, 1])
+    # neither value present: both count as n + 1, so the constraint holds
+    # vacuously; the second alone present comes before the absent first
+    assert all_precedence_holds((1, 2), [3, 3])
+    assert not all_precedence_holds((1, 2), [3, 2])
 
 
 def test_all_precedence_examples():
@@ -117,11 +116,15 @@ def test_predicates_match_pairwise_definitions_exhaustively():
     occurrences give different answers.
     """
     tuples = [t for n in range(6) for t in itertools.product(range(1, 5), repeat=n)]
-    for values in (p for m in range(1, 5) for p in itertools.permutations(range(1, 5), m)):
-        want = [_pairwise_all_precedence(values, t) for t in tuples]
+    pairwise = {values: [_pairwise_all_precedence(values, t) for t in tuples]
+                for m in range(1, 5) for values in itertools.permutations(range(1, 5), m)}
+    for values, want in pairwise.items():
         assert [all_precedence_holds(values, t) for t in tuples] == want
-        if len(values) == 2:
-            assert [pair_precedence_holds(*values, t) for t in tuples] == want
+        # every split of the listed values into two classes
+        for cut in range(1, len(values)):
+            classes = (values[:cut], values[cut:])
+            assert ([partition_precedence_holds(classes, t) for t in tuples]
+                    == [all(col) for col in zip(*(pairwise[c] for c in classes))])
 
     for outer, inner in itertools.product(itertools.permutations((1, 2)), repeat=2):
         spec = WreathInterchange(outer=outer, inner=inner)

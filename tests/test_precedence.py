@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from valprec import precedence
 from valprec.engine import Model, PropagationStatus
 from valprec.fuzz import (check, check_fd_instance, fd_fixpoint, post_encoding,
                           predicate_for)
@@ -85,6 +86,7 @@ def test_pair_identical_values_rejected():
     (lambda m: PairInterchange(1, 1), ValueError, "distinct"),
     (lambda m: FullInterchange((1, 1)), ValueError, "distinct"),
     (lambda m: FullInterchange(()), ValueError, "non-empty"),
+    (lambda m: PartitionInterchange(((), (1, 2))), ValueError, "non-empty"),
     (lambda m: WreathInterchange((1, 1), (3, 4)), ValueError, "distinct"),
     (lambda m: WreathInterchange((1, 2), (3, 3)), ValueError, "distinct"),
     (lambda m: WreathInterchange((1, 2), ()), ValueError, "non-empty"),
@@ -92,7 +94,8 @@ def test_pair_identical_values_rejected():
 ], ids=["set-repeated-value", "incr-seq-repeated-value", "schur-unknown-sym",
         "value-of-unfixed", "value-perms-non-spec", "predicate-non-spec",
         "post-encoding-non-spec", "pair-spec-repeated-value",
-        "full-spec-repeated-value", "full-spec-no-values", "wreath-spec-repeated-outer",
+        "full-spec-repeated-value", "full-spec-no-values",
+        "partition-spec-empty-class", "wreath-spec-repeated-outer",
         "wreath-spec-repeated-inner", "wreath-spec-empty-inner",
         "wreath-spec-empty-outer"])
 def test_documented_input_errors(call, error, match):
@@ -533,6 +536,74 @@ def test_chain_sizes_pinned(encode, n, dom, tuples, state_sizes):
     # each layer's states are numbered 0..k-1
     assert all(sv.domain == frozenset(range(len(sv.domain)))
                for sv in enc.state_vars)
+
+
+def _posted_tables(post, n, dom):
+    """Position, triples and state domains of each table ``post`` posts on n variables."""
+    m = Model()
+    xs = [m.add_fd_var(dom) for _ in range(n)]
+    post(m, xs)
+    return [(xs.index(p.x), p.triples, p.y.domain, p.z.domain) for p in m.propagators]
+
+
+def test_post_encoding_posts_the_named_encoders_chains():
+    # the fuzzer posts pair and full specs through the partition encoder;
+    # its tables must be the ones encode_pair/all_precedence post for Schur
+    for n in (1, 3, 5):
+        for first, second in ((1, 2), (2, 1), (4, 2)):
+            assert (_posted_tables(lambda m, xs: post_encoding(
+                        m, PairInterchange(first, second), xs), n, range(1, 5))
+                    == _posted_tables(lambda m, xs: encode_pair_precedence(
+                        m, first, second, xs), n, range(1, 5)))
+        for values in ((1, 2), (3, 1, 2), (2, 4, 1, 3)):
+            assert (_posted_tables(lambda m, xs: post_encoding(
+                        m, FullInterchange(values), xs), n, range(1, 6))
+                    == _posted_tables(lambda m, xs: encode_all_precedence(
+                        m, values, xs), n, range(1, 6)))
+
+
+def test_no_encoder_calls_another(monkeypatch):
+    # a tracer that wraps every encode_* name would count a nested call's
+    # tables under both encoders
+    depth, nested = [0], []
+
+    def counted(name, encode):
+        def wrapper(*args, **kwargs):
+            if depth[0]:
+                nested.append(name)
+            depth[0] += 1
+            try:
+                return encode(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    names = sorted(name for name in vars(precedence) if name.startswith("encode_"))
+    for name in names:
+        monkeypatch.setattr(precedence, name, counted(name, getattr(precedence, name)))
+    m = Model()
+    xs = [m.add_fd_var(range(1, 4)) for _ in range(4)]
+    sets = [m.add_set_var(set(), {1, 2}) for _ in range(2)]
+    calls = {
+        "encode_pair_precedence": lambda: precedence.encode_pair_precedence(m, 1, 2, xs),
+        "encode_all_precedence": lambda: precedence.encode_all_precedence(m, [1, 2, 3], xs),
+        "encode_partial_precedence":
+            lambda: precedence.encode_partial_precedence(m, [[1, 2], [3]], xs),
+        "encode_wreath_precedence":
+            lambda: precedence.encode_wreath_precedence(m, [1, 2], [1, 2], xs),
+        "encode_matrix_precedence":
+            lambda: precedence.encode_matrix_precedence(m, [1, 2, 3], xs),
+        "encode_puget_surjection":
+            lambda: precedence.encode_puget_surjection(m, xs, [1, 2, 3]),
+        "encode_set_precedence": lambda: precedence.encode_set_precedence(m, [1, 2], sets),
+        "encode_increasing_seq": lambda: precedence.encode_increasing_seq(m, xs, [1, 2, 3]),
+        "encode_reflection_lex": lambda: precedence.encode_reflection_lex(m, xs),
+        "encode_rotation_lex": lambda: precedence.encode_rotation_lex(m, xs),
+    }
+    assert sorted(calls) == names
+    for name in names:
+        calls[name]()
+    assert nested == []
 
 
 def test_transition_cap_refuses_large_chain_before_posting():
