@@ -1,14 +1,13 @@
 """Value-precedence symmetry breaking for finite-domain and set models.
 
-The package is organized as: a small trailing propagation engine (engine),
-reusable propagators (propagators), the first-occurrence ordering encodings
-built on ternary chains (precedence), symmetry group descriptions (symmetry),
-a brute-force referee (oracle), DFS search (search), equivalence fuzzing
-(fuzz), witness checks (verify), and the Schur benchmark (schur, cli).
+The package is organized as: a small trailing propagation engine with its
+one filter, the ternary table (engine), the first-occurrence ordering
+encodings built on ternary chains (precedence), symmetry group descriptions
+(symmetry), a brute-force referee (oracle), DFS search (search), equivalence
+fuzzing (fuzz), witness checks (verify), and the Schur benchmark (schur, cli).
 """
 from .engine import (IntVar, Model, NotAllEqual3, PropagationStatus, Propagator,
-                     SetVar)
-from .propagators import TernaryTable
+                     SetVar, TernaryTable)
 from .precedence import (TRANSITION_CAP, ChainEncoding, MatrixEncoding,
                          SurjectionEncoding,
                          encode_all_precedence, encode_increasing_seq,

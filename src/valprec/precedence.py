@@ -18,9 +18,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .engine import IntVar, Model, Propagator, SetVar, mask_values
-from .propagators import TernaryTable
-from .symmetry import FullInterchange, PairInterchange, PartitionInterchange
+from .engine import IntVar, Model, Propagator, SetVar, TernaryTable, mask_values
+from .symmetry import (FullInterchange, PairInterchange, PartitionInterchange,
+                       WreathInterchange)
 
 TRANSITION_CAP = 1_000_000
 
@@ -160,7 +160,8 @@ def encode_wreath_precedence(model: Model, outer: Sequence[int],
     occurrences of inner components follow inner order.  State = one inner
     counter per outer value.
     """
-    m, p = len(outer), len(inner)
+    spec = WreathInterchange(tuple(outer), tuple(inner))  # refuses a bad value list
+    m, p = len(spec.outer), len(spec.inner)
 
     def step(counts: tuple[int, ...], code: int) -> Optional[tuple[int, ...]]:
         if not 0 <= code < m * p:
@@ -299,6 +300,8 @@ def encode_puget_surjection(model: Model, xs: Sequence[IntVar],
     Z_j=i implies X_i=v_j, with Z_1 < Z_2 < ... ordering the first uses.
     Sound only when every listed value is used at least once.
     """
+    if len(set(values)) != len(values):
+        raise ValueError("values must be distinct")
     n = len(xs)
     z = [model.add_fd_var(range(1, n + 1), name=f"Z{j + 1}")
          for j in range(len(values))]

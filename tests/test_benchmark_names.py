@@ -1,0 +1,43 @@
+"""The ``valprec`` names that ``perfbench/run.py`` calls all resolve.
+
+The benchmark imports these by module and attribute; a refactor that moves
+or renames one must fail here before it breaks a benchmark run.
+"""
+import importlib
+
+import pytest
+
+NAMES = [
+    ("valprec", "TernaryTable"),
+    ("valprec.engine", "Model"),
+    *(("valprec.engine", f"Model.{method}")
+      for method in ("add_fd_var", "add_set_var", "propagate", "push_choice",
+                     "pop_choice", "remove_value", "retain_values", "assign")),
+    ("valprec.engine", "Propagator"),
+    ("valprec.engine", "SetVar"),
+    ("valprec.engine", "PropagationStatus"),
+    ("valprec.precedence", "encode_wreath_precedence"),
+    ("valprec.oracle", "all_precedence_holds"),
+    ("valprec.oracle", "wreath_precedence_holds"),
+    ("valprec.oracle", "enumerate_solutions"),
+    ("valprec.oracle", "gac_by_definition"),
+    ("valprec.fuzz", "fuzz_equivalence"),
+    ("valprec.fuzz", "format_fuzz"),
+    ("valprec.fuzz", "check_fd_instance"),
+    ("valprec.fuzz", "check_set_instance"),
+    ("valprec.fuzz", "fd_fixpoint"),
+    ("valprec.schur", "SchurInstance"),
+    ("valprec.schur", "build_schur_model"),
+    ("valprec.search", "solve"),
+    ("valprec.search", "Heuristic"),
+    ("valprec.search", "Budget"),
+    ("valprec.symmetry", "WreathInterchange"),
+]
+
+
+@pytest.mark.parametrize("module, name", NAMES, ids=[f"{m}.{n}" for m, n in NAMES])
+def test_benchmark_name_resolves(module, name):
+    obj = importlib.import_module(module)
+    for attr in name.split("."):
+        obj = getattr(obj, attr)
+    assert callable(obj)

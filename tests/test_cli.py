@@ -151,11 +151,16 @@ def test_parser_rejects_bad_arguments():
 
 
 def test_module_entry_point_runs():
+    import os
     import subprocess
     import sys
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "valprec", "schur", "--n", "4", "--k", "2",
          "--sym", "adjacent", "--mode", "all"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "S(4,2)" in proc.stdout

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from valprec import precedence
-from valprec.engine import Model, PropagationStatus
+from valprec.engine import Model, PropagationStatus, TernaryTable
 from valprec.fuzz import (check, check_fd_instance, fd_fixpoint, post_encoding,
                           predicate_for)
 from valprec.oracle import (
@@ -91,13 +91,24 @@ def test_pair_identical_values_rejected():
     (lambda m: WreathInterchange((1, 2), (3, 3)), ValueError, "distinct"),
     (lambda m: WreathInterchange((1, 2), ()), ValueError, "non-empty"),
     (lambda m: WreathInterchange((), (3, 4)), ValueError, "non-empty"),
+    (lambda m: encode_wreath_precedence(m, [], [1, 2], [m.add_fd_var({0, 1})]),
+     ValueError, "non-empty"),
+    (lambda m: encode_wreath_precedence(m, [1, 2], [3, 3], [m.add_fd_var({0, 1})]),
+     ValueError, "distinct"),
+    (lambda m: encode_puget_surjection(m, [m.add_fd_var({1, 2})], [1, 1]),
+     ValueError, "distinct"),
+    (lambda m: (m.post(TernaryTable(*(m.add_fd_var({0}) for _ in range(3)),
+                                    [(-1, 0, 0), (0, 0, 0)])), m.propagate()),
+     ValueError, "no negative value, got -1"),
 ], ids=["set-repeated-value", "incr-seq-repeated-value", "schur-unknown-sym",
         "value-of-unfixed", "value-perms-non-spec", "predicate-non-spec",
         "post-encoding-non-spec", "pair-spec-repeated-value",
         "full-spec-repeated-value", "full-spec-no-values",
         "partition-spec-empty-class", "wreath-spec-repeated-outer",
         "wreath-spec-repeated-inner", "wreath-spec-empty-inner",
-        "wreath-spec-empty-outer"])
+        "wreath-spec-empty-outer", "wreath-encoder-empty-outer",
+        "wreath-encoder-repeated-inner", "puget-repeated-value",
+        "table-negative-value"])
 def test_documented_input_errors(call, error, match):
     with pytest.raises(error, match=match):
         call(Model())

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from valprec.engine import Model, PropagationStatus
+from valprec.engine import Model, NotAllEqual3, PropagationStatus, TernaryTable
 from valprec.fuzz import check
 from valprec.oracle import gac_by_definition, iterated_gac
 from valprec.precedence import (
@@ -16,7 +16,6 @@ from valprec.precedence import (
     post_lex_chain,
     post_lex_leq,
 )
-from valprec.propagators import NotAllEqual3, TernaryTable
 
 FAILED = PropagationStatus.FAILED
 AT_FIXPOINT = PropagationStatus.AT_FIXPOINT

@@ -3,11 +3,10 @@ import itertools
 
 import pytest
 
-from valprec.engine import Model
+from valprec.engine import Model, NotAllEqual3, TernaryTable
 from valprec.oracle import all_precedence_holds, wreath_precedence_holds
 from valprec.precedence import (encode_all_precedence, encode_pair_precedence,
                                 encode_wreath_precedence, post_less_than)
-from valprec.propagators import NotAllEqual3, TernaryTable
 from valprec.schur import SchurInstance, build_schur_model
 from valprec.search import Budget, Heuristic, solve
 from valprec.symmetry import WreathInterchange

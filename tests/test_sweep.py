@@ -1,11 +1,12 @@
 """``fuzz.sweep`` catches encodings weaker than GAC, and passes the chains."""
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from valprec.fuzz import on_set_bits, post_encoding, set_bits_holds, sweep
+from valprec.fuzz import check, on_set_bits, post_encoding, set_bits_holds, sweep
 from valprec.oracle import all_precedence_holds
-from valprec.precedence import encode_pair_precedence, encode_set_precedence
+from valprec.precedence import (encode_all_precedence, encode_pair_precedence,
+                                encode_set_precedence)
 from valprec.symmetry import FullInterchange
 
 VALUES = (1, 2, 3, 4)
@@ -20,12 +21,16 @@ def _chain(m, xs):
     post_encoding(m, FullInterchange(VALUES), xs)
 
 
+def _set_case(posted, values):
+    """(post, pred, universe, n): the set chain over ``posted`` against the
+    rule over ``values``, on the bits of one set over the elements 0, 1 and 2."""
+    return (on_set_bits(lambda m, sets: encode_set_precedence(m, posted, sets),
+                        [0, 1, 2], 1),
+            set_bits_holds(values, [0, 1, 2], 1), (0, 1), 3)
+
+
 def _sweep_set(posted, values):
-    """The set chain over ``posted`` against the rule over ``values``, swept
-    on the bits of one set over the elements 0, 1 and 2."""
-    return sweep(on_set_bits(lambda m, sets: encode_set_precedence(m, posted, sets),
-                             [0, 1, 2], 1),
-                 set_bits_holds(values, [0, 1, 2], 1), (0, 1), 3)
+    return sweep(*_set_case(posted, values))
 
 
 WITNESS_1 = ({1}, {1, 2}, {1, 3}, {3, 4})
@@ -47,3 +52,20 @@ def test_sweep_counts_mismatches(run, checked, mismatched, first):
     assert (c, len(mis)) == (checked, mismatched)
     if first is not None:
         assert mis[0][0] == first
+
+
+@pytest.mark.parametrize("post, pred, universe, n, checked, mismatched", [
+    (lambda m, xs: encode_all_precedence(m, (1, 2, 3), xs),
+     lambda t: all_precedence_holds(VALUES, t), VALUES, 3, 15 ** 3, 2016),
+    (*_set_case([0, 1], [0, 1, 2]), 27, 10),
+], ids=["full chain without its last value", "set chain without its last value"])
+def test_sweep_equals_check_on_every_combination(post, pred, universe, n, checked,
+                                                 mismatched):
+    """``sweep``'s retained model and solution-id index give, combination by
+    combination in its order, what ``check`` gives on a fresh model."""
+    subsets = [frozenset(c) for r in range(1, len(universe) + 1)
+               for c in combinations(sorted(universe), r)]
+    want = [(c, enc, orc) for c in product(subsets, repeat=n)
+            for agree, enc, orc in [check(post, pred, c)] if not agree]
+    assert len(want) == mismatched
+    assert sweep(post, pred, universe, n) == (checked, want)
