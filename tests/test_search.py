@@ -69,8 +69,15 @@ def test_node_budget_halts_search():
     xs = [m.add_fd_var({1, 2, 3}) for _ in range(6)]
     res = solve(m, xs, budget=Budget(max_nodes=5))
     assert res.halted
-    assert res.stats.nodes <= 5
+    assert res.stats.nodes == 5
     assert len(res.solutions) < 3 ** 6
+
+
+def test_zero_node_budget_visits_no_node():
+    m, xs = two_var_model()
+    res = solve(m, xs, budget=Budget(max_nodes=0))
+    assert res.halted
+    assert (res.stats.nodes, res.stats.solutions, res.solutions) == (0, 0, [])
 
 
 def test_time_budget_halts_search():
@@ -111,6 +118,34 @@ def test_search_undoes_choices_but_keeps_root_propagation():
     again = solve(m, xs)
     assert set(again.solutions) == {(a, b) for a in (1, 2, 3) for b in (1, 2, 3)
                                     if a < b}
+
+
+def model_vars(m):
+    """Every variable a posted constraint reads, decision and state alike."""
+    return list(dict.fromkeys(
+        v for p in m.propagators
+        for v in (p.args if isinstance(p, NotAllEqual3) else p.watches)))
+
+
+@pytest.mark.parametrize("mode, budget", [("all", Budget(max_nodes=30)),
+                                          ("first", None)])
+def test_every_exit_restores_the_root(mode, budget):
+    """A budget halt and a first-solution stop both leave open choices;
+    the search undoes them, so every variable keeps its root domain."""
+    m, xs = build_schur_model(SchurInstance(13, 3), "all")
+    m.propagate()
+    everything = model_vars(m)
+    assert len(everything) > len(xs)
+    root = [v.mask for v in everything]
+    runs = []
+    for _ in range(2):
+        res = solve(m, xs, mode=mode, budget=budget)
+        assert [v.mask for v in everything] == root
+        assert m._marks == []
+        runs.append((res.solutions, res.stats.nodes, res.stats.backtracks,
+                     res.halted))
+    assert runs[0] == runs[1]
+    assert runs[0][3] == (mode == "all")
 
 
 def test_search_branches_only_on_decision_variables():
@@ -181,3 +216,50 @@ def test_solve_calls_instance_propagate_once_per_node():
     res = solve(model, xs)
     assert res.stats.solutions > 0
     assert calls == res.stats.nodes
+
+
+HEURISTICS = [Heuristic(var, val) for var in ("lex", "mindom")
+              for val in ("asc", "desc")]
+
+
+@pytest.mark.parametrize("heuristic, nodes, backtracks, first", [
+    (HEURISTICS[0], 43, 15, "1213121412343423423141413243243432141213"),
+    (HEURISTICS[1], 5_362, 2_674, "1234441223314421333142333122413322144442"),
+    (HEURISTICS[2], 513, 249, "1213223124431412241233321422141344213223"),
+    (HEURISTICS[3], 420, 201, "1234244343122331412434214131221343442432"),
+])
+def test_schur_first_solution_pinned_per_heuristic(heuristic, nodes, backtracks, first):
+    """S(40,4) sym=all, first solution: each variable and value order has
+    its own counts and its own first solution."""
+    model, xs = build_schur_model(SchurInstance(40, 4), "all")
+    res = solve(model, xs, heuristic, mode="first")
+    assert (res.stats.nodes, res.stats.backtracks, res.stats.solutions) == \
+        (nodes, backtracks, 1)
+    assert res.solutions == [tuple(map(int, first))]
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_schur_enumeration_pinned_per_heuristic(heuristic):
+    """S(13,3) sym=none, all solutions: the value order does not change the
+    counts (the 3 classes are interchangeable), the variable order does."""
+    model, xs = build_schur_model(SchurInstance(13, 3), "none")
+    res = solve(model, xs, heuristic)
+    want = {"lex": (359, 162), "mindom": (215, 90)}[heuristic.var]
+    assert (res.stats.nodes, res.stats.backtracks, res.stats.solutions) == (*want, 18)
+    assert sorted(res.solutions) == sorted(solve(*build_schur_model(
+        SchurInstance(13, 3), "none")).solutions)
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_wreath_enumeration_pinned_per_heuristic(heuristic):
+    """5x5 wreath chain, 2,000-node budget: no node fails under any order,
+    and the descending value order finds one solution fewer."""
+    spec = WreathInterchange(tuple(range(1, 6)), tuple(range(1, 6)))
+    m = Model()
+    xs = [m.add_fd_var(spec.codes, name=f"X{i}") for i in range(9)]
+    encode_wreath_precedence(m, spec.outer, spec.inner, xs)
+    res = solve(m, xs, heuristic, budget=Budget(max_nodes=2000))
+    want = 997 if heuristic.val == "asc" else 996
+    assert (res.stats.nodes, res.stats.backtracks, res.stats.solutions) == (2000, 0, want)
+    assert res.halted
+    assert all(wreath_precedence_holds(spec, sol) for sol in res.solutions)
