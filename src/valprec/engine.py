@@ -7,6 +7,9 @@ element it may hold, from which its bounds are read.  ``Model.narrow`` is
 the one general domain mutator; the NAE rule's prune in ``propagate`` is the
 only other write site.  The trail has one record layout, ``(var, old_mask)``
 or ``(prop, None)`` for an entailment, and ``pop_choice`` restores it.
+Every ``propagate`` leaves both queues empty, so ``pop_choice`` clears them
+only when a ``narrow`` since then left them non-empty.  An exception out of
+a filter leaves its work queued, and the next ``propagate`` resumes it.
 
 A propagator watches variables.  A change to a watched variable schedules it
 on a FIFO queue with per-propagator deduplication, unless its own filter made
@@ -343,36 +346,45 @@ class Model:
         """Drain the propagator queue, then pop one fixed variable and apply
         the NAE rule over its pairs; repeat to a fixpoint or a failure."""
         queue, fixed, trail = self._queue, self._fixed, self._trail
-        while not self._failed:
-            if queue:
-                prop = queue.popleft()
-                if not prop.entailed and not prop.filter(self):
-                    self._failed = True
-                prop.queued = False
-            elif fixed:
-                var = fixed.popleft()
-                c, pairs = var.mask, iter(var.nae_pairs)
-                for a, b in zip(pairs, pairs):
-                    # Of a pair with one side fixed to c, the other loses c.
-                    if a.mask == c:
-                        a = b
-                    elif b.mask != c:
-                        continue
-                    if not (old := a.mask) & c:
-                        continue
-                    if old == c:
+        prop = None
+        try:
+            while not self._failed:
+                if queue:
+                    prop = queue.popleft()
+                    if not prop.entailed and not prop.filter(self):
                         self._failed = True
-                        break
-                    trail.append((a, old))
-                    a.mask = new = old ^ c
-                    for prop in a.watchers:
-                        if not prop.queued and not prop.entailed:
-                            prop.queued = True
-                            queue.append(prop)
-                    if not new & (new - 1):
-                        fixed.append(a)
-            else:
-                return PropagationStatus.AT_FIXPOINT
+                    prop.queued = False
+                elif fixed:
+                    var = fixed.popleft()
+                    c, pairs = var.mask, iter(var.nae_pairs)
+                    for a, b in zip(pairs, pairs):
+                        # Of a pair with one side fixed to c, the other loses c.
+                        if a.mask == c:
+                            a = b
+                        elif b.mask != c:
+                            continue
+                        if not (old := a.mask) & c:
+                            continue
+                        if old == c:
+                            self._failed = True
+                            break
+                        trail.append((a, old))
+                        a.mask = new = old ^ c
+                        for prop in a.watchers:
+                            if not prop.queued and not prop.entailed:
+                                prop.queued = True
+                                queue.append(prop)
+                        if not new & (new - 1):
+                            fixed.append(a)
+                else:
+                    return PropagationStatus.AT_FIXPOINT
+        except BaseException:
+            # A filter the exception cut short is still marked queued but is
+            # off the queue: put it back first.  Filters are idempotent, so
+            # the next call resumes the fixpoint.
+            if prop is not None and prop.queued and prop not in queue:
+                queue.appendleft(prop)
+            raise
         self._clear_queue()
         return PropagationStatus.FAILED
 
@@ -398,7 +410,8 @@ class Model:
                 owner.mask = old
         del trail[mark:]
         self._failed = False
-        self._clear_queue()
+        if self._queue or self._fixed:
+            self._clear_queue()
 
     @property
     def failed(self) -> bool:

@@ -1,6 +1,7 @@
 """Depth-first search over a model: binary branching, budgets, stats."""
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -59,64 +60,73 @@ def solve(model: Model, variables: Sequence[IntVar],
     variables here), otherwise distinct solutions could be reported once.
     mode 'first' stops at the first solution.  A budget makes the search stop
     early with halted=True; whatever was found so far stays in the result.
+    Each node calls ``model.propagate`` once, looked up on the instance.  The
+    left branch narrows the variable to the chosen value's bit, the right
+    branch removes that bit.  Every exit, an exception too, undoes the
+    search's choices.
     """
     if mode not in ("all", "first"):
         raise ValueError(f"unknown mode {mode!r}")
     res = SearchResult()
-    stats = res.stats
-    t0 = time.perf_counter()
-
-    def pick() -> Optional[IntVar]:
-        free = (v for v in variables if v.mask & (v.mask - 1))
-        if heuristic.var == "mindom":
-            return min(free, key=lambda v: v.mask.bit_count(), default=None)
-        return next(free, None)
-
-    def over_budget() -> bool:
-        if budget is None:
-            return False
-        if budget.max_nodes is not None and stats.nodes >= budget.max_nodes:
-            return True
-        if budget.max_seconds is not None and \
-                time.perf_counter() - t0 >= budget.max_seconds:
-            return True
-        return False
-
-    # One entry per open choice: (variable, value, still on the left branch).
-    # The left branch assigns the value, the right branch removes it.
-    stack: list[tuple[IntVar, int, bool]] = []
-    while True:
-        if over_budget():
-            res.halted = True
-            break
-        stats.nodes += 1
-        if model.propagate() is PropagationStatus.FAILED:
-            stats.backtracks += 1
-        else:
-            var = pick()
-            if var is not None:
-                v = var.max() if heuristic.val == "desc" else var.min()
-                model.push_choice()
-                model.assign(var, v)
-                stack.append((var, v, True))
-                continue
-            res.solutions.append(tuple(x.value() for x in variables))
-            if mode == "first":
+    stats, solutions, xs = res.stats, res.solutions, list(variables)
+    n, first = len(xs), mode == "first"
+    lex, desc = heuristic.var == "lex", heuristic.val == "desc"
+    propagate, narrow = model.propagate, model.narrow
+    push_choice, pop_choice = model.push_choice, model.pop_choice
+    failed, clock = PropagationStatus.FAILED, time.perf_counter
+    budget = budget or Budget()
+    cap = math.inf if budget.max_nodes is None else budget.max_nodes
+    t0 = clock()
+    deadline = None if budget.max_seconds is None else t0 + budget.max_seconds
+    nodes = backtracks = 0
+    # One entry per open choice: (index of its variable, the value's bit,
+    # still on the left branch).  Below a choice every decision variable
+    # before its index is fixed, so the lex scan resumes there.
+    stack: list[tuple[int, int, bool]] = []
+    try:
+        while True:
+            if nodes >= cap or deadline is not None and clock() >= deadline:
+                res.halted = True
                 break
-        # Backtrack: undo finished right branches, then turn the deepest
-        # left branch into its right branch.
-        while stack and not stack[-1][2]:
-            stack.pop()
-            model.pop_choice()
-        if not stack:
-            break
-        var, v, _ = stack[-1]
-        stack[-1] = (var, v, False)
-        model.pop_choice()
-        model.push_choice()
-        model.remove_value(var, v)
-    for _ in stack:
-        model.pop_choice()
-    stats.wall_time = time.perf_counter() - t0
-    stats.solutions = len(res.solutions)
+            nodes += 1
+            if propagate() is failed:
+                backtracks += 1
+            else:
+                if lex:
+                    i = stack[-1][0] if stack else 0
+                    while i < n and not (m := xs[i].mask) & (m - 1):
+                        i += 1
+                else:  # mindom: the first of the smallest free domains
+                    i, size = n, math.inf
+                    for j, x in enumerate(xs):
+                        if 1 < (c := x.mask.bit_count()) < size:
+                            i, size = j, c
+                if i < n:
+                    m = xs[i].mask
+                    bit = 1 << m.bit_length() - 1 if desc else m & -m
+                    push_choice()
+                    stack.append((i, bit, True))
+                    narrow(xs[i], bit)
+                    continue
+                solutions.append(tuple([x.mask.bit_length() - 1 for x in xs]))
+                if first:
+                    break
+            # Backtrack: undo finished right branches, then turn the deepest
+            # left branch into its right branch.
+            while stack and not stack[-1][2]:
+                stack.pop()
+                pop_choice()
+            if not stack:
+                break
+            i, bit, _ = stack[-1]
+            stack[-1] = (i, bit, False)
+            pop_choice()
+            push_choice()
+            narrow(xs[i], ~bit)
+    finally:
+        for _ in stack:
+            pop_choice()
+        stats.nodes, stats.backtracks = nodes, backtracks
+        stats.solutions = len(solutions)
+        stats.wall_time = clock() - t0
     return res

@@ -463,6 +463,37 @@ def test_own_change_does_not_requeue_but_another_filters_does():
     assert (a.calls, b.calls) == (2, 1)
 
 
+class _Interrupting(_Recorder):
+    """Raises ``KeyboardInterrupt`` on its ``at``-th filter call."""
+
+    def __init__(self, at, *watches):
+        super().__init__(*watches)
+        self.at = at
+
+    def filter(self, model):
+        self.calls += 1
+        if self.calls == self.at:
+            raise KeyboardInterrupt
+        return True
+
+
+def test_interrupted_propagate_resumes_its_fixpoint():
+    """A filter that raises stays queued, and so does the work behind it:
+    the next propagate reaches the fixpoint an uninterrupted one would."""
+    m = Model()
+    x = m.add_fd_var(range(1, 6))
+    stop = m.post(_Interrupting(1, x))
+    keep = m.post(_Retain(x, {2, 3}, x))
+    with pytest.raises(KeyboardInterrupt):
+        m.propagate()
+    assert x.values() == (1, 2, 3, 4, 5)
+    assert stop.queued and keep.queued
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert x.values() == (2, 3)
+    assert (stop.calls, keep.calls) == (3, 1)   # rerun, then woken by keep
+    assert not stop.queued and not keep.queued
+
+
 class _Guard(_Recorder):
     """Fails once its watched variable has lost the value 9."""
 

@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from valprec.engine import Model, NotAllEqual3, TernaryTable
+from valprec.engine import (Model, NotAllEqual3, PropagationStatus, Propagator,
+                            TernaryTable)
 from valprec.oracle import all_precedence_holds, wreath_precedence_holds
 from valprec.precedence import (encode_all_precedence, encode_pair_precedence,
                                 encode_wreath_precedence, post_less_than)
@@ -146,6 +147,34 @@ def test_every_exit_restores_the_root(mode, budget):
                      res.halted))
     assert runs[0] == runs[1]
     assert runs[0][3] == (mode == "all")
+
+
+class _RaisesOnThirdCall(Propagator):
+    def __init__(self, xs):
+        super().__init__()
+        self.watches, self.calls = xs, 0
+
+    def filter(self, model):
+        self.calls += 1
+        if self.calls == 3:
+            raise KeyboardInterrupt
+        return True
+
+
+def test_exception_undoes_choices_and_leaves_the_propagator_wakeable():
+    m = Model()
+    xs = [m.add_fd_var({1, 2, 3}) for _ in range(3)]
+    prop = m.post(_RaisesOnThirdCall(xs))
+    with pytest.raises(KeyboardInterrupt):
+        solve(m, xs)
+    assert prop.calls == 3                 # root, x0 = 1, x1 = 1
+    assert [x.values() for x in xs] == [(1, 2, 3)] * 3
+    assert m._marks == []
+    assert not prop.queued
+    m.push_choice()
+    m.assign(xs[0], 2)
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert prop.calls == 4
 
 
 def test_search_branches_only_on_decision_variables():
