@@ -13,8 +13,10 @@ a filter leaves its work queued, and the next ``propagate`` resumes it.
 
 A propagator watches variables.  A change to a watched variable schedules it
 on a FIFO queue with per-propagator deduplication, unless its own filter made
-the change.  The one filter is ``TernaryTable``, GAC over three variables;
-every ordering rule, lexicographic ordering and set variable included, is
+the change.  The one filter is ``TernaryTable``, GAC over three variables.
+It looks a one-value slice of its index up directly, skips a narrow whose
+keep mask covers the domain and keeps its column sizes with ``columns``.
+Every ordering rule, lexicographic ordering and set variable included, is
 compiled to chains of it in :mod:`valprec.precedence`.  ``NotAllEqual3`` is
 a rule of the engine, not a propagator.  A variable over which one is posted
 goes on a second FIFO when it becomes fixed, and popping it runs the rule
@@ -154,11 +156,14 @@ class TernaryTable(Propagator):
     """GAC table constraint over three integer variables.
 
     A repeated argument keeps only the tuples that agree at its positions.
-    ``columns``, set by the first filter, mask the values each position's
-    tuples hold; while each lies in its domain, every tuple is live.
-    Otherwise only the position whose column has the smallest live share is
-    scanned (the smallest estimated slice): its live values' tuples, from a
-    per-position index (value -> tuples) built on first use, never trailed.
+    ``columns``, set by the first filter, holds the masks of the values each
+    position's tuples hold, then their sizes; while each mask lies in its
+    domain, every tuple is live.  Otherwise only the position whose column
+    has the smallest live share is scanned (the smallest estimated slice;
+    the earliest wins a tie): its live values' tuples, from a per-position
+    index (value -> tuples) built on first use, never trailed.  A one-value
+    slice is looked up directly.  A narrow whose keep mask covers the
+    domain is not made.
     """
 
     __slots__ = ("x", "y", "z", "triples", "columns", "by_value")
@@ -178,7 +183,7 @@ class TernaryTable(Propagator):
 
     def filter(self, m: Model) -> bool:
         x, y, z = self.x, self.y, self.z
-        doms = dx, dy, dz = x.mask, y.mask, z.mask
+        dx, dy, dz = x.mask, y.mask, z.mask
         cols = self.columns
         if cols is None:
             cx = cy = cz = 0
@@ -188,29 +193,36 @@ class TernaryTable(Propagator):
             except ValueError:  # a negative shift count
                 raise ValueError(f"table over {x.name}, {y.name}, {z.name}: a tuple holds "
                                  f"no negative value, got {min(map(min, self.triples))}") from None
-            cols = self.columns = (cx, cy, cz)
+            cols = self.columns = (cx, cy, cz, cx.bit_count(), cy.bit_count(), cz.bit_count())
+        cx, cy, cz, tx, ty, tz = cols
         pos, live, total = None, 1, 1  # shares compare by cross-multiplying
-        for p, col in enumerate(cols):
-            keys = doms[p] & col
-            n, c = keys.bit_count(), col.bit_count()
-            if n < c and n * total < live * c:
-                pos, live, total, scan = p, n, c, keys
+        if (n := (keys := dx & cx).bit_count()) < tx:
+            pos, live, total, scan = 0, n, tx, keys
+        if (n := (keys := dy & cy).bit_count()) < ty and n * total < live * ty:
+            pos, live, total, scan = 1, n, ty, keys
+        if (n := (keys := dz & cz).bit_count()) < tz and n * total < live * tz:
+            pos, scan = 2, keys
         if pos is None:
-            (sx, sy, sz), live = cols, len(self.triples)
+            sx, sy, sz, live = cx, cy, cz, len(self.triples)
         else:
+            if not scan:
+                return False
             index = self.by_value[pos]
             if index is None:
                 key = itemgetter(pos)
                 index = self.by_value[pos] = {
                     a: tuple(group) for a, group in groupby(sorted(self.triples, key=key), key)}
             sx = sy = sz = live = 0
-            for u, v, w in chain.from_iterable(map(index.__getitem__, mask_values(scan))):
+            for u, v, w in (index[scan.bit_length() - 1] if not scan & (scan - 1) else
+                            chain.from_iterable(map(index.__getitem__, mask_values(scan)))):
                 if dx >> u & 1 and dy >> v & 1 and dz >> w & 1:
                     sx, sy, sz, live = sx | 1 << u, sy | 1 << v, sz | 1 << w, live + 1
-        if not (live and m.narrow(x, sx) and m.narrow(y, sy) and m.narrow(z, sz)):
+        # A narrow whose keep mask covers the domain would change nothing.
+        if not live or (dx & ~sx and not m.narrow(x, sx)) \
+                or (dy & ~sy and not m.narrow(y, sy)) or (dz & ~sz and not m.narrow(z, sz)):
             return False
-        if x is not y and y is not z and x is not z and \
-                live == sx.bit_count() * sy.bit_count() * sz.bit_count():
+        if x is not y and y is not z and x is not z and (
+                live == 1 or live == sx.bit_count() * sy.bit_count() * sz.bit_count()):
             m.set_entailed(self)
         return True
 

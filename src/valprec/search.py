@@ -29,9 +29,17 @@ class Heuristic:
 
 @dataclass(frozen=True)
 class Budget:
-    """Search cut-offs; None means unlimited."""
+    """Search cut-offs; None means unlimited, 0 visits no node."""
     max_seconds: Optional[float] = None
     max_nodes: Optional[int] = None
+
+    def __post_init__(self):
+        if self.max_seconds is not None and not self.max_seconds >= 0:
+            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds!r}")
+        if self.max_nodes is not None and not (
+                isinstance(self.max_nodes, int) and not isinstance(self.max_nodes, bool)
+                and self.max_nodes >= 0):
+            raise ValueError(f"max_nodes must be an int >= 0, got {self.max_nodes!r}")
 
 
 @dataclass

@@ -9,6 +9,10 @@ import pytest
 
 NAMES = [
     ("valprec", "TernaryTable"),
+    # the tracer wraps each class's own ``filter`` in place, and ``narrow``
+    # is the one domain mutator a tracer of domain work has to wrap
+    ("valprec.engine", "TernaryTable.filter"),
+    ("valprec.engine", "Model.narrow"),
     ("valprec.engine", "Model"),
     *(("valprec.engine", f"Model.{method}")
       for method in ("add_fd_var", "add_set_var", "propagate", "push_choice",
@@ -41,3 +45,10 @@ def test_benchmark_name_resolves(module, name):
     for attr in name.split("."):
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_table_filter_is_defined_on_its_class():
+    """The tracer wraps ``vars(cls)["filter"]``: an inherited filter would
+    resolve above but go untraced."""
+    from valprec.engine import TernaryTable
+    assert "filter" in vars(TernaryTable)

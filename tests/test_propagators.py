@@ -9,6 +9,7 @@ from valprec.engine import Model, NotAllEqual3, PropagationStatus, TernaryTable
 from valprec.fuzz import check
 from valprec.oracle import gac_by_definition, iterated_gac
 from valprec.precedence import (
+    encode_wreath_precedence,
     post_channel,
     post_exactly_one,
     post_implications,
@@ -16,6 +17,9 @@ from valprec.precedence import (
     post_lex_chain,
     post_lex_leq,
 )
+from valprec.schur import SchurInstance, build_schur_model
+from valprec.search import Budget, solve
+from valprec.symmetry import WreathInterchange
 
 FAILED = PropagationStatus.FAILED
 AT_FIXPOINT = PropagationStatus.AT_FIXPOINT
@@ -93,11 +97,16 @@ def test_table_over_repeated_argument_is_gac():
     assert m.propagate() is FAILED
 
 
+def _live_tuples(prop):
+    """The table's tuples that lie in the current domains, by a full scan."""
+    dx, dy, dz = prop.x.domain, prop.y.domain, prop.z.domain
+    return [(u, v, w) for u, v, w in prop.triples if u in dx and v in dy and w in dz]
+
+
 def _full_scan_entailed(prop):
     """Entailment as a scan of every tuple finds it on the current domains."""
     x, y, z = prop.x, prop.y, prop.z
-    live = [(u, v, w) for u, v, w in prop.triples
-            if u in x.domain and v in y.domain and w in z.domain]
+    live = _live_tuples(prop)
     supports = [len({t[i] for t in live}) for i in range(3)]
     distinct = x is not y and y is not z and x is not z
     return distinct and len(live) == supports[0] * supports[1] * supports[2]
@@ -158,6 +167,57 @@ def test_table_narrowed_fixpoints_match_oracle_and_full_scan():
             by_position[pos] += index is not None
     assert indexed >= 100
     assert all(by_position), by_position
+
+
+def _wreath_search():
+    spec = WreathInterchange(tuple(range(1, 6)), tuple(range(1, 6)))
+    m = Model()
+    xs = [m.add_fd_var(spec.codes, name=f"X{i}") for i in range(9)]
+    encode_wreath_precedence(m, spec.outer, spec.inner, xs)
+    return m, xs, Budget(max_nodes=2000), (2000, 0, 997)
+
+
+def _schur_adjacent_search():
+    m, xs = build_schur_model(SchurInstance(13, 3), "adjacent")
+    return m, xs, None, (59, 27, 3)
+
+
+@pytest.mark.parametrize("search", [_wreath_search, _schur_adjacent_search],
+                         ids=["wreath", "schur-13-3-adjacent"])
+def test_table_fixpoints_in_real_searches_match_full_scan(search):
+    """At every search node's fixpoint, each table is GAC by a full scan.
+
+    ``model.propagate`` is shadowed on the instance, as a benchmark that
+    times the search does.  After each fixpoint, a table that is not
+    entailed changes nothing when filtered again, every value of its
+    arguments has a live tuple, and its entailment is what a scan of every
+    tuple gives.  The search's counts stay pinned under the wrapper.
+    """
+    m, xs, budget, counts = search()
+    tables = [p for p in m.propagators if isinstance(p, TernaryTable)]
+    propagate, checked = m.propagate, 0
+
+    def checked_propagate():
+        nonlocal checked
+        status = propagate()
+        if status is AT_FIXPOINT:
+            for prop in tables:
+                args = prop.watches
+                assert prop.entailed == _full_scan_entailed(prop)
+                if not prop.entailed:
+                    doms = [x.mask for x in args]
+                    assert prop.filter(m)
+                    assert [x.mask for x in args] == doms and not prop.entailed
+                live = _live_tuples(prop)
+                assert [{t[i] for t in live} for i in range(3)] == domains_of(args)
+            checked += 1
+        return status
+
+    m.propagate = checked_propagate
+    res = solve(m, xs, budget=budget)
+    del m.propagate
+    assert (res.stats.nodes, res.stats.backtracks, res.stats.solutions) == counts
+    assert checked == res.stats.nodes - res.stats.backtracks
 
 
 # ------------------------------------------------------------------- lex leq

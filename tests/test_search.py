@@ -89,6 +89,25 @@ def test_time_budget_halts_search():
     assert res.stats.solutions < 4 ** 10
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_seconds": float("nan")},
+    {"max_seconds": -1.0},
+    {"max_nodes": -5},
+    {"max_nodes": 2.5},
+    {"max_nodes": True},
+], ids=["nan-seconds", "negative-seconds", "negative-nodes", "float-nodes", "bool-nodes"])
+def test_budget_refuses_values_that_mean_something_else(kwargs):
+    with pytest.raises(ValueError):
+        Budget(**kwargs)
+
+
+def test_budget_accepts_zero_and_infinite_limits():
+    m, xs = two_var_model()
+    assert solve(m, xs, budget=Budget(max_seconds=0.0, max_nodes=0)).stats.nodes == 0
+    res = solve(m, xs, budget=Budget(max_seconds=float("inf")))
+    assert (res.halted, res.stats.solutions) == (False, 3)
+
+
 def test_backtracks_bounded_by_nodes():
     m = Model()
     xs = [m.add_fd_var({1, 2, 3}) for _ in range(4)]
