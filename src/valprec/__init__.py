@@ -6,8 +6,8 @@ encodings built on ternary chains (precedence), symmetry group descriptions
 (symmetry), a brute-force referee (oracle), DFS search (search), equivalence
 fuzzing (fuzz), witness checks (verify), and the Schur benchmark (schur, cli).
 """
-from .engine import (IntVar, Model, NotAllEqual3, PropagationStatus, Propagator,
-                     SetVar, TernaryTable)
+from .engine import (IntVar, Model, PropagationStatus, Propagator, SetVar,
+                     TernaryTable)
 from .precedence import (TRANSITION_CAP, ChainEncoding, MatrixEncoding,
                          SurjectionEncoding,
                          encode_all_precedence, encode_increasing_seq,

@@ -17,11 +17,12 @@ the change.  The one filter is ``TernaryTable``, GAC over three variables.
 It looks a one-value slice of its index up directly, skips a narrow whose
 keep mask covers the domain and keeps its column sizes with ``columns``.
 Every ordering rule, lexicographic ordering and set variable included, is
-compiled to chains of it in :mod:`valprec.precedence`.  ``NotAllEqual3`` is
-a rule of the engine, not a propagator.  A variable over which one is posted
-goes on a second FIFO when it becomes fixed, and popping it runs the rule
-over its ``nae_pairs`` in one loop.  ``propagate`` runs both queues to a
-fixpoint; an entailed propagator is not woken until backtracking undoes it.
+compiled to chains of it in :mod:`valprec.precedence`.  Not-all-equal is a
+rule of the engine, not a propagator, and ``Model.post_nae`` posts it.  A
+variable it is posted over goes on a second FIFO when it becomes fixed, and
+popping it runs the rule over its ``nae_pairs`` in one loop.  ``propagate``
+runs both queues to a fixpoint; an entailed propagator is not woken until
+backtracking undoes it.
 """
 from __future__ import annotations
 
@@ -51,7 +52,8 @@ class IntVar:
     reads it as a frozenset.  A mask's size grows with the largest value, so
     ``post_state_chain`` numbers each layer's states from 0.  ``watchers``
     are woken on every change.  ``nae_pairs`` holds, flattened, the other
-    two arguments of each :class:`NotAllEqual3` over the variable.
+    two arguments of each not-all-equal that ``Model.post_nae`` posts over
+    the variable.
     """
 
     __slots__ = ("name", "mask", "watchers", "nae_pairs")
@@ -134,22 +136,6 @@ class Propagator:
 
     def filter(self, model: "Model") -> bool:
         raise NotImplementedError
-
-
-class NotAllEqual3:
-    """At least two of x, y, z differ; arguments may repeat.  A rule, not a
-    propagator: ``Model.post`` gives each argument the other two as a pair
-    in its ``nae_pairs`` (both distinct arguments of a repeated triple get
-    the two), and when ``propagate`` pops a variable fixed to c, it removes
-    c from one side of each of its pairs whose other side is fixed to c.
-    That is GAC, since the later of two fixes to c sees the earlier; a
-    triple of one variable fails the model.
-    """
-
-    __slots__ = ("args",)
-
-    def __init__(self, x: IntVar, y: IntVar, z: IntVar):
-        self.args = (x, y, z)
 
 
 class TernaryTable(Propagator):
@@ -236,7 +222,7 @@ class Model:
 
     def __init__(self):
         self._int_count = self._set_count = 0
-        self.propagators: list[Propagator | NotAllEqual3] = []
+        self.propagators: list[Propagator] = []
         self.posted_counts: dict[str, int] = {}
         self._trail: list[tuple[IntVar | Propagator, Optional[int]]] = []
         self._marks: list[int] = []
@@ -277,21 +263,27 @@ class Model:
 
     # ----------------------------------------------------------- propagators
 
-    def post(self, prop: Propagator | NotAllEqual3,
-             category: str = "user") -> Propagator | NotAllEqual3:
+    def post(self, prop: Propagator, category: str = "user") -> Propagator:
         self.propagators.append(prop)
         self.posted_counts[category] = self.posted_counts.get(category, 0) + 1
-        if isinstance(prop, NotAllEqual3):
-            self._post_nae(*prop.args)
-            return prop
         for var in dict.fromkeys(prop.watches):
             var.watchers.append(prop)
         prop.queued = True
         self._queue.append(prop)
         return prop
 
-    def _post_nae(self, x: IntVar, y: IntVar, z: IntVar) -> None:
-        """Register the NAE's pairs and queue its already fixed arguments."""
+    def post_nae(self, x: IntVar, y: IntVar, z: IntVar) -> None:
+        """Post that at least two of x, y, z differ; arguments may repeat.
+
+        Counted as one ``"user"`` constraint.  A rule, not a propagator:
+        each argument gets the other two as a pair in its ``nae_pairs``
+        (both distinct arguments of a repeated triple get the two), and
+        when ``propagate`` pops a variable fixed to c, it removes c from one
+        side of each of its pairs whose other side is fixed to c.  That is
+        GAC, since the later of two fixes to c sees the earlier; a triple of
+        one variable fails the model.  Arguments already fixed are queued.
+        """
+        self.posted_counts["user"] = self.posted_counts.get("user", 0) + 1
         if x is y or y is z or x is z:
             pair = (x, z) if x is y else (x, y)
             args = dict.fromkeys(pair)
@@ -305,9 +297,6 @@ class Model:
             y.nae_pairs += x, z
             z.nae_pairs += x, y
         self._fixed.extend(var for var in args if not var.mask & (var.mask - 1))
-
-    def posted_total(self) -> int:
-        return sum(self.posted_counts.values())
 
     def set_entailed(self, prop: Propagator) -> None:
         if not prop.entailed:

@@ -329,8 +329,8 @@ def _random_set_case(rng: random.Random):
 
 def fuzz_equivalence(seed: int, cases: int) -> FuzzReport:
     """Run ``cases`` random equivalence checks, rotating through the families."""
-    if cases <= 0:
-        raise ValueError(f"cases must be positive, got {cases}")
+    if not isinstance(cases, int) or isinstance(cases, bool) or cases <= 0:
+        raise ValueError(f"cases must be a positive int, got {cases!r}")
     rng = random.Random(seed)
     report = FuzzReport(seed=seed, cases=cases)
     for i in range(cases):

@@ -13,7 +13,7 @@ import time
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional, Sequence
 
-from .engine import IntVar, Model, NotAllEqual3
+from .engine import IntVar, Model
 from .precedence import (TRANSITION_CAP, encode_all_precedence,
                          encode_pair_precedence)
 from .search import Budget, Heuristic, SearchResult, solve
@@ -34,6 +34,10 @@ class SchurInstance:
     k: int
 
     def __post_init__(self):
+        for name in ("n", "k"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 1 or self.k < 1:
             raise ValueError("need n >= 1 and k >= 1")
         if self.n * self.n // 4 > TRANSITION_CAP:
@@ -68,7 +72,7 @@ def build_schur_model(inst: SchurInstance, sym: str = "none") -> tuple[Model, li
     xs = [model.add_fd_var(range(1, inst.k + 1), name=f"X{i}")
           for i in range(1, inst.n + 1)]
     for a, b, c in sum_triples(inst.n):
-        model.post(NotAllEqual3(xs[a - 1], xs[b - 1], xs[c - 1]))
+        model.post_nae(xs[a - 1], xs[b - 1], xs[c - 1])
     if sym == "adjacent":
         for v in range(1, inst.k):
             encode_pair_precedence(model, v, v + 1, xs)

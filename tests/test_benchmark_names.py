@@ -52,3 +52,16 @@ def test_table_filter_is_defined_on_its_class():
     resolve above but go untraced."""
     from valprec.engine import TernaryTable
     assert "filter" in vars(TernaryTable)
+
+
+def test_schur_model_lists_what_perfbench_counts():
+    """perfbench reads ``model.propagators`` and ``posted_counts`` of a
+    built model, attributes the name pins above cannot reach."""
+    from valprec.engine import Propagator, TernaryTable
+    from valprec.schur import SchurInstance, build_schur_model
+    model, _ = build_schur_model(SchurInstance(44, 4), "all")
+    props = model.propagators
+    assert all(isinstance(p, Propagator) for p in props)
+    assert [type(p) for p in props] == [TernaryTable] * 44
+    assert sum(len(p.triples) for p in props) == 377
+    assert model.posted_counts == {"user": 484, "encoding": 44}

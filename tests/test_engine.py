@@ -2,8 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from valprec.engine import (IntVar, Model, NotAllEqual3, PropagationStatus,
-                            Propagator)
+from valprec.engine import IntVar, Model, PropagationStatus, Propagator
 from valprec.precedence import post_state_chain
 
 
@@ -178,10 +177,10 @@ def test_posted_counts_by_category():
     m = Model()
     x, y = m.add_fd_var([1, 2]), m.add_fd_var([1, 2])
     posted = [m.post(_Recorder(x), category="user"),
-              m.post(NotAllEqual3(x, y, x), category="encoding"),
               m.post(_Recorder(y), category="encoding")]
-    assert m.posted_counts == {"user": 1, "encoding": 2}
-    assert m.posted_total() == 3
+    m.post_nae(x, y, x)  # counts as a user constraint, lists no propagator
+    assert m.posted_counts == {"user": 2, "encoding": 1}
+    assert sum(m.posted_counts.values()) == 3
     assert m.propagators == posted
 
 
@@ -251,7 +250,7 @@ def _counted(var):
 def test_nae_rule_ignores_removal_leaving_two_values():
     m = Model()
     x, y, z = (m.add_fd_var([1, 2, 3, 4]) for _ in range(3))
-    m.post(NotAllEqual3(x, y, z))
+    m.post_nae(x, y, z)
     pairs = _counted(x)
     m.remove_value(x, 2)
     m.retain_values(x, (1, 3, 9))
@@ -268,7 +267,7 @@ def test_nae_rule_ignores_removal_leaving_two_values():
 def test_nae_rule_runs_once_per_kind_of_fix(fix):
     m = Model()
     x, y, z = m.add_fd_var([1, 2, 3]), m.add_fd_var([2]), m.add_fd_var([1, 2, 3])
-    m.post(NotAllEqual3(x, y, z))
+    m.post_nae(x, y, z)
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
     pairs = _counted(x)
     m.remove_value(x, 3)
@@ -314,12 +313,12 @@ def test_nae_arguments_fixed_before_post_prune_at_root():
     m = Model()
     x, y = m.add_fd_var([2]), m.add_fd_var([1, 2])
     z, w = m.add_fd_var([1, 2, 3]), m.add_fd_var([1, 2, 3])
-    m.post(NotAllEqual3(x, z, w))
-    m.post(NotAllEqual3(y, z, w))
+    m.post_nae(x, z, w)
+    m.post_nae(y, z, w)
     assert m.assign(y, 2)
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
     assert z.values() == w.values() == (1, 2, 3)
-    m.post(NotAllEqual3(x, y, z))
+    m.post_nae(x, y, z)
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
     assert z.values() == (1, 3) and w.values() == (1, 2, 3)
 
@@ -330,8 +329,8 @@ def test_nae_prune_in_place_wakes_chains_fails_and_pops():
     m = Model()
     x, y = m.add_fd_var([1, 2, 3]), m.add_fd_var([1, 2, 3])
     z, u, v = m.add_fd_var([1, 2]), m.add_fd_var([1]), m.add_fd_var([1, 2, 3])
-    m.post(NotAllEqual3(x, y, z))
-    m.post(NotAllEqual3(z, u, v))
+    m.post_nae(x, y, z)
+    m.post_nae(z, u, v)
     p = _posted(m, _Recorder(z))
     initial = [w.values() for w in (x, y, z, u, v)]
     m.push_choice()
@@ -356,7 +355,7 @@ def test_nae_repeated_argument_acts_as_disequality(order):
     for first in ("x", "z"):
         m = Model()
         v = {"x": m.add_fd_var([1, 2, 3]), "z": m.add_fd_var([1, 2, 3])}
-        m.post(NotAllEqual3(*(v[c] for c in order)))
+        m.post_nae(*(v[c] for c in order))
         assert v["x"].nae_pairs == v["z"].nae_pairs and len(v["x"].nae_pairs) == 2
         assert m.propagate() is PropagationStatus.AT_FIXPOINT
         m.push_choice()
@@ -506,7 +505,7 @@ def test_no_stale_fix_runs_after_failure_or_pop():
     m = Model()
     x, y, z = (m.add_fd_var([1, 2]) for _ in range(3))
     g = m.add_fd_var([1, 9])
-    m.post(NotAllEqual3(x, y, z))
+    m.post_nae(x, y, z)
     _posted(m, _Guard(g))
     pairs = _counted(y)
     m.push_choice()

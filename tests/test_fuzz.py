@@ -134,7 +134,7 @@ def test_fuzz_report_format():
     assert lines[-1] == "no divergences"
 
 
-@pytest.mark.parametrize("cases", [0, -5])
+@pytest.mark.parametrize("cases", [0, -5, True, 2.5])
 def test_fuzz_refuses_non_positive_cases(cases):
     with pytest.raises(ValueError, match="positive"):
         fuzz_equivalence(seed=1, cases=cases)

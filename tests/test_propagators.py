@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from valprec.engine import Model, NotAllEqual3, PropagationStatus, TernaryTable
+from valprec.engine import Model, PropagationStatus, TernaryTable
 from valprec.fuzz import check
 from valprec.oracle import gac_by_definition, iterated_gac
 from valprec.precedence import (
@@ -456,7 +456,7 @@ def test_nae_prunes_third_when_two_equal():
     x = m.add_fd_var({5})
     y = m.add_fd_var({5})
     z = m.add_fd_var({4, 5, 6})
-    m.post(NotAllEqual3(x, y, z))
+    m.post_nae(x, y, z)
     assert m.propagate() is AT_FIXPOINT
     assert z.domain == {4, 6}
 
@@ -466,7 +466,7 @@ def test_nae_disjoint_pair_prunes_nothing():
     x = m.add_fd_var({1})
     y = m.add_fd_var({2})
     z = m.add_fd_var({1, 2, 3})
-    m.post(NotAllEqual3(x, y, z))
+    m.post_nae(x, y, z)
     assert m.propagate() is AT_FIXPOINT
     assert z.domain == {1, 2, 3}
     assert m.assign(z, 1)
@@ -477,7 +477,7 @@ def test_nae_disjoint_pair_prunes_nothing():
 def test_nae_all_same_constant_fails():
     m = Model()
     vs = [m.add_fd_var({7}) for _ in range(3)]
-    m.post(NotAllEqual3(*vs))
+    m.post_nae(*vs)
     assert m.propagate() is FAILED
 
 
@@ -485,7 +485,7 @@ def test_nae_aliased_pair_becomes_disequality():
     m = Model()
     x = m.add_fd_var({3, 4})
     z = m.add_fd_var({3})
-    m.post(NotAllEqual3(x, x, z))
+    m.post_nae(x, x, z)
     assert m.propagate() is AT_FIXPOINT
     assert x.domain == {4}
 
@@ -493,14 +493,14 @@ def test_nae_aliased_pair_becomes_disequality():
 def test_nae_fully_aliased_fails():
     m = Model()
     x = m.add_fd_var({1, 2})
-    m.post(NotAllEqual3(x, x, x))
+    m.post_nae(x, x, x)
     assert m.propagate() is FAILED
 
 
 @given(st.lists(st.sets(st.integers(0, 3), min_size=1, max_size=4),
                 min_size=3, max_size=3))
 def test_nae_matches_oracle(doms):
-    _, got, want = check(lambda m, vs: m.post(NotAllEqual3(*vs)),
+    _, got, want = check(lambda m, vs: m.post_nae(*vs),
                          lambda t: not (t[0] == t[1] == t[2]), doms)
     assert got == want
 
@@ -518,7 +518,7 @@ def test_nae_incremental_edits_match_oracle(data):
                                          (0, 2, 0)]))
     m = Model()
     vs = [m.add_fd_var(d) for d in doms]
-    m.post(NotAllEqual3(vs[a], vs[b], vs[c]))
+    m.post_nae(vs[a], vs[b], vs[c])
 
     def pred(t):
         return not (t[a] == t[b] == t[c])
@@ -579,7 +579,7 @@ def test_nae_networks_match_iterated_oracle_under_choices():
         m = Model()
         vs = [m.add_fd_var(d) for d in doms]
         for a, b, c in triples:
-            m.post(NotAllEqual3(vs[a], vs[b], vs[c]))
+            m.post_nae(vs[a], vs[b], vs[c])
 
         def at_oracle_fixpoint(status, doms):
             want = iterated_gac(preds, doms)

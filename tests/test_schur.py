@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import time
+import tracemalloc
 
 import pytest
 
@@ -54,6 +55,32 @@ def test_instance_validation_and_label():
     assert SchurInstance(1000, 1000).k == 1000
     with pytest.raises(ValueError, match=str(TRANSITION_CAP)):
         SchurInstance(5, 400_000)
+
+
+@pytest.mark.parametrize("n, k", [(True, 3), (13, True), (13.5, 3), (13, 2.0)])
+def test_instance_refuses_sizes_that_are_not_an_int(n, k):
+    with pytest.raises(ValueError, match="must be an int"):
+        SchurInstance(n, k)
+
+
+def test_posting_a_triple_keeps_no_object_alive():
+    """Not-all-equal is an engine rule: a posted triple leaves only its
+    entries in the three ``nae_pairs`` lists, about 51 B on CPython 3.11,
+    where an object per triple kept in ``model.propagators`` left 164 B."""
+    m = Model()
+    xs = [m.add_fd_var(range(1, 4)) for _ in range(300)]
+    triples = sum_triples(300)
+    assert len(triples) == 22_500
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for a, b, c in triples:
+            m.post_nae(xs[a - 1], xs[b - 1], xs[c - 1])
+        live = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert m.posted_counts == {"user": 22_500} and not m.propagators
+    assert live / len(triples) < 100
 
 
 def test_small_satisfiable_and_unsatisfiable():

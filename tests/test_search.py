@@ -3,8 +3,7 @@ import itertools
 
 import pytest
 
-from valprec.engine import (Model, NotAllEqual3, PropagationStatus, Propagator,
-                            TernaryTable)
+from valprec.engine import Model, PropagationStatus, Propagator, TernaryTable
 from valprec.oracle import all_precedence_holds, wreath_precedence_holds
 from valprec.precedence import (encode_all_precedence, encode_pair_precedence,
                                 encode_wreath_precedence, post_less_than)
@@ -112,7 +111,7 @@ def test_backtracks_bounded_by_nodes():
     m = Model()
     xs = [m.add_fd_var({1, 2, 3}) for _ in range(4)]
     for i in range(3):
-        m.post(NotAllEqual3(xs[i], xs[i + 1], xs[(i + 2) % 4]))
+        m.post_nae(xs[i], xs[i + 1], xs[(i + 2) % 4])
     res = solve(m, xs)
     assert res.stats.backtracks <= res.stats.nodes
 
@@ -141,10 +140,9 @@ def test_search_undoes_choices_but_keeps_root_propagation():
 
 
 def model_vars(m):
-    """Every variable a posted constraint reads, decision and state alike."""
-    return list(dict.fromkeys(
-        v for p in m.propagators
-        for v in (p.args if isinstance(p, NotAllEqual3) else p.watches)))
+    """Every variable a posted propagator watches, decision and state alike;
+    under ``sym="all"`` a table watches every decision variable."""
+    return list(dict.fromkeys(v for p in m.propagators for v in p.watches))
 
 
 @pytest.mark.parametrize("mode, budget", [("all", Budget(max_nodes=30)),
