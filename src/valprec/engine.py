@@ -16,6 +16,8 @@ on a FIFO queue with per-propagator deduplication, unless its own filter made
 the change.  The one filter is ``TernaryTable``, GAC over three variables.
 It looks a one-value slice of its index up directly, skips a narrow whose
 keep mask covers the domain and keeps its column sizes with ``columns``.
+Its outcome depends only on its three domains, so it remembers it in an
+untrailed ``memo``, and a revisited domain triple costs one lookup.
 Every ordering rule, lexicographic ordering and set variable included, is
 compiled to chains of it in :mod:`valprec.precedence`.  Not-all-equal is a
 rule of the engine, not a propagator, and ``Model.post_nae`` posts it.  A
@@ -150,9 +152,17 @@ class TernaryTable(Propagator):
     index (value -> tuples) built on first use, never trailed.  A one-value
     slice is looked up directly.  A narrow whose keep mask covers the
     domain is not made.
+
+    ``memo`` maps the domain masks a filter sees, each cut to its column, to
+    the filter's outcome: the support masks and whether the table is then
+    entailed, or all-zero supports for a failure.  The outcome is a pure
+    function of those masks, given the fixed tuples, so the memo is never
+    trailed; a hit skips the scan choice and the scan, and both paths end in
+    the same narrows.  A miss stores its outcome once complete, and the memo
+    stops growing at one entry per tuple.
     """
 
-    __slots__ = ("x", "y", "z", "triples", "columns", "by_value")
+    __slots__ = ("x", "y", "z", "triples", "columns", "by_value", "memo")
 
     def __init__(self, x: IntVar, y: IntVar, z: IntVar,
                  triples: Iterable[tuple[int, int, int]]):
@@ -166,6 +176,7 @@ class TernaryTable(Propagator):
         self.triples = tuple(sorted(triples))
         self.columns: Optional[tuple[int, int, int]] = None
         self.by_value: list[Optional[dict[int, tuple]]] = [None, None, None]
+        self.memo: dict[tuple[int, int, int], tuple[int, int, int, bool]] = {}
 
     def filter(self, m: Model) -> bool:
         x, y, z = self.x, self.y, self.z
@@ -181,34 +192,40 @@ class TernaryTable(Propagator):
                                  f"no negative value, got {min(map(min, self.triples))}") from None
             cols = self.columns = (cx, cy, cz, cx.bit_count(), cy.bit_count(), cz.bit_count())
         cx, cy, cz, tx, ty, tz = cols
-        pos, live, total = None, 1, 1  # shares compare by cross-multiplying
-        if (n := (keys := dx & cx).bit_count()) < tx:
-            pos, live, total, scan = 0, n, tx, keys
-        if (n := (keys := dy & cy).bit_count()) < ty and n * total < live * ty:
-            pos, live, total, scan = 1, n, ty, keys
-        if (n := (keys := dz & cz).bit_count()) < tz and n * total < live * tz:
-            pos, scan = 2, keys
-        if pos is None:
-            sx, sy, sz, live = cx, cy, cz, len(self.triples)
-        else:
-            if not scan:
-                return False
-            index = self.by_value[pos]
-            if index is None:
-                key = itemgetter(pos)
-                index = self.by_value[pos] = {
-                    a: tuple(group) for a, group in groupby(sorted(self.triples, key=key), key)}
+        key = (kx, ky, kz) = (dx & cx, dy & cy, dz & cz)
+        memo = self.memo
+        if (out := memo.get(key)) is None:
+            pos, live, total = None, 1, 1  # shares compare by cross-multiplying
+            if (n := kx.bit_count()) < tx:
+                pos, live, total, scan = 0, n, tx, kx
+            if (n := ky.bit_count()) < ty and n * total < live * ty:
+                pos, live, total, scan = 1, n, ty, ky
+            if (n := kz.bit_count()) < tz and n * total < live * tz:
+                pos, scan = 2, kz
             sx = sy = sz = live = 0
-            for u, v, w in (index[scan.bit_length() - 1] if not scan & (scan - 1) else
-                            chain.from_iterable(map(index.__getitem__, mask_values(scan)))):
-                if dx >> u & 1 and dy >> v & 1 and dz >> w & 1:
-                    sx, sy, sz, live = sx | 1 << u, sy | 1 << v, sz | 1 << w, live + 1
+            if pos is None:
+                sx, sy, sz, live = cx, cy, cz, len(self.triples)
+            elif scan:
+                index = self.by_value[pos]
+                if index is None:
+                    key_of = itemgetter(pos)
+                    index = self.by_value[pos] = {
+                        a: tuple(group)
+                        for a, group in groupby(sorted(self.triples, key=key_of), key_of)}
+                for u, v, w in (index[scan.bit_length() - 1] if not scan & (scan - 1) else
+                                chain.from_iterable(map(index.__getitem__, mask_values(scan)))):
+                    if kx >> u & 1 and ky >> v & 1 and kz >> w & 1:
+                        sx, sy, sz, live = sx | 1 << u, sy | 1 << v, sz | 1 << w, live + 1
+            out = (sx, sy, sz, live > 0 and x is not y and y is not z and x is not z and (
+                live == 1 or live == sx.bit_count() * sy.bit_count() * sz.bit_count()))
+            if len(memo) < len(self.triples):
+                memo[key] = out
+        sx, sy, sz, entailed = out
         # A narrow whose keep mask covers the domain would change nothing.
-        if not live or (dx & ~sx and not m.narrow(x, sx)) \
+        if not sx or (dx & ~sx and not m.narrow(x, sx)) \
                 or (dy & ~sy and not m.narrow(y, sy)) or (dz & ~sz and not m.narrow(z, sz)):
             return False
-        if x is not y and y is not z and x is not z and (
-                live == 1 or live == sx.bit_count() * sy.bit_count() * sz.bit_count()):
+        if entailed:
             m.set_entailed(self)
         return True
 

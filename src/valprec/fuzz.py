@@ -329,6 +329,8 @@ def _random_set_case(rng: random.Random):
 
 def fuzz_equivalence(seed: int, cases: int) -> FuzzReport:
     """Run ``cases`` random equivalence checks, rotating through the families."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if not isinstance(cases, int) or isinstance(cases, bool) or cases <= 0:
         raise ValueError(f"cases must be a positive int, got {cases!r}")
     rng = random.Random(seed)

@@ -66,12 +66,13 @@ def solve(model: Model, variables: Sequence[IntVar],
     Branches only on the given decision variables; any other variables in the
     model must be functionally determined by them (true for all encoding state
     variables here), otherwise distinct solutions could be reported once.
-    mode 'first' stops at the first solution.  A budget makes the search stop
-    early with halted=True; whatever was found so far stays in the result.
-    Each node calls ``model.propagate`` once, looked up on the instance.  The
-    left branch narrows the variable to the chosen value's bit, the right
-    branch removes that bit.  Every exit, an exception too, undoes the
-    search's choices.
+    mode 'first' stops at the first solution.  A budget, or a
+    ``KeyboardInterrupt`` (Ctrl-C), makes the search stop early with
+    halted=True; whatever was found so far stays in the result.  Each node
+    calls ``model.propagate`` once, looked up on the instance.  The left
+    branch narrows the variable to the chosen value's bit, the right branch
+    removes that bit.  Every exit, an exception too, undoes the search's
+    choices.
     """
     if mode not in ("all", "first"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -131,6 +132,8 @@ def solve(model: Model, variables: Sequence[IntVar],
             pop_choice()
             push_choice()
             narrow(xs[i], ~bit)
+    except KeyboardInterrupt:
+        res.halted = True
     finally:
         for _ in stack:
             pop_choice()

@@ -138,3 +138,9 @@ def test_fuzz_report_format():
 def test_fuzz_refuses_non_positive_cases(cases):
     with pytest.raises(ValueError, match="positive"):
         fuzz_equivalence(seed=1, cases=cases)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5])
+def test_fuzz_refuses_non_int_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        fuzz_equivalence(seed=seed, cases=1)

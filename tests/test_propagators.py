@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from valprec.engine import Model, PropagationStatus, TernaryTable
+from valprec.engine import IntVar, Model, PropagationStatus, TernaryTable
 from valprec.fuzz import check
 from valprec.oracle import gac_by_definition, iterated_gac
 from valprec.precedence import (
@@ -112,7 +112,50 @@ def _full_scan_entailed(prop):
     return distinct and len(live) == supports[0] * supports[1] * supports[2]
 
 
-def test_table_narrowed_fixpoints_match_oracle_and_full_scan():
+def _copy_table(prop):
+    """A copy of ``prop`` over fresh variables, aliased as in ``prop``."""
+    copies = {}
+    for var in prop.watches:
+        copies.setdefault(var, IntVar(var.mask, var.name))
+    return TernaryTable(*(copies[var] for var in prop.watches), prop.triples)
+
+
+def _check_memo_hits(monkeypatch):
+    """Patch ``TernaryTable.filter`` so that each call that hits the memo is
+    compared with a copy of the table whose memo is emptied first.
+
+    The copy, its arguments set to the same masks and filtered on a fresh
+    model, must reach the same result, masks and entailment, and store the
+    same outcome.  Returns the list of tables hit, one entry per hit.
+    """
+    filter_ = TernaryTable.filter
+    copies, hits = {}, []
+
+    def checked(prop, m):
+        masks = [var.mask for var in prop.watches]
+        key = prop.columns and tuple(d & c for d, c in zip(masks, prop.columns))
+        hit = key in prop.memo
+        ok = filter_(prop, m)
+        if hit:
+            hits.append(prop)
+            if prop not in copies:
+                copies[prop] = _copy_table(prop)
+            copy = copies[prop]
+            for var, mask in zip(copy.watches, masks):
+                var.mask = mask
+            copy.memo.clear()
+            copy.entailed = False
+            got = filter_(copy, Model())
+            assert (got, [var.mask for var in copy.watches], copy.entailed) \
+                == (ok, [var.mask for var in prop.watches], prop.entailed)
+            assert copy.memo == {key: prop.memo[key]}
+        return ok
+
+    monkeypatch.setattr(TernaryTable, "filter", checked)
+    return hits
+
+
+def test_table_narrowed_fixpoints_match_oracle_and_full_scan(monkeypatch):
     """Random tables narrowed under choice points, arguments possibly aliased.
 
     Narrowing an argument below the values its column holds makes the
@@ -120,8 +163,10 @@ def test_table_narrowed_fixpoints_match_oracle_and_full_scan():
     the smallest live share; every position must be indexed by some table.
     Each fixpoint must still be the oracle's GAC, and entailment what a scan
     of every tuple gives.  Popping a choice must restore the domains and the
-    entailment of its push.
+    entailment of its push.  Domains seen again after a pop hit the memo,
+    and each hit must equal a from-scratch filter.
     """
+    hits = _check_memo_hits(monkeypatch)
     rng = random.Random(2007)
     pool = list(itertools.product(range(5), repeat=3))
     indexed = 0
@@ -167,6 +212,37 @@ def test_table_narrowed_fixpoints_match_oracle_and_full_scan():
             by_position[pos] += index is not None
     assert indexed >= 100
     assert all(by_position), by_position
+    assert len(hits) >= 20, len(hits)
+
+
+def test_memo_holds_at_most_one_entry_per_tuple():
+    """One table swept over every combination of sub-domains of its columns.
+
+    Its memo stops growing at one entry per tuple, and every fixpoint, memo
+    hit or not, is still the oracle's GAC with full-scan entailment.
+    """
+    triples = {(0, 0, 0), (0, 1, 2), (1, 2, 0), (2, 0, 1),
+               (1, 1, 1), (2, 2, 2), (0, 2, 1), (2, 1, 0)}
+    m = Model()
+    # value 3 is in no tuple, so every sweep step narrows and wakes the table
+    vs = [m.add_fd_var(range(4)) for _ in range(3)]
+    prop = m.post(TernaryTable(*vs, triples))
+    subsets = [set(c) for r in (1, 2, 3) for c in itertools.combinations(range(3), r)]
+    for doms in itertools.product(subsets, repeat=3):
+        m.push_choice()
+        for var, dom in zip(vs, doms):
+            assert m.retain_values(var, dom)
+        status = m.propagate()
+        assert len(prop.memo) <= len(triples)
+        want = gac_by_definition(lambda t: t in triples, list(doms))
+        if want is None:
+            assert status is FAILED
+        else:
+            assert status is AT_FIXPOINT
+            assert domains_of(vs) == want
+            assert prop.entailed == _full_scan_entailed(prop)
+        m.pop_choice()
+    assert len(prop.memo) == len(triples)
 
 
 def _wreath_search():
@@ -180,6 +256,25 @@ def _wreath_search():
 def _schur_adjacent_search():
     m, xs = build_schur_model(SchurInstance(13, 3), "adjacent")
     return m, xs, None, (59, 27, 3)
+
+
+@pytest.mark.parametrize("search, min_hits", [(_wreath_search, 1777),
+                                              (_schur_adjacent_search, 0)],
+                         ids=["wreath", "schur-13-3-adjacent"])
+def test_memo_hits_in_real_searches_match_a_fresh_table(search, min_hits, monkeypatch):
+    """Each memo hit in a pinned search equals a from-scratch filter.
+
+    The search runs twice on one model, as the benchmark's rounds do: the
+    second round meets the memo the first one filled.  Both keep the counts.
+    S(13,3)'s tables are all entailed within the root propagation, so its
+    search makes no hit; it checks that the wrapper changes no count.
+    """
+    hits = _check_memo_hits(monkeypatch)
+    m, xs, budget, counts = search()
+    for _ in range(2):
+        res = solve(m, xs, budget=budget)
+        assert (res.stats.nodes, res.stats.backtracks, res.stats.solutions) == counts
+    assert len(hits) >= min_hits
 
 
 @pytest.mark.parametrize("search", [_wreath_search, _schur_adjacent_search],

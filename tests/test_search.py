@@ -174,7 +174,7 @@ class _RaisesOnThirdCall(Propagator):
     def filter(self, model):
         self.calls += 1
         if self.calls == 3:
-            raise KeyboardInterrupt
+            raise RuntimeError("third call")
         return True
 
 
@@ -182,7 +182,7 @@ def test_exception_undoes_choices_and_leaves_the_propagator_wakeable():
     m = Model()
     xs = [m.add_fd_var({1, 2, 3}) for _ in range(3)]
     prop = m.post(_RaisesOnThirdCall(xs))
-    with pytest.raises(KeyboardInterrupt):
+    with pytest.raises(RuntimeError, match="third call"):
         solve(m, xs)
     assert prop.calls == 3                 # root, x0 = 1, x1 = 1
     assert [x.values() for x in xs] == [(1, 2, 3)] * 3
@@ -192,6 +192,35 @@ def test_exception_undoes_choices_and_leaves_the_propagator_wakeable():
     m.assign(xs[0], 2)
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
     assert prop.calls == 4
+
+
+@pytest.mark.parametrize("k", [1, 2, 17, 30])
+def test_interrupt_returns_the_halted_partial_result(k):
+    """Ctrl-C at node k: the search returns what it found before node k,
+    halted, with every choice undone."""
+    m, xs = build_schur_model(SchurInstance(13, 3), "all")
+    m.propagate()
+    everything = model_vars(m)
+    root = [v.mask for v in everything]
+    before = solve(m, xs, budget=Budget(max_nodes=k - 1))
+    propagate, calls = m.propagate, 0
+
+    def interrupted():
+        nonlocal calls
+        calls += 1
+        if calls == k:
+            raise KeyboardInterrupt
+        return propagate()
+
+    m.propagate = interrupted
+    res = solve(m, xs)
+    del m.propagate
+    assert res.halted
+    assert res.stats.nodes == k
+    assert res.solutions == before.solutions
+    assert res.stats.solutions == len(before.solutions)
+    assert [v.mask for v in everything] == root
+    assert m._marks == []
 
 
 def test_search_branches_only_on_decision_variables():
