@@ -5,23 +5,27 @@ fixpoint, and the result is compared with the GAC of a predicate.
 ``check_fd_instance`` makes it for one symmetry family's chain,
 ``check_set_instance`` for a set instance on its sets' 0/1 bits (where GAC
 is lb/ub bound consistency), and ``sweep`` on every combination of small
-domains.  The witnesses in ``verify`` build their models through
-``fd_fixpoint`` too.  ``fuzz_equivalence`` draws random cases, and reduces
-any divergence by the one greedy ``shrink`` (drop an entry, then narrow one:
-a domain loses a value, a set's ub loses an element outside its lb) before
-reporting it.  Fixed seed means byte-identical reports.
+domains.  Every family's predicate is the oracle's one class rule,
+``partition_precedence_holds``: over a value-class spec's classes, over a
+wreath spec's code classes, or, for each pair of listed set values, over
+the class (1, -1) read straight from the two bit columns.  The witnesses in
+``verify`` build their models through ``fd_fixpoint`` too.
+``fuzz_equivalence`` draws random cases, and reduces any divergence by the
+one greedy ``shrink`` (drop an entry, then narrow one: a domain loses a
+value, a set's ub loses an element outside its lb) before reporting it.
+Fixed seed means byte-identical reports.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, combinations, compress, product
+from itertools import chain, combinations, product
+from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from .engine import IntVar, Model, PropagationStatus, SetVar, mask_values
-from .oracle import (enumerate_solutions, gac_by_definition, partition_precedence_holds,
-                     set_precedence_holds, wreath_precedence_holds)
+from .oracle import enumerate_solutions, gac_by_definition, partition_precedence_holds
 from .precedence import (encode_partial_precedence, encode_set_precedence,
                          encode_wreath_precedence)
 from .symmetry import (CLASS_SPECS, FullInterchange, PairInterchange,
@@ -34,11 +38,15 @@ FAMILIES = FD_FAMILIES + ("set",)
 
 
 def predicate_for(spec: SymmetrySpec):
-    """Ground predicate of the precedence rule this symmetry induces."""
+    """Ground predicate of the precedence rule this symmetry induces.
+
+    A wreath spec's predicate takes its codes unchecked, as
+    ``check_fd_instance`` checks the domains once.
+    """
     if isinstance(spec, CLASS_SPECS):
         return partial(partition_precedence_holds, spec.classes)
     if isinstance(spec, WreathInterchange):
-        return partial(wreath_precedence_holds, spec)
+        return partial(partition_precedence_holds, spec.code_classes)
     raise TypeError(f"no predicate for {spec!r}")
 
 
@@ -94,10 +102,22 @@ def on_set_bits(post: Callable[[Model, list[SetVar]], object],
 
 
 def set_bits_holds(values: Sequence[int], universe: Sequence[int], n: int):
-    """``set_precedence_holds`` on ``n`` sets given by their bits."""
+    """``oracle.set_precedence_holds`` on ``n`` sets given by their bits.
+
+    Each pair (v, w) of listed values, v first, is the class (1, -1) over
+    ``bit_v - bit_w`` down the sets, read from the two bit columns.
+    """
     w = len(universe)
-    return lambda t: set_precedence_holds(
-        values, [frozenset(compress(universe, t[i * w:(i + 1) * w])) for i in range(n)])
+    cols = [universe.index(v) for v in values]
+    pairs = [(a, b) for j, a in enumerate(cols) for b in cols[j + 1:]]
+    pair_class = ((1, -1),)
+
+    def holds(t) -> bool:
+        for a, b in pairs:
+            if not partition_precedence_holds(pair_class, list(map(sub, t[a::w], t[b::w]))):
+                return False
+        return True
+    return holds
 
 
 def check(post: Callable[[Model, list[IntVar]], object], pred: Callable[[tuple], bool],
@@ -109,7 +129,12 @@ def check(post: Callable[[Model, list[IntVar]], object], pred: Callable[[tuple],
 
 
 def check_fd_instance(spec: SymmetrySpec, domains: Sequence[set[int]]):
-    """(agree, encoding fixpoint, oracle GAC) for one finite-domain instance."""
+    """(agree, encoding fixpoint, oracle GAC) for one finite-domain instance.
+
+    Raises ValueError if a wreath spec's domains hold a value outside its codes.
+    """
+    if isinstance(spec, WreathInterchange):
+        spec.require_codes(chain.from_iterable(domains))
     return check(lambda model, xs: post_encoding(model, spec, xs), predicate_for(spec),
                  domains)
 
@@ -269,7 +294,8 @@ def format_fuzz(report: FuzzReport) -> str:
 # ----------------------------------------------------------------- generation
 
 # A random case comes with what the case loop needs to know of its kind:
-# (label, entries, checker, narrowing step, renderer).
+# (label, entries, checker, narrowing step, renderer).  The label is a
+# function, called only to describe a divergence.
 
 
 def _random_domains(rng: random.Random, n: int, universe: Sequence[int]) -> list[set[int]]:
@@ -302,7 +328,7 @@ def _random_fd_case(rng: random.Random, family: str):
         universe = range(4)
     else:
         raise ValueError(family)
-    return (f"{spec} domains=", _random_domains(rng, n, list(universe)),
+    return (lambda: f"{spec} domains=", _random_domains(rng, n, list(universe)),
             lambda case: check_fd_instance(spec, case), _narrow_domain, render_domains)
 
 
@@ -323,7 +349,7 @@ def _random_set_case(rng: random.Random):
             elif r < 0.7:
                 ub.add(v)
         bounds.append((lb, ub))
-    return (f"values={values} bounds=", bounds,
+    return (lambda: f"values={values} bounds=", bounds,
             lambda case: check_set_instance(values, case), _narrow_bounds, _render_bounds)
 
 
@@ -344,6 +370,6 @@ def fuzz_equivalence(seed: int, cases: int) -> FuzzReport:
             small = shrink(case, narrower, lambda c: not check(c)[0])
             _, enc, orc = check(small)
             report.divergences.append(Divergence(
-                family, f"{label}{render(small)} -> "
+                family, f"{label()}{render(small)} -> "
                         f"encoding {render(enc)} vs oracle {render(orc)}"))
     return report

@@ -2,10 +2,14 @@
 
 Everything here works by exhaustive enumeration straight from definitions,
 with no shared machinery with the propagation engine.  It is the referee the
-encodings are tested against: slow, obvious, and trusted.  Pair, full and
-partial interchange share one precedence predicate, first-occurrence order
+encodings are tested against: slow, obvious, and trusted.  Every precedence
+rule is one predicate, ``partition_precedence_holds``: first-occurrence order
 inside value classes, a direct definition that looks up each first
 occurrence once per tuple (``list.index``) rather than once per value pair.
+Pair, full and partial interchange give it their classes.  Wreath codes give
+it one class per outer block plus the class of block heads (the
+``WreathInterchange.code_classes``), and a set pair (v, w) is the class
+(1, -1) over each set's ``(v in s) - (w in s)``.
 """
 from __future__ import annotations
 
@@ -21,19 +25,16 @@ ENUM_CAP = 10_000_000
 # ----------------------------------------------------------------- predicates
 
 
-def first_occurrence(xs: Sequence[int], value: int, default: int) -> int:
-    """1-based index of the first position taking value, else default."""
-    return xs.index(value) + 1 if value in xs else default
-
-
 def partition_precedence_holds(classes: Sequence[Sequence[int]],
                                xs: Sequence[int]) -> bool:
     """In each class, first occurrences of its values appear in class order.
 
-    Classes are disjoint and distinct-valued.  An absent value's first
-    occurrence counts as n + 1, and the rule fails as soon as one comes
-    earlier than the one before it.  That is the pairwise definition, as
-    distinct values that occur have distinct first positions.
+    Each class lists distinct values, and classes may share a value (the
+    wreath heads class shares each head with its block): each class is
+    checked on its own.  An absent value's first occurrence counts as
+    n + 1, and the rule fails as soon as one comes earlier than the one
+    before it.  That is the pairwise definition, as distinct values that
+    occur have distinct first positions.
     """
     absent = len(xs) + 1
     for cls in classes:
@@ -56,29 +57,22 @@ def wreath_precedence_holds(spec: WreathInterchange, codes: Sequence[int]) -> bo
 
     First occurrences of the outer components appear in outer-list order, and
     within each outer component first occurrences of the inner components
-    appear in inner-list order.  Each code is decoded once, and the outer
-    order and each outer value's inner order are one-class rules.
+    appear in inner-list order.  That is the class rule over the spec's
+    ``code_classes``.  Raises ValueError on a code outside ``spec.codes``.
     """
-    pairs = [spec.decode(c) for c in codes]
-    if not all_precedence_holds(spec.outer, [u for u, _ in pairs]):
-        return False
-    for u in spec.outer:
-        inners = [v for (w, v) in pairs if w == u]
-        if not all_precedence_holds(spec.inner, inners):
-            return False
-    return True
+    spec.require_codes(codes)
+    return partition_precedence_holds(spec.code_classes, codes)
 
 
 def set_pair_precedence_holds(first: int, second: int,
                               sets: Sequence[frozenset[int]]) -> bool:
     """First set containing first alone precedes the first containing second alone.
 
-    Each set is read once, and each of the two first occurrences once.
+    Each set is read once: the class (1, -1) over 1 where a set holds first
+    alone, -1 where it holds second alone.
     """
-    n = len(sets)
-    # 1 where a set holds first alone, -1 where it holds second alone
-    alone = [(first in s) - (second in s) for s in sets]
-    return first_occurrence(alone, 1, n + 1) < first_occurrence(alone, -1, n + 2)
+    return partition_precedence_holds(
+        ((1, -1),), [(first in s) - (second in s) for s in sets])
 
 
 def set_precedence_holds(values: Sequence[int], sets: Sequence[frozenset[int]]) -> bool:

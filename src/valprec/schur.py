@@ -11,7 +11,7 @@ import csv
 import io
 import time
 from dataclasses import astuple, dataclass, fields, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .engine import IntVar, Model
 from .precedence import (TRANSITION_CAP, encode_all_precedence,
@@ -52,11 +52,11 @@ class SchurInstance:
         return f"S({self.n},{self.k})"
 
 
-def sum_triples(n: int) -> list[tuple[int, int, int]]:
-    """All (a, b, a+b) with a <= b and a+b <= n."""
-    return [(a, b, a + b)
+def sum_triples(n: int) -> Iterator[tuple[int, int, int]]:
+    """All (a, b, a+b) with a <= b and a+b <= n, by a then b, made one at a time."""
+    return ((a, b, a + b)
             for a in range(1, n + 1)
-            for b in range(a, n - a + 1)]
+            for b in range(a, n - a + 1))
 
 
 def build_schur_model(inst: SchurInstance, sym: str = "none") -> tuple[Model, list[IntVar]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 
@@ -78,15 +79,40 @@ class WreathInterchange:
         _require_values(self.outer, self.inner)
 
     def code(self, u: int, v: int) -> int:
+        if u not in self.outer or v not in self.inner:
+            raise ValueError(f"<{u!r}, {v!r}> is not a pair of outer {self.outer} "
+                             f"and inner {self.inner}")
         return self.outer.index(u) * len(self.inner) + self.inner.index(v)
 
     def decode(self, c: int) -> tuple[int, int]:
+        self.require_codes((c,))
         a, b = divmod(c, len(self.inner))
         return (self.outer[a], self.inner[b])
 
     @property
     def codes(self) -> tuple[int, ...]:
         return tuple(range(len(self.outer) * len(self.inner)))
+
+    def require_codes(self, codes: Iterable[int]) -> None:
+        """Refuse, naming it, the first of ``codes`` outside ``self.codes``."""
+        valid = range(len(self.outer) * len(self.inner))
+        for c in codes:
+            if not isinstance(c, int) or c not in valid:
+                raise ValueError(f"{c!r} is not a code of {self}: "
+                                 f"codes are 0..{len(valid) - 1}")
+
+    @cached_property
+    def code_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The codes' first-occurrence classes: one per outer block, then the heads.
+
+        Block ``a`` is ``(a*p, ..., a*p + p - 1)`` for ``p`` inner values,
+        and the heads class is ``(0, p, 2p, ...)``, so each head is in two
+        classes.  Once each block's inner order holds, a block first appears
+        at its head, so ordering the heads orders the outer values.
+        """
+        p = len(self.inner)
+        blocks = [tuple(range(a * p, a * p + p)) for a in range(len(self.outer))]
+        return (*blocks, tuple(range(0, len(self.outer) * p, p)))
 
 
 SymmetrySpec = Union[PairInterchange, FullInterchange, PartitionInterchange,

@@ -101,9 +101,10 @@ def _check_wreath_vs_pairwise() -> TheoremItem:
     """The pair-value chain against the natural decomposition of its rule.
 
     The paper's abstract does not name the decomposition, so this uses the
-    natural one: a full-order rule over the first inner code of every outer
-    value, plus one full-order rule per outer value over its inner codes.
-    Their conjunction has the same solutions as ``wreath_precedence_holds``.
+    natural one, the spec's ``code_classes``: one full-order rule per outer
+    value over its inner codes, plus a full-order rule over the first inner
+    code of every outer value.  Their conjunction has the same solutions as
+    ``wreath_precedence_holds``.
     It is posted twice: as one chain per rule, and with every rule split into
     pair chains.  Two outer by two inner values admit no separating instance
     of up to four variables, so this one has three outer values.
@@ -111,8 +112,7 @@ def _check_wreath_vs_pairwise() -> TheoremItem:
     spec = WreathInterchange(outer=(1, 2, 3), inner=(3, 4))
     # <1,3>=0 <1,4>=1 <2,3>=2 <2,4>=3 <3,3>=4 <3,4>=5
     domains = [{0}, {0, 2}, {3, 4}, {2, 3}]
-    rules = ([[spec.code(u, spec.inner[0]) for u in spec.outer]]
-             + [[spec.code(u, v) for v in spec.inner] for u in spec.outer])
+    rules = spec.code_classes
 
     agrees, chain, oracle = check_fd_instance(spec, domains)
     per_rule = fd_fixpoint(domains, _per_group(encode_all_precedence, rules))

@@ -1,5 +1,6 @@
 """Ground-truth predicates, exhaustive consistency closures, orbit counting."""
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,6 @@ from valprec.fuzz import set_bits_holds
 from valprec.oracle import (
     all_precedence_holds,
     enumerate_orbits,
-    first_occurrence,
     gac_by_definition,
     increasing_seq_holds,
     iterated_gac,
@@ -21,12 +21,6 @@ from valprec.symmetry import FullInterchange, WreathInterchange
 
 
 # ----------------------------------------------------------------- predicates
-
-
-def test_first_occurrence():
-    assert first_occurrence([3, 1, 3], 3, 99) == 1
-    assert first_occurrence([3, 1, 3], 1, 99) == 2
-    assert first_occurrence([3, 1, 3], 7, 99) == 99
 
 
 def test_pair_precedence_examples():
@@ -65,6 +59,13 @@ def test_wreath_precedence_examples():
     assert not wreath_precedence_holds(spec, [c14, c23])
     # inner order is tracked per outer value
     assert wreath_precedence_holds(spec, [c13, c23, c24, c14])
+
+
+@pytest.mark.parametrize("codes, bad", [([0, -3], "-3"), ([4], "4"), ([1, 2.0], "2.0")])
+def test_wreath_precedence_refuses_codes_outside_the_spec(codes, bad):
+    spec = WreathInterchange(outer=(1, 2), inner=(3, 4))
+    with pytest.raises(ValueError, match="^" + re.escape(f"{bad} is not a code")):
+        wreath_precedence_holds(spec, codes)
 
 
 def test_set_precedence_examples():
@@ -126,11 +127,15 @@ def test_predicates_match_pairwise_definitions_exhaustively():
             assert ([partition_precedence_holds(classes, t) for t in tuples]
                     == [all(col) for col in zip(*(pairwise[c] for c in classes))])
 
-    for outer, inner in itertools.product(itertools.permutations((1, 2)), repeat=2):
-        spec = WreathInterchange(outer=outer, inner=inner)
+    # the code classes depend on the numbers of outer and inner values
+    specs = [WreathInterchange(outer=outer, inner=inner)
+             for outer, inner in itertools.product(itertools.permutations((1, 2)), repeat=2)]
+    specs += [WreathInterchange(outer=tuple(range(1, m + 1)), inner=tuple(range(1, p + 1)))
+              for m, p in ((3, 2), (2, 3), (1, 3), (3, 1))]
+    for spec in specs:
         codes = [c for n in range(6) for c in itertools.product(spec.codes, repeat=n)]
         assert ([wreath_precedence_holds(spec, c) for c in codes]
-                == [_pairwise_wreath_precedence(spec, c) for c in codes])
+                == [_pairwise_wreath_precedence(spec, c) for c in codes]), spec
 
     for w in range(1, 4):
         universe = list(range(w))

@@ -37,8 +37,8 @@ def brute_force_schur(n, k):
 
 
 def test_sum_triples_examples():
-    assert sum_triples(4) == [(1, 1, 2), (1, 2, 3), (1, 3, 4), (2, 2, 4)]
-    assert len(sum_triples(13)) == 42
+    assert list(sum_triples(4)) == [(1, 1, 2), (1, 2, 3), (1, 3, 4), (2, 2, 4)]
+    assert len(list(sum_triples(13))) == 42
 
 
 def test_instance_validation_and_label():
@@ -69,7 +69,7 @@ def test_posting_a_triple_keeps_no_object_alive():
     where an object per triple kept in ``model.propagators`` left 164 B."""
     m = Model()
     xs = [m.add_fd_var(range(1, 4)) for _ in range(300)]
-    triples = sum_triples(300)
+    triples = list(sum_triples(300))
     assert len(triples) == 22_500
     tracemalloc.start()
     try:

@@ -1,5 +1,6 @@
 """Symmetry group enumeration: sizes, codings, orbit application."""
 import math
+import re
 
 import pytest
 
@@ -51,6 +52,28 @@ def test_wreath_group_size_and_coding():
         for v in spec.inner:
             assert spec.decode(spec.code(u, v)) == (u, v)
     assert sorted(spec.codes) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda spec: spec.decode(-1), "-1 is not a code"),
+    (lambda spec: spec.decode(4), "4 is not a code"),
+    (lambda spec: spec.decode(1.5), "1.5 is not a code"),
+    (lambda spec: spec.code(3, 3), "<3, 3> is not a pair"),
+    (lambda spec: spec.code(1, 5), "<1, 5> is not a pair"),
+], ids=["decode-negative", "decode-past-end", "decode-non-int", "code-outer",
+        "code-inner"])
+def test_wreath_coding_refuses_values_outside_the_spec(call, named):
+    spec = WreathInterchange(outer=(1, 2), inner=(3, 4))
+    with pytest.raises(ValueError, match="^" + re.escape(named)):
+        call(spec)
+
+
+def test_wreath_code_classes_are_blocks_then_heads():
+    assert WreathInterchange((1, 2), (3, 4)).code_classes == ((0, 1), (2, 3), (0, 2))
+    assert WreathInterchange((1, 2, 3), (4, 5)).code_classes == (
+        (0, 1), (2, 3), (4, 5), (0, 2, 4))
+    assert WreathInterchange((7,), (1, 2, 3)).code_classes == ((0, 1, 2), (0,))
+    assert WreathInterchange((1, 2, 3), (9,)).code_classes == ((0,), (1,), (2,), (0, 1, 2))
 
 
 def test_wreath_permutations_act_blockwise():
