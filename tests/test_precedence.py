@@ -283,15 +283,13 @@ def test_wreath_larger_inner_group():
 
 
 def test_matrix_column_ordering_prunes_middle_variable():
-    # ground neighbours squeeze the middle variable through the bit columns;
-    # on this instance the chain prunes it the same way
+    # ground neighbours squeeze the middle variable through the bit columns
     doms = [{1}, {1, 2, 3}, {3}]
-    for encode in (encode_matrix_precedence, encode_all_precedence):
-        m = Model()
-        xs = [m.add_fd_var(d) for d in doms]
-        encode(m, [1, 2, 3], xs)
-        assert m.propagate() is AT_FIXPOINT
-        assert xs[1].domain == {2}
+    m = Model()
+    xs = [m.add_fd_var(d) for d in doms]
+    encode_matrix_precedence(m, [1, 2, 3], xs)
+    assert m.propagate() is AT_FIXPOINT
+    assert xs[1].domain == {2}
 
 
 def test_matrix_weaker_than_chain_on_open_prefix():

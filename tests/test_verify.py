@@ -1,16 +1,18 @@
 """The fixed witness suite: what it reports, and which instances it avoids.
 
-These tests pin the report of every witness instance.  They also keep a
-wreath instance that cannot show its claim, because on it the decomposition
-is as strong as the chain (checked against the oracle here); the wreath
-witness in the report uses another instance, on which the chain and the
-oracle prune while the decomposition does not.  The matrix encoding's
-instances, the one where both encodings prune and the one where only the
-chain does, are tested in ``test_precedence.py``.
+These tests pin the report of every witness instance.  They also keep two
+instances that cannot show their claims, because on them the decomposition
+is as strong as the chain (checked against the oracle here).  The wreath and
+matrix witnesses in the report use other instances, on which the chain and
+the oracle prune while the decomposition does not.
 """
+from valprec.engine import Model, PropagationStatus
 from valprec.fuzz import check_fd_instance
+from valprec.precedence import encode_all_precedence, encode_matrix_precedence
 from valprec.symmetry import WreathInterchange
 from valprec.verify import TheoremReport, format_report, verify_theorems
+
+AT_FIXPOINT = PropagationStatus.AT_FIXPOINT
 
 
 def test_report_shape_and_verdicts():
@@ -44,6 +46,33 @@ def test_wreath_witness_instance_is_already_consistent():
     # the oracle keeps every value, so any sound propagator must too
     assert want == [set(d) for d in doms]
     assert got == want
+
+
+def test_matrix_witness_instance_is_pruned_by_both_encodings():
+    """Ground neighbours make the column ordering itself prune the middle."""
+    doms = [{1}, {1, 2, 3}, {3}]
+    for encode in (encode_all_precedence, encode_matrix_precedence):
+        m = Model()
+        xs = [m.add_fd_var(d) for d in doms]
+        encode(m, [1, 2, 3], xs)
+        assert m.propagate() is AT_FIXPOINT
+        assert xs[1].domain == {2}
+
+
+def test_matrix_gap_exists_on_a_different_instance():
+    """The weakness claim itself is true, just not on the witness above."""
+    doms = [{1, 2}, {1, 2, 3}]
+    m = Model()
+    xs = [m.add_fd_var(d) for d in doms]
+    encode_matrix_precedence(m, [1, 2, 3], xs)
+    assert m.propagate() is AT_FIXPOINT
+    assert [set(x.domain) for x in xs] == doms
+
+    m = Model()
+    xs = [m.add_fd_var(d) for d in doms]
+    encode_all_precedence(m, [1, 2, 3], xs)
+    assert m.propagate() is AT_FIXPOINT
+    assert [set(x.domain) for x in xs] == [{1}, {1, 2}]
 
 
 def test_report_ok_property():
