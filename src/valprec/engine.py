@@ -3,9 +3,10 @@
 Integer variables keep explicit membership domains, each an int bitmask, so
 propagators can do exact value-level pruning rather than bounds reasoning.
 A set variable is its characteristic row: one 0/1 integer variable per
-element it may hold, from which its bounds are read.  ``Model.narrow`` is
-the one general domain mutator; the NAE rule's prune in ``propagate`` is the
-only other write site.  The trail has one record layout, ``(var, old_mask)``
+element it may hold, from which its bounds are read.  ``IntVar.mask`` is
+the one domain reader and ``Model.narrow``, which keeps the values a mask
+allows, the one mutator; the NAE rule's prune in ``propagate`` is the only
+other write site.  The trail has one record layout, ``(var, old_mask)``
 or ``(prop, None)`` for an entailment, and ``pop_choice`` restores it.
 Every ``propagate`` leaves both queues empty, so ``pop_choice`` clears them
 only when a ``narrow`` since then left them non-empty.  An exception out of
@@ -50,12 +51,12 @@ def mask_values(mask: int) -> Iterator[int]:
 class IntVar:
     """Integer variable with a finite domain of non-negative values.
 
-    ``mask`` is the domain, bit ``v`` set iff ``v`` is in it; ``domain``
-    reads it as a frozenset.  A mask's size grows with the largest value, so
-    ``post_state_chain`` numbers each layer's states from 0.  ``watchers``
-    are woken on every change.  ``nae_pairs`` holds, flattened, the other
-    two arguments of each not-all-equal that ``Model.post_nae`` posts over
-    the variable.
+    ``mask`` is the domain, bit ``v`` set iff ``v`` is in it, and
+    ``mask_values`` lists its values.  A mask's size grows with the largest
+    value, so ``post_state_chain`` numbers each layer's states from 0.
+    ``watchers`` are woken on every change.  ``nae_pairs`` holds, flattened,
+    the other two arguments of each not-all-equal that ``Model.post_nae``
+    posts over the variable.
     """
 
     __slots__ = ("name", "mask", "watchers", "nae_pairs")
@@ -65,32 +66,8 @@ class IntVar:
         self.watchers: list[Propagator] = []
         self.nae_pairs: list[IntVar] = []
 
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(mask_values(self.mask))
-
-    def values(self) -> tuple[int, ...]:
-        return tuple(mask_values(self.mask))
-
-    def min(self) -> int:
-        return (self.mask & -self.mask).bit_length() - 1
-
-    def max(self) -> int:
-        return self.mask.bit_length() - 1
-
-    def is_assigned(self) -> bool:
-        return not self.mask & (self.mask - 1)
-
-    def value(self) -> int:
-        if self.mask & (self.mask - 1):
-            raise ValueError(f"{self.name} is not assigned")
-        return self.mask.bit_length() - 1
-
-    def __contains__(self, v: int) -> bool:
-        return v >= 0 and bool(self.mask >> v & 1)
-
     def __repr__(self) -> str:
-        return f"IntVar({self.name}, {list(self.values())})"
+        return f"IntVar({self.name}, {list(mask_values(self.mask))})"
 
 
 class SetVar:
@@ -341,22 +318,6 @@ class Model:
         if not new & (new - 1) and var.nae_pairs:
             self._fixed.append(var)
         return True
-
-    def remove_value(self, var: IntVar, v: int) -> bool:
-        """Remove ``v`` from ``var``; False on domain wipeout."""
-        return v < 0 or not var.mask >> v & 1 or self.narrow(var, ~(1 << v))
-
-    def retain_values(self, var: IntVar, allowed: Iterable[int]) -> bool:
-        """Restrict ``var`` to ``allowed``; False on wipeout."""
-        top, keep = var.mask.bit_length(), 0
-        for v in allowed:
-            if 0 <= v < top:
-                keep |= 1 << v
-        return self.narrow(var, keep)
-
-    def assign(self, var: IntVar, v: int) -> bool:
-        """Fix ``var`` to ``v``; False if ``v`` is not in its domain."""
-        return self.retain_values(var, (v,))
 
     # ----------------------------------------------------------------- queue
 

@@ -167,7 +167,7 @@ def sweep(post: Callable[[Model, list[IntVar]], object], pred: Callable[[tuple],
 
     ``post(model, xs)`` posts on ``n`` variables over ``universe``, and a
     combination gives each of them a non-empty subset of it: push a choice
-    point, retain the combination, propagate, pop.  The oracle side indexes
+    point, narrow to the combination, propagate, pop.  The oracle side indexes
     the solutions on full domains by (position, value), as big-int masks of
     solution ids, so a combination costs one AND per position.  Returns
     (checked, mismatches); a mismatch is (combination, fixpoint, oracle GAC).
@@ -185,13 +185,14 @@ def sweep(post: Callable[[Model, list[IntVar]], object], pred: Callable[[tuple],
         for i, v in enumerate(t):
             has[i][v] |= 1 << sid
 
-    subsets = [frozenset(c) for r in range(1, len(universe) + 1)
-               for c in combinations(sorted(universe), r)]
+    # each non-empty subset of the universe, with its keep mask
+    subsets = {frozenset(c): sum(1 << v for v in c) for r in range(1, len(universe) + 1)
+               for c in combinations(sorted(universe), r)}
     checked = 0
     mismatches = []
     for combo in product(subsets, repeat=n):
         m.push_choice()
-        alive = all(m.retain_values(x, keep) for x, keep in zip(xs, combo))
+        alive = all(m.narrow(x, subsets[keep]) for x, keep in zip(xs, combo))
         if alive and m.propagate() is not PropagationStatus.FAILED:
             enc = [set(mask_values(x.mask)) for x in xs]
         else:
@@ -208,7 +209,8 @@ def sweep(post: Callable[[Model, list[IntVar]], object], pred: Callable[[tuple],
         if enc != orc:
             mismatches.append((combo, enc, orc))
         checked += 1
-    assert [x.mask for x in xs] == root
+    if [x.mask for x in xs] != root:
+        raise AssertionError("the trail did not restore the full domains")
     return checked, mismatches
 
 

@@ -186,7 +186,7 @@ def encode_wreath_precedence(model: Model, outer: Sequence[int],
 
 def post_exactly_one(model: Model, bits: Sequence[IntVar]) -> ChainEncoding:
     """Exactly one of the 0/1 variables takes value 1.  State = ones seen."""
-    if any(not b.domain <= {0, 1} for b in bits):
+    if any(b.mask >> 2 for b in bits):  # a value above 1
         raise ValueError("exactly-one requires 0/1 variables")
 
     def step(ones: int, v: int) -> Optional[int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .engine import Model
+from .engine import Model, mask_values
 from .fuzz import (check_fd_instance, check_set_instance, fd_fixpoint,
                    on_set_bits, render_domains, set_bits)
 from .oracle import all_precedence_holds, iterated_gac
@@ -185,7 +185,7 @@ def _check_surjection_vs_chain() -> TheoremItem:
     encodings = []
     surj = fd_fixpoint(domains, lambda model, xs: encodings.append(
         encode_puget_surjection(model, xs, values)))
-    z_doms = [set(z.domain) for z in encodings[0].first_index]
+    z_doms = [set(mask_values(z.mask)) for z in encodings[0].first_index]
     stated_z = [{1}, {2, 5}, {3, 4, 6}, {4, 7}]
 
     agrees, chain, oracle = check_fd_instance(FullInterchange(values), domains)

@@ -16,7 +16,7 @@ NAMES = [
     ("valprec.engine", "Model"),
     *(("valprec.engine", f"Model.{method}")
       for method in ("add_fd_var", "add_set_var", "propagate", "push_choice",
-                     "pop_choice", "remove_value", "retain_values", "assign")),
+                     "pop_choice")),
     ("valprec.engine", "Propagator"),
     ("valprec.engine", "SetVar"),
     ("valprec.engine", "PropagationStatus"),

@@ -2,6 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import mask_of, vals
 from valprec.engine import IntVar, Model, PropagationStatus, Propagator
 from valprec.precedence import post_state_chain
 
@@ -9,10 +10,8 @@ from valprec.precedence import post_state_chain
 def test_fd_var_basics():
     m = Model()
     x = m.add_fd_var([3, 1, 2], name="x")
-    assert x.values() == (1, 2, 3)
-    assert x.min() == 1 and x.max() == 3
-    assert not x.is_assigned()
-    assert 2 in x and 5 not in x
+    assert x.mask == 0b1110 and vals(x.mask) == (1, 2, 3)
+    assert repr(x) == "IntVar(x, [1, 2, 3])"
 
 
 def test_fd_var_empty_domain_rejected():
@@ -25,7 +24,7 @@ def test_range_domain_mask():
     m = Model()
     assert m.add_fd_var(range(3, 7)).mask == 0b1111000
     assert m.add_fd_var(range(0, 1)).mask == 1
-    assert m.add_fd_var(range(2, 9, 3)).values() == (2, 5, 8)
+    assert vals(m.add_fd_var(range(2, 9, 3)).mask) == (2, 5, 8)
     with pytest.raises(ValueError, match="empty domain"):
         m.add_fd_var(range(4, 4))
     with pytest.raises(ValueError, match="^neg: .*got -2"):
@@ -43,20 +42,22 @@ def test_negative_values_refused_by_name():
 
 
 def test_absent_or_negative_value_is_not_in_domain():
+    """Dropping absent values changes nothing, and keeping only absent ones
+    fails.  A negative value has no bit, and ``add_fd_var`` refuses it."""
     m = Model()
     x = m.add_fd_var([0, 2, 3])
-    assert -1 not in x and 1 not in x and 64 not in x
+    assert not x.mask & mask_of(1, 64)
     m.push_choice()
-    for v in (-1, -64, 1, 5, 10**12):
-        assert m.remove_value(x, v)
-    assert x.values() == (0, 2, 3) and not m.failed
-    assert m.retain_values(x, (-1, 0, 2, 3, 10**12)) and x.values() == (0, 2, 3)
-    assert not m.assign(x, 10**12) and m.failed
+    for v in (1, 5, 64):
+        assert m.narrow(x, ~mask_of(v))
+    assert vals(x.mask) == (0, 2, 3) and not m.failed and m._trail == []
+    assert m.narrow(x, mask_of(0, 2, 3, 64)) and vals(x.mask) == (0, 2, 3)
+    assert not m.narrow(x, mask_of(64)) and m.failed
     m.pop_choice()
     m.push_choice()
-    assert m.remove_value(x, 0) and x.domain == {2, 3}
+    assert m.narrow(x, ~mask_of(0)) and vals(x.mask) == (2, 3)
     m.pop_choice()
-    assert x.domain == {0, 2, 3}
+    assert vals(x.mask) == (0, 2, 3)
 
 
 def test_set_var_bounds_validated():
@@ -65,7 +66,7 @@ def test_set_var_bounds_validated():
     assert s.lb == {1} and s.ub == {1, 2, 3}
     m.push_choice()
     # a required element cannot be dropped
-    assert not m.retain_values(s.bits[1], (0,))
+    assert not m.narrow(s.bits[1], mask_of(0))
     assert m.failed
     m.pop_choice()
     assert s.lb == {1} and s.ub == {1, 2, 3}
@@ -78,8 +79,8 @@ def test_add_set_var_makes_one_bit_per_ub_element():
     s = m.add_set_var({1}, {1, 2, 5}, name="S")
     assert sorted(s.bits) == [1, 2, 5]
     assert len({id(b) for b in s.bits.values()}) == 3
-    assert s.bits[1].domain == {1}
-    assert s.bits[2].domain == s.bits[5].domain == {0, 1}
+    assert s.bits[1].mask == mask_of(1)
+    assert s.bits[2].mask == s.bits[5].mask == mask_of(0, 1)
     assert s.lb == {1} and s.ub == {1, 2, 5}
     assert m.add_set_var(set(), set()).bits == {}
     with pytest.raises(ValueError):
@@ -89,17 +90,16 @@ def test_add_set_var_makes_one_bit_per_ub_element():
 def test_remove_and_retain():
     m = Model()
     x = m.add_fd_var([1, 2, 3])
-    assert m.remove_value(x, 2)
-    assert x.values() == (1, 3)
-    assert m.retain_values(x, {3, 9})
-    assert x.values() == (3,)
-    assert x.is_assigned() and x.value() == 3
+    assert m.narrow(x, ~mask_of(2))
+    assert vals(x.mask) == (1, 3)
+    assert m.narrow(x, mask_of(3, 9))
+    assert x.mask == mask_of(3)
 
 
 def test_wipeout_fails_model():
     m = Model()
     x = m.add_fd_var([1])
-    assert not m.remove_value(x, 1)
+    assert not m.narrow(x, ~mask_of(1))
     assert m.failed
     assert m.propagate() is PropagationStatus.FAILED
 
@@ -107,21 +107,21 @@ def test_wipeout_fails_model():
 def test_assign():
     m = Model()
     x = m.add_fd_var([1, 2, 3])
-    assert m.assign(x, 2)
-    assert x.values() == (2,)
-    assert not m.assign(x, 3)
+    assert m.narrow(x, mask_of(2))
+    assert x.mask == mask_of(2)
+    assert not m.narrow(x, mask_of(3))
 
 
 def test_set_ops_and_guards():
     m = Model()
     s = m.add_set_var(set(), {1, 2, 3})
     m.push_choice()
-    assert m.retain_values(s.bits[1], (1,))
+    assert m.narrow(s.bits[1], mask_of(1))
     assert s.lb == {1}
-    assert m.retain_values(s.bits[2], (0,))
+    assert m.narrow(s.bits[2], mask_of(0))
     assert s.ub == {1, 3}
     # including an element already excluded fails the model
-    assert not m.retain_values(s.bits[2], (1,))
+    assert not m.narrow(s.bits[2], mask_of(1))
     assert m.failed
     m.pop_choice()
     assert s.lb == set() and s.ub == {1, 2, 3}
@@ -133,13 +133,13 @@ def test_push_pop_restores_everything():
     s = m.add_set_var({1}, {1, 2, 3})
     p = m.post(_Recorder(x))
     m.push_choice()
-    m.remove_value(x, 1)
-    m.retain_values(s.bits[2], (1,))
-    m.retain_values(s.bits[3], (0,))
+    m.narrow(x, ~mask_of(1))
+    m.narrow(s.bits[2], mask_of(1))
+    m.narrow(s.bits[3], mask_of(0))
     m.set_entailed(p)
     assert p.entailed and s.lb == {1, 2} and s.ub == {1, 2}
     m.pop_choice()
-    assert x.values() == (1, 2, 3)
+    assert vals(x.mask) == (1, 2, 3)
     assert s.lb == {1} and s.ub == {1, 2, 3}
     assert not p.entailed
 
@@ -154,11 +154,11 @@ def test_pop_clears_failure():
     m = Model()
     x = m.add_fd_var([1])
     m.push_choice()
-    m.remove_value(x, 1)
+    m.narrow(x, ~mask_of(1))
     assert m.failed
     m.pop_choice()
     assert not m.failed
-    assert x.values() == (1,)
+    assert vals(x.mask) == (1,)
 
 
 def test_always_fail_propagation():
@@ -170,7 +170,7 @@ def test_always_fail_propagation():
         post_state_chain(m, xs, lambda s, v: s, start=0, accept=lambda s: False)
         assert m.posted_counts == {"encoding": 1}
         assert m.propagate() is PropagationStatus.FAILED
-        assert [x.values() for x in xs] == [(1, 2)] * n
+        assert [vals(x.mask) for x in xs] == [(1, 2)] * n
 
 
 def test_posted_counts_by_category():
@@ -204,10 +204,10 @@ def test_watcher_woken_once_per_change():
     m.post(p)
     m.propagate()
     p.calls = 0
-    m.remove_value(x, 2)          # interior value
+    m.narrow(x, ~mask_of(2))     # interior value
     m.propagate()
     assert p.calls == 1
-    m.remove_value(x, 1)          # the minimum
+    m.narrow(x, ~mask_of(1))     # the minimum
     m.propagate()
     assert p.calls == 2
 
@@ -220,7 +220,7 @@ def test_entailed_propagator_not_rescheduled():
     m.propagate()
     m.set_entailed(p)
     p.calls = 0
-    m.remove_value(x, 1)
+    m.narrow(x, ~mask_of(1))
     m.propagate()
     assert p.calls == 0
 
@@ -252,32 +252,29 @@ def test_nae_rule_ignores_removal_leaving_two_values():
     x, y, z = (m.add_fd_var([1, 2, 3, 4]) for _ in range(3))
     m.post_nae(x, y, z)
     pairs = _counted(x)
-    m.remove_value(x, 2)
-    m.retain_values(x, (1, 3, 9))
+    m.narrow(x, ~mask_of(2))
+    m.narrow(x, mask_of(1, 3, 9))
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
-    assert x.values() == (1, 3)
+    assert vals(x.mask) == (1, 3)
     assert pairs.runs == 0
 
 
-@pytest.mark.parametrize("fix", [
-    lambda m, x: m.remove_value(x, 1),
-    lambda m, x: m.retain_values(x, (2, 9)),
-    lambda m, x: m.assign(x, 2),
-], ids=["remove_value", "retain_values", "assign"])
-def test_nae_rule_runs_once_per_kind_of_fix(fix):
+@pytest.mark.parametrize("keep", [~mask_of(1), mask_of(2, 9), mask_of(2)],
+                         ids=["drop-one-value", "keep-a-subset", "keep-one-value"])
+def test_nae_rule_runs_once_per_kind_of_fix(keep):
     m = Model()
     x, y, z = m.add_fd_var([1, 2, 3]), m.add_fd_var([2]), m.add_fd_var([1, 2, 3])
     m.post_nae(x, y, z)
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
     pairs = _counted(x)
-    m.remove_value(x, 3)
+    m.narrow(x, ~mask_of(3))
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
     assert pairs.runs == 0
-    assert fix(m, x)
-    assert x.values() == (2,)
+    assert m.narrow(x, keep)
+    assert vals(x.mask) == (2,)
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
     assert pairs.runs == 1
-    assert z.values() == (1, 3)
+    assert vals(z.mask) == (1, 3)
 
 
 def test_plain_watcher_woken_by_every_change():
@@ -285,11 +282,11 @@ def test_plain_watcher_woken_by_every_change():
     x = m.add_fd_var([1, 2, 3, 4])
     p = _posted(m, _Recorder(x))
     assert x.watchers == [p] and x.nae_pairs == []
-    m.remove_value(x, 4)
+    m.narrow(x, ~mask_of(4))
     m.propagate()
-    m.retain_values(x, (1, 2))
+    m.narrow(x, mask_of(1, 2))
     m.propagate()
-    m.assign(x, 1)
+    m.narrow(x, mask_of(1))
     m.propagate()
     assert p.calls == 3
 
@@ -300,9 +297,9 @@ def test_repeated_watch_filters_once_per_change():
     y = m.add_fd_var([1, 2])
     p = _posted(m, _Recorder(x, y, x))
     assert x.watchers.count(p) == 1
-    m.remove_value(x, 3)
+    m.narrow(x, ~mask_of(3))
     m.propagate()
-    m.assign(x, 1)
+    m.narrow(x, mask_of(1))
     m.propagate()
     assert p.calls == 2
 
@@ -315,12 +312,12 @@ def test_nae_arguments_fixed_before_post_prune_at_root():
     z, w = m.add_fd_var([1, 2, 3]), m.add_fd_var([1, 2, 3])
     m.post_nae(x, z, w)
     m.post_nae(y, z, w)
-    assert m.assign(y, 2)
+    assert m.narrow(y, mask_of(2))
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
-    assert z.values() == w.values() == (1, 2, 3)
+    assert vals(z.mask) == vals(w.mask) == (1, 2, 3)
     m.post_nae(x, y, z)
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
-    assert z.values() == (1, 3) and w.values() == (1, 2, 3)
+    assert vals(z.mask) == (1, 3) and vals(w.mask) == (1, 2, 3)
 
 
 def test_nae_prune_in_place_wakes_chains_fails_and_pops():
@@ -332,22 +329,22 @@ def test_nae_prune_in_place_wakes_chains_fails_and_pops():
     m.post_nae(x, y, z)
     m.post_nae(z, u, v)
     p = _posted(m, _Recorder(z))
-    initial = [w.values() for w in (x, y, z, u, v)]
+    initial = [w.mask for w in (x, y, z, u, v)]
     m.push_choice()
-    assert m.assign(x, 2) and m.assign(y, 2)
+    assert m.narrow(x, mask_of(2)) and m.narrow(y, mask_of(2))
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
-    assert z.values() == (1,) and p.calls == 1    # pruned by x = y = 2
-    assert v.values() == (2, 3)                    # then z = u = 1 prunes v
+    assert vals(z.mask) == (1,) and p.calls == 1   # pruned by x = y = 2
+    assert vals(v.mask) == (2, 3)                   # then z = u = 1 prunes v
     assert (z, 0b110) in m._trail and (v, 0b1110) in m._trail
     m.pop_choice()
-    assert [w.values() for w in (x, y, z, u, v)] == initial and m._trail == []
+    assert [w.mask for w in (x, y, z, u, v)] == initial and m._trail == []
     m.push_choice()
-    assert m.assign(x, 1) and m.assign(y, 1) and m.assign(z, 1)
+    assert m.narrow(x, mask_of(1)) and m.narrow(y, mask_of(1)) and m.narrow(z, mask_of(1))
     trail = list(m._trail)
     assert m.propagate() is PropagationStatus.FAILED
-    assert m._trail == trail and z.values() == (1,)  # z kept its one value
+    assert m._trail == trail and vals(z.mask) == (1,)  # z kept its one value
     m.pop_choice()
-    assert [w.values() for w in (x, y, z, u, v)] == initial and not m.failed
+    assert [w.mask for w in (x, y, z, u, v)] == initial and not m.failed
 
 
 @pytest.mark.parametrize("order", ["xzx", "zxx", "xxz"])
@@ -359,26 +356,16 @@ def test_nae_repeated_argument_acts_as_disequality(order):
         assert v["x"].nae_pairs == v["z"].nae_pairs and len(v["x"].nae_pairs) == 2
         assert m.propagate() is PropagationStatus.AT_FIXPOINT
         m.push_choice()
-        assert m.assign(v[first], 2)
+        assert m.narrow(v[first], mask_of(2))
         assert m.propagate() is PropagationStatus.AT_FIXPOINT
-        assert v["x" if first == "z" else "z"].values() == (1, 3)
+        assert vals(v["x" if first == "z" else "z"].mask) == (1, 3)
         m.pop_choice()
         m.push_choice()
-        assert m.assign(v["x"], 2) and m.assign(v["z"], 2)
+        assert m.narrow(v["x"], mask_of(2)) and m.narrow(v["z"], mask_of(2))
         assert m.propagate() is PropagationStatus.FAILED
         m.pop_choice()
-        assert m.assign(v["x"], 1) and m.assign(v["z"], 3)
+        assert m.narrow(v["x"], mask_of(1)) and m.narrow(v["z"], mask_of(3))
         assert m.propagate() is PropagationStatus.AT_FIXPOINT
-
-
-def _matches_reference(x, ref):
-    """Every domain read of ``x`` agrees with the frozenset ``ref``."""
-    assert x.domain == ref and x.values() == tuple(sorted(ref))
-    assert (x.min(), x.max()) == (min(ref), max(ref))
-    assert x.is_assigned() == (len(ref) == 1)
-    if len(ref) == 1:
-        assert x.value() == min(ref)
-    assert all((v in x) == (v in ref) for v in range(-2, 8))
 
 
 @given(st.data())
@@ -390,8 +377,8 @@ def test_trail_restores_random_edits(data):
     s = m.add_set_var(set(), {1, 2, 3})
     props = [m.post(_Recorder(x)) for x in xs]
     m.set_entailed(props[0])
-    refs = [frozenset(x.domain) for x in xs + list(s.bits.values())]
-    snap = ([set(x.domain) for x in xs], set(s.lb), set(s.ub),
+    refs = [frozenset(vals(x.mask)) for x in xs + list(s.bits.values())]
+    snap = ([x.mask for x in xs], set(s.lb), set(s.ub),
             [p.entailed for p in props])
     saved = []
     m.push_choice()
@@ -401,20 +388,20 @@ def test_trail_restores_random_edits(data):
         i = data.draw(st.integers(0, 2))
         x = xs[i]
         if kind == "rm":
-            v = data.draw(st.integers(-1, 7))
+            v = data.draw(st.integers(0, 7))
             if len(refs[i]) > 1:
-                assert m.remove_value(x, v)
+                assert m.narrow(x, ~mask_of(v))
                 refs[i] = refs[i] - {v}
         elif kind == "keep":
-            keep = data.draw(st.sets(st.integers(-1, 7)))
+            keep = data.draw(st.sets(st.integers(0, 7)))
             if refs[i] & keep:
-                assert m.retain_values(x, keep)
+                assert m.narrow(x, mask_of(*keep))
                 refs[i] = refs[i] & keep
         elif kind in ("inc", "exc"):
             free = sorted(s.ub - s.lb)
             if free:
                 v = data.draw(st.sampled_from(free))
-                m.retain_values(s.bits[v], (1,) if kind == "inc" else (0,))
+                m.narrow(s.bits[v], mask_of(1) if kind == "inc" else mask_of(0))
                 refs[2 + v] = frozenset({1} if kind == "inc" else {0})
         elif kind == "entail":
             m.set_entailed(data.draw(st.sampled_from(props)))
@@ -425,7 +412,7 @@ def test_trail_restores_random_edits(data):
             m.pop_choice()
             refs = saved.pop()
         for var, ref in zip(xs + list(s.bits.values()), refs):
-            _matches_reference(var, ref)
+            assert var.mask == mask_of(*ref)
         assert s.lb == {v for v in s.bits if refs[2 + v] == {1}}
         assert s.ub == {v for v in s.bits if 1 in refs[2 + v]}
     for owner, old in m._trail:   # one layout: (var, old mask) or (prop, None)
@@ -433,7 +420,7 @@ def test_trail_restores_random_edits(data):
                 or isinstance(owner, Propagator) and old is None)
     for _ in range(len(saved) + 1):
         m.pop_choice()
-    assert [set(x.domain) for x in xs] == snap[0]
+    assert [x.mask for x in xs] == snap[0]
     assert s.lb == snap[1] and s.ub == snap[2]
     assert [p.entailed for p in props] == snap[3]
 
@@ -443,11 +430,11 @@ class _Retain(_Recorder):
 
     def __init__(self, var, keep, *watches):
         super().__init__(*watches)
-        self.var, self.keep = var, keep
+        self.var, self.keep = var, mask_of(*keep)
 
     def filter(self, model):
         self.calls += 1
-        return model.retain_values(self.var, self.keep)
+        return model.narrow(self.var, self.keep)
 
 
 def test_own_change_does_not_requeue_but_another_filters_does():
@@ -455,10 +442,10 @@ def test_own_change_does_not_requeue_but_another_filters_does():
     x = m.add_fd_var(range(1, 6))
     a = m.post(_Retain(x, {1, 2, 3}, x))
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
-    assert x.values() == (1, 2, 3) and a.calls == 1
+    assert vals(x.mask) == (1, 2, 3) and a.calls == 1
     b = m.post(_Retain(x, {2, 3, 4}, x))
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
-    assert x.values() == (2, 3)
+    assert vals(x.mask) == (2, 3)
     assert (a.calls, b.calls) == (2, 1)
 
 
@@ -485,10 +472,10 @@ def test_interrupted_propagate_resumes_its_fixpoint():
     keep = m.post(_Retain(x, {2, 3}, x))
     with pytest.raises(KeyboardInterrupt):
         m.propagate()
-    assert x.values() == (1, 2, 3, 4, 5)
+    assert vals(x.mask) == (1, 2, 3, 4, 5)
     assert stop.queued and keep.queued
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
-    assert x.values() == (2, 3)
+    assert vals(x.mask) == (2, 3)
     assert (stop.calls, keep.calls) == (3, 1)   # rerun, then woken by keep
     assert not stop.queued and not keep.queued
 
@@ -498,7 +485,7 @@ class _Guard(_Recorder):
 
     def filter(self, model):
         self.calls += 1
-        return 9 in self.watches[0].domain
+        return bool(self.watches[0].mask & mask_of(9))
 
 
 def test_no_stale_fix_runs_after_failure_or_pop():
@@ -509,16 +496,16 @@ def test_no_stale_fix_runs_after_failure_or_pop():
     _posted(m, _Guard(g))
     pairs = _counted(y)
     m.push_choice()
-    m.assign(y, 1)
-    m.remove_value(g, 9)           # the guard is queued before y's fix runs
+    m.narrow(y, mask_of(1))
+    m.narrow(g, ~mask_of(9))       # the guard is queued before y's fix runs
     assert m.propagate() is PropagationStatus.FAILED
     assert pairs.runs == 0
     m.pop_choice()
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
     assert pairs.runs == 0
     m.push_choice()
-    m.assign(y, 2)                 # fixed, then unfixed before any propagate
+    m.narrow(y, mask_of(2))        # fixed, then unfixed before any propagate
     m.pop_choice()
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
     assert pairs.runs == 0
-    assert x.values() == y.values() == z.values() == (1, 2)
+    assert vals(x.mask) == vals(y.mask) == vals(z.mask) == (1, 2)

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from conftest import mask_of, vals
 from valprec import precedence
 from valprec.engine import Model, PropagationStatus, TernaryTable
 from valprec.fuzz import (check, check_fd_instance, fd_fixpoint, post_encoding,
@@ -41,7 +42,7 @@ AT_FIXPOINT = PropagationStatus.AT_FIXPOINT
 
 
 def domains_of(xs):
-    return [set(x.domain) for x in xs]
+    return [set(vals(x.mask)) for x in xs]
 
 
 # ------------------------------------------------------------ pair precedence
@@ -78,7 +79,6 @@ def test_pair_identical_values_rejected():
      ValueError, "distinct"),
     (lambda m: build_schur_model(SchurInstance(4, 2), sym="bogus"),
      ValueError, "unknown symmetry mode"),
-    (lambda m: m.add_fd_var({1, 2}).value(), ValueError, "not assigned"),
     (lambda m: value_permutations((1, 2)), TypeError, "unknown symmetry spec"),
     (lambda m: predicate_for((1, 2)), TypeError, "no predicate"),
     (lambda m: post_encoding(m, (1, 2), [m.add_fd_var({1, 2})]),
@@ -101,7 +101,7 @@ def test_pair_identical_values_rejected():
                                     [(-1, 0, 0), (0, 0, 0)])), m.propagate()),
      ValueError, "no negative value, got -1"),
 ], ids=["set-repeated-value", "incr-seq-repeated-value", "schur-unknown-sym",
-        "value-of-unfixed", "value-perms-non-spec", "predicate-non-spec",
+        "value-perms-non-spec", "predicate-non-spec",
         "post-encoding-non-spec", "pair-spec-repeated-value",
         "full-spec-repeated-value", "full-spec-no-values",
         "partition-spec-empty-class", "wreath-spec-repeated-outer",
@@ -289,7 +289,7 @@ def test_matrix_column_ordering_prunes_middle_variable():
     xs = [m.add_fd_var(d) for d in doms]
     encode_matrix_precedence(m, [1, 2, 3], xs)
     assert m.propagate() is AT_FIXPOINT
-    assert xs[1].domain == {2}
+    assert vals(xs[1].mask) == (2,)
 
 
 def test_matrix_weaker_than_chain_on_open_prefix():
@@ -312,9 +312,9 @@ def test_matrix_single_row_is_unit_vector():
     x = m.add_fd_var({1, 2, 3})
     enc = encode_matrix_precedence(m, [1, 2, 3], [x])
     assert m.propagate() is AT_FIXPOINT
-    assert m.assign(x, 1)
+    assert m.narrow(x, mask_of(1))
     assert m.propagate() is AT_FIXPOINT
-    assert [b.value() for b in enc.bits[0]] == [1, 0, 0]
+    assert [vals(b.mask) for b in enc.bits[0]] == [(1,), (0,), (0,)]
     # the only full solution is x = 1: larger values break the column order
     m2 = Model()
     x2 = m2.add_fd_var({1, 2, 3})
@@ -344,7 +344,7 @@ def test_puget_identity_surjection_consistent():
     xs = [m.add_fd_var({i}) for i in (1, 2, 3)]
     enc = encode_puget_surjection(m, xs, [1, 2, 3])
     assert m.propagate() is AT_FIXPOINT
-    assert [z.value() for z in enc.first_index] == [1, 2, 3]
+    assert [vals(z.mask) for z in enc.first_index] == [(1,), (2,), (3,)]
 
 
 def test_puget_implications_alone_miss_chain_pruning():
@@ -517,7 +517,7 @@ def test_ground_prefix_grounds_chain_states(encode, args, values_pool):
             enc = encode(m, *args, xs=xs)
         if m.propagate() is FAILED:
             continue
-        assert all(sv.is_assigned() for sv in enc.state_vars)
+        assert all(sv.mask.bit_count() == 1 for sv in enc.state_vars)
         grounded += 1
     assert grounded > 0
 
@@ -543,10 +543,9 @@ def test_chain_sizes_pinned(encode, n, dom, tuples, state_sizes):
     enc = encode(m, xs)
     assert len(enc.propagators) == n
     assert sum(len(p.triples) for p in enc.propagators) == tuples
-    assert [len(sv.domain) for sv in enc.state_vars] == state_sizes
+    assert [sv.mask.bit_count() for sv in enc.state_vars] == state_sizes
     # each layer's states are numbered 0..k-1
-    assert all(sv.domain == frozenset(range(len(sv.domain)))
-               for sv in enc.state_vars)
+    assert all(sv.mask == (1 << sv.mask.bit_count()) - 1 for sv in enc.state_vars)
 
 
 def _posted_tables(post, n, dom):
@@ -554,7 +553,7 @@ def _posted_tables(post, n, dom):
     m = Model()
     xs = [m.add_fd_var(dom) for _ in range(n)]
     post(m, xs)
-    return [(xs.index(p.x), p.triples, p.y.domain, p.z.domain) for p in m.propagators]
+    return [(xs.index(p.x), p.triples, p.y.mask, p.z.mask) for p in m.propagators]
 
 
 def test_post_encoding_posts_the_named_encoders_chains():
@@ -632,5 +631,5 @@ def test_transition_cap_refuses_large_chain_before_posting():
         assert time.perf_counter() - t0 < 10
         assert not model.posted_counts
         assert model.propagate() is AT_FIXPOINT
-    assert all(x.domain == frozenset(range(36)) for x in xs)
+    assert all(x.mask == (1 << 36) - 1 for x in xs)
     assert all(not s.lb and s.ub == frozenset(range(13)) for s in sets)

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import mask_of, vals
 from valprec.engine import IntVar, Model, PropagationStatus, TernaryTable
 from valprec.fuzz import check
 from valprec.oracle import gac_by_definition, iterated_gac
@@ -26,7 +27,7 @@ AT_FIXPOINT = PropagationStatus.AT_FIXPOINT
 
 
 def domains_of(xs):
-    return [set(x.domain) for x in xs]
+    return [set(vals(x.mask)) for x in xs]
 
 
 # ------------------------------------------------------------- ternary table
@@ -37,7 +38,7 @@ def test_table_single_tuple_fixes_all():
     xs = [m.add_fd_var({0, 1}, name=f"x{i}") for i in range(3)]
     m.post(TernaryTable(*xs, {(0, 0, 0)}))
     assert m.propagate() is AT_FIXPOINT
-    assert [x.value() for x in xs] == [0, 0, 0]
+    assert [vals(x.mask) for x in xs] == [(0,)] * 3
 
 
 def test_table_full_product_entailed_without_pruning():
@@ -99,8 +100,9 @@ def test_table_over_repeated_argument_is_gac():
 
 def _live_tuples(prop):
     """The table's tuples that lie in the current domains, by a full scan."""
-    dx, dy, dz = prop.x.domain, prop.y.domain, prop.z.domain
-    return [(u, v, w) for u, v, w in prop.triples if u in dx and v in dy and w in dz]
+    dx, dy, dz = prop.x.mask, prop.y.mask, prop.z.mask
+    return [(u, v, w) for u, v, w in prop.triples
+            if dx >> u & 1 and dy >> v & 1 and dz >> w & 1]
 
 
 def _full_scan_entailed(prop):
@@ -193,14 +195,14 @@ def test_table_narrowed_fixpoints_match_oracle_and_full_scan(monkeypatch):
         ok = at_oracle_fixpoint(m.propagate())
         pushed = []
         for _ in range(rng.randint(1, 10)):
-            free = [v for v in vs if len(v.domain) > 1]
+            free = [v for v in vs if v.mask.bit_count() > 1]
             if ok and free and rng.random() < 0.7:
                 pushed.append((domains_of(vs), prop.entailed))
                 m.push_choice()
                 var = rng.choice(free)
-                keep = rng.sample(sorted(var.domain),
-                                  rng.randint(1, len(var.domain) - 1))
-                assert m.retain_values(var, keep)
+                keep = rng.sample(vals(var.mask),
+                                  rng.randint(1, var.mask.bit_count() - 1))
+                assert m.narrow(var, mask_of(*keep))
                 doms = domains_of(vs)
                 ok = at_oracle_fixpoint(m.propagate())
             elif pushed:
@@ -231,7 +233,7 @@ def test_memo_holds_at_most_one_entry_per_tuple():
     for doms in itertools.product(subsets, repeat=3):
         m.push_choice()
         for var, dom in zip(vs, doms):
-            assert m.retain_values(var, dom)
+            assert m.narrow(var, mask_of(*dom))
         status = m.propagate()
         assert len(prop.memo) <= len(triples)
         want = gac_by_definition(lambda t: t in triples, list(doms))
@@ -332,7 +334,7 @@ def test_lex_tail_forcing():
     b = [m.add_fd_var({0}), m.add_fd_var({0, 1})]
     post_lex_leq(m, a, b)
     assert m.propagate() is AT_FIXPOINT
-    assert b[1].value() == 1
+    assert vals(b[1].mask) == (1,)
 
 
 def test_lex_entailed_when_max_left_below_min_right():
@@ -448,7 +450,7 @@ def test_exactly_one_forces_rest_zero():
     bits = [m.add_fd_var({1}), m.add_fd_var({0, 1}), m.add_fd_var({0, 1})]
     post_exactly_one(m, bits)
     assert m.propagate() is AT_FIXPOINT
-    assert [b.value() for b in bits] == [1, 0, 0]
+    assert [vals(b.mask) for b in bits] == [(1,), (0,), (0,)]
 
 
 def test_exactly_one_forces_last_one():
@@ -456,7 +458,7 @@ def test_exactly_one_forces_last_one():
     bits = [m.add_fd_var({0}), m.add_fd_var({0}), m.add_fd_var({0, 1})]
     post_exactly_one(m, bits)
     assert m.propagate() is AT_FIXPOINT
-    assert bits[2].value() == 1
+    assert vals(bits[2].mask) == (1,)
 
 
 def test_exactly_one_all_zero_fails():
@@ -488,7 +490,7 @@ def test_channel_assigned_value_sets_unit_row():
     bits = [m.add_fd_var({0, 1}) for _ in range(3)]
     post_channel(m, x, bits, [10, 20, 30])
     assert m.propagate() is AT_FIXPOINT
-    assert [b.value() for b in bits] == [0, 1, 0]
+    assert [vals(b.mask) for b in bits] == [(0,), (1,), (0,)]
 
 
 def test_channel_zero_bit_prunes_value():
@@ -497,7 +499,7 @@ def test_channel_zero_bit_prunes_value():
     bits = [m.add_fd_var({0, 1}), m.add_fd_var({0}), m.add_fd_var({0, 1})]
     post_channel(m, x, bits, [10, 20, 30])
     assert m.propagate() is AT_FIXPOINT
-    assert x.domain == {10, 30}
+    assert vals(x.mask) == (10, 30)
 
 
 def test_channel_with_out_of_list_values_keeps_zero_row_open():
@@ -506,11 +508,11 @@ def test_channel_with_out_of_list_values_keeps_zero_row_open():
     bits = [m.add_fd_var({0, 1})]
     post_channel(m, x, bits, [10])
     assert m.propagate() is AT_FIXPOINT
-    assert x.domain == {10, 99}
-    assert bits[0].domain == {0, 1}
-    assert m.assign(x, 99)
+    assert vals(x.mask) == (10, 99)
+    assert vals(bits[0].mask) == (0, 1)
+    assert m.narrow(x, mask_of(99))
     assert m.propagate() is AT_FIXPOINT
-    assert bits[0].value() == 0
+    assert vals(bits[0].mask) == (0,)
 
 
 def _channel_pred(values):
@@ -553,7 +555,7 @@ def test_nae_prunes_third_when_two_equal():
     z = m.add_fd_var({4, 5, 6})
     m.post_nae(x, y, z)
     assert m.propagate() is AT_FIXPOINT
-    assert z.domain == {4, 6}
+    assert vals(z.mask) == (4, 6)
 
 
 def test_nae_disjoint_pair_prunes_nothing():
@@ -563,8 +565,8 @@ def test_nae_disjoint_pair_prunes_nothing():
     z = m.add_fd_var({1, 2, 3})
     m.post_nae(x, y, z)
     assert m.propagate() is AT_FIXPOINT
-    assert z.domain == {1, 2, 3}
-    assert m.assign(z, 1)
+    assert vals(z.mask) == (1, 2, 3)
+    assert m.narrow(z, mask_of(1))
     assert m.propagate() is AT_FIXPOINT
     assert domains_of([x, y, z]) == [{1}, {2}, {1}]
 
@@ -582,7 +584,7 @@ def test_nae_aliased_pair_becomes_disequality():
     z = m.add_fd_var({3})
     m.post_nae(x, x, z)
     assert m.propagate() is AT_FIXPOINT
-    assert x.domain == {4}
+    assert vals(x.mask) == (4,)
 
 
 def test_nae_fully_aliased_fails():
@@ -630,15 +632,15 @@ def test_nae_incremental_edits_match_oracle(data):
     if not at_oracle_fixpoint(m.propagate()):
         return
     for _ in range(data.draw(st.integers(1, 6))):
-        free = [v for v in vs if len(v.domain) > 1]
+        free = [v for v in vs if v.mask.bit_count() > 1]
         if not free:
             return
         var = data.draw(st.sampled_from(free))
-        value = data.draw(st.sampled_from(sorted(var.domain)))
+        value = data.draw(st.sampled_from(vals(var.mask)))
         if data.draw(st.booleans()):
-            assert m.remove_value(var, value)
+            assert m.narrow(var, ~mask_of(value))
         else:
-            assert m.assign(var, value)
+            assert m.narrow(var, mask_of(value))
         doms = domains_of(vs)
         if not at_oracle_fixpoint(m.propagate()):
             return
@@ -688,12 +690,12 @@ def test_nae_networks_match_iterated_oracle_under_choices():
         ok = at_oracle_fixpoint(m.propagate(), doms)
         pushed = []
         for _ in range(rng.randint(1, 20)):
-            free = [v for v in vs if len(v.domain) > 1]
+            free = [v for v in vs if v.mask.bit_count() > 1]
             if ok and free and rng.random() < 0.6:
                 pushed.append(domains_of(vs))
                 m.push_choice()
                 for var in rng.sample(free, rng.randint(1, min(2, len(free)))):
-                    assert m.remove_value(var, rng.choice(sorted(var.domain)))
+                    assert m.narrow(var, ~mask_of(rng.choice(vals(var.mask))))
                 ok = at_oracle_fixpoint(m.propagate(), domains_of(vs))
             elif pushed:
                 m.pop_choice()
@@ -710,7 +712,7 @@ def test_implication_bounds_consequent():
     z = m.add_fd_var({1, 2, 3})
     post_implications(m, [(x, 1, z, "<=", 1)])
     assert m.propagate() is AT_FIXPOINT
-    assert z.domain == {1}
+    assert vals(z.mask) == (1,)
 
 
 def test_implication_assigns_consequent():
@@ -719,7 +721,7 @@ def test_implication_assigns_consequent():
     x = m.add_fd_var({1, 2, 3})
     post_implications(m, [(z, 3, x, "=", 2)])
     assert m.propagate() is AT_FIXPOINT
-    assert x.value() == 2
+    assert vals(x.mask) == (2,)
 
 
 def test_implication_contrapositive_removes_trigger():
@@ -728,7 +730,7 @@ def test_implication_contrapositive_removes_trigger():
     z = m.add_fd_var({5})
     post_implications(m, [(x, 1, z, "<", 5)])
     assert m.propagate() is AT_FIXPOINT
-    assert x.domain == {2}
+    assert vals(x.mask) == (2,)
 
 
 def test_implication_rejects_unknown_op():
@@ -762,8 +764,8 @@ def test_less_than_prunes_bounds():
     b = m.add_fd_var({1, 2, 3})
     post_less_than(m, a, b)
     assert m.propagate() is AT_FIXPOINT
-    assert a.domain == {1, 2}
-    assert b.domain == {2, 3}
+    assert vals(a.mask) == (1, 2)
+    assert vals(b.mask) == (2, 3)
 
 
 def test_less_than_entailed_and_failure():
@@ -805,7 +807,7 @@ def test_entailment_is_stable_under_further_pruning():
         entailed = [p for p in enc.propagators if p.entailed]
         sub = _random_subdomains(rng, domains_of(vs))
         for v, keep in zip(vs, sub):
-            assert m.retain_values(v, keep)
+            assert m.narrow(v, mask_of(*keep))
         every = vs + enc.state_vars
         before = domains_of(every)
         for prop in entailed:

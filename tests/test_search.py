@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from conftest import mask_of, vals
 from valprec.engine import Model, PropagationStatus, Propagator, TernaryTable
 from valprec.oracle import all_precedence_holds, wreath_precedence_holds
 from valprec.precedence import (encode_all_precedence, encode_pair_precedence,
@@ -130,9 +131,9 @@ def test_infeasible_model_reports_zero_solutions():
 def test_search_undoes_choices_but_keeps_root_propagation():
     m, xs = two_var_model()
     m.propagate()
-    rooted = [set(x.domain) for x in xs]
+    rooted = [x.mask for x in xs]
     solve(m, xs)
-    assert [set(x.domain) for x in xs] == rooted
+    assert [x.mask for x in xs] == rooted
     # a second search over the same model gives the same answer
     again = solve(m, xs)
     assert set(again.solutions) == {(a, b) for a in (1, 2, 3) for b in (1, 2, 3)
@@ -185,11 +186,11 @@ def test_exception_undoes_choices_and_leaves_the_propagator_wakeable():
     with pytest.raises(RuntimeError, match="third call"):
         solve(m, xs)
     assert prop.calls == 3                 # root, x0 = 1, x1 = 1
-    assert [x.values() for x in xs] == [(1, 2, 3)] * 3
+    assert [vals(x.mask) for x in xs] == [(1, 2, 3)] * 3
     assert m._marks == []
     assert not prop.queued
     m.push_choice()
-    m.assign(xs[0], 2)
+    m.narrow(xs[0], mask_of(2))
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
     assert prop.calls == 4
 
