@@ -40,8 +40,8 @@ FAMILIES = FD_FAMILIES + ("set",)
 def predicate_for(spec: SymmetrySpec):
     """Ground predicate of the precedence rule this symmetry induces.
 
-    A wreath spec's predicate takes its codes unchecked, as
-    ``check_fd_instance`` checks the domains once.
+    A wreath spec's predicate takes its codes unchecked, as its encoder
+    refuses domains that hold a non-code.
     """
     if isinstance(spec, CLASS_SPECS):
         return partial(partition_precedence_holds, spec.classes)
@@ -131,10 +131,8 @@ def check(post: Callable[[Model, list[IntVar]], object], pred: Callable[[tuple],
 def check_fd_instance(spec: SymmetrySpec, domains: Sequence[set[int]]):
     """(agree, encoding fixpoint, oracle GAC) for one finite-domain instance.
 
-    Raises ValueError if a wreath spec's domains hold a value outside its codes.
+    Raises ValueError (from the encoder) if a wreath domain holds a non-code.
     """
-    if isinstance(spec, WreathInterchange):
-        spec.require_codes(chain.from_iterable(domains))
     return check(lambda model, xs: post_encoding(model, spec, xs), predicate_for(spec),
                  domains)
 

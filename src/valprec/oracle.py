@@ -16,10 +16,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
-from .symmetry import (SymmetrySpec, WreathInterchange, assignment_orbit,
+from .symmetry import (ENUM_CAP, SymmetrySpec, WreathInterchange, assignment_orbit,
                        value_permutations, variable_permutations)
-
-ENUM_CAP = 10_000_000
 
 
 # ----------------------------------------------------------------- predicates

@@ -93,35 +93,35 @@ def encode_pair_precedence(model: Model, first: int, second: int,
                            xs: Sequence[IntVar]) -> ChainEncoding:
     """second may not occur strictly before the first occurrence of first.
 
-    This is the class chain of the one class (first, second): its two
-    states are "first not seen yet" (second forbidden) and "first seen".
+    This is the class chain of the one class (first, second): its three
+    states are "first not seen yet" (second forbidden), "first seen" and
+    "both seen".
     """
     return _class_chain(model, PairInterchange(first, second).classes, xs)
 
 
 def _class_chain(model: Model, classes: Sequence[Sequence[int]],
                  xs: Sequence[IntVar]) -> ChainEncoding:
-    """First-occurrence order inside each of the disjoint value classes.
+    """First-occurrence order inside each value class.
 
-    State = one occurrence counter per class: how many of its leading values
-    have occurred.  A value may appear only once all earlier values of its
-    class have; values outside every class leave the state unchanged.  A
-    class's last value leaves its counter where it is: once every earlier
-    value has occurred it is free, so counting it would only add a state
-    equivalent to the one before.
+    State = one counter per class: how many of its leading values have
+    occurred, Y_{i+1} = max(Y_i, j + 1) on reading the class's j-th value.
+    A value may appear only once all earlier values of every class holding
+    it have, and then advances each of those classes.  Classes may share a
+    value (a wreath's block heads are also its heads class); values outside
+    every class leave the state unchanged.
     """
-    place = {v: (ci, mi, mi == len(cls) - 1) for ci, cls in enumerate(classes)
-             for mi, v in enumerate(cls)}
+    place = {v: [(ci, c.index(v)) for ci, c in enumerate(classes) if v in c]
+             for cls in classes for v in cls}
 
     def step(counts: tuple[int, ...], v: int) -> Optional[tuple[int, ...]]:
-        if v not in place:
-            return counts
-        ci, mi, last = place[v]
-        if mi > counts[ci]:
-            return None
-        if mi < counts[ci] or last:
-            return counts
-        return counts[:ci] + (mi + 1,) + counts[ci + 1:]
+        nxt = counts
+        for ci, mi in place.get(v, ()):
+            if mi > counts[ci]:
+                return None
+            if mi == counts[ci]:
+                nxt = nxt[:ci] + (mi + 1,) + nxt[ci + 1:]
+        return nxt
 
     return post_state_chain(model, xs, step, start=(0,) * len(classes),
                             label="Y")
@@ -157,24 +157,13 @@ def encode_wreath_precedence(model: Model, outer: Sequence[int],
 
     Code a*p+b stands for the pair (outer[a], inner[b]).  First occurrences of
     outer components follow outer order, and within each outer component first
-    occurrences of inner components follow inner order.  State = one inner
-    counter per outer value.
+    occurrences of inner components follow inner order: the class chain over
+    the spec's ``code_classes``.  Raises ValueError, before posting anything,
+    when a domain of xs holds a value that is not a code.
     """
     spec = WreathInterchange(tuple(outer), tuple(inner))  # refuses a bad value list
-    m, p = len(spec.outer), len(spec.inner)
-
-    def step(counts: tuple[int, ...], code: int) -> Optional[tuple[int, ...]]:
-        if not 0 <= code < m * p:
-            return None
-        a, b = divmod(code, p)
-        # Opened outer values form a prefix, so outer a may open only after a-1.
-        if (a and not counts[a - 1]) or b > counts[a]:
-            return None
-        if b == counts[a]:
-            return counts[:a] + (b + 1,) + counts[a + 1:]
-        return counts
-
-    return post_state_chain(model, xs, step, start=(0,) * m, label="W")
+    spec.require_codes(v for x in xs for v in mask_values(x.mask))
+    return _class_chain(model, spec.code_classes, xs)
 
 
 # ---------------------------------------------------- alternative encodings

@@ -15,7 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import factorial, prod
 from typing import Iterable, Sequence, Union
+
+# Most elements a group, or the oracle's product of domains, may enumerate.
+ENUM_CAP = 10_000_000
 
 
 def _require_values(*groups: Sequence[int]) -> None:
@@ -121,6 +125,12 @@ SymmetrySpec = Union[PairInterchange, FullInterchange, PartitionInterchange,
 CLASS_SPECS = (PairInterchange, FullInterchange, PartitionInterchange)
 
 
+def _require_order(order: int, group: str) -> None:
+    """Refuse, naming its order, a group with more than ENUM_CAP elements."""
+    if order > ENUM_CAP:
+        raise ValueError(f"{group} has {order} elements, over the cap of {ENUM_CAP}")
+
+
 def value_permutations(spec: SymmetrySpec) -> list[dict[int, int]]:
     """All value permutations of the group, as mappings over the moved values.
 
@@ -128,6 +138,7 @@ def value_permutations(spec: SymmetrySpec) -> list[dict[int, int]]:
     A value-class spec's group is the product of its classes' permutations.
     """
     if isinstance(spec, CLASS_SPECS):
+        _require_order(prod(factorial(len(c)) for c in spec.classes), f"{spec}'s group")
         perms = [{}]
         for cls in spec.classes:
             perms = [p | dict(zip(cls, img))
@@ -135,6 +146,7 @@ def value_permutations(spec: SymmetrySpec) -> list[dict[int, int]]:
         return perms
     if isinstance(spec, WreathInterchange):
         m, p = len(spec.outer), len(spec.inner)
+        _require_order(factorial(m) * factorial(p) ** m, f"{spec}'s group")
         outer_idx = range(m)
         inner_idx = range(p)
         result = []
@@ -155,10 +167,12 @@ def variable_permutations(kind: str, n: int) -> list[tuple[int, ...]]:
     if kind == "none":
         return [ident]
     if kind == "full":
+        _require_order(factorial(n), f"the full group on {n} positions")
         return [tuple(p) for p in itertools.permutations(range(n))]
     if kind == "reflection":
         return [ident, tuple(range(n - 1, -1, -1))]
     if kind == "rotation":
+        _require_order(n, f"the rotation group on {n} positions")
         return [tuple((i + r) % n for i in range(n)) for r in range(max(n, 1))]
     raise ValueError(f"unknown variable group {kind!r}")
 

@@ -63,5 +63,5 @@ def test_schur_model_lists_what_perfbench_counts():
     props = model.propagators
     assert all(isinstance(p, Propagator) for p in props)
     assert [type(p) for p in props] == [TernaryTable] * 44
-    assert sum(len(p.triples) for p in props) == 377
+    assert sum(len(p.triples) for p in props) == 537
     assert model.posted_counts == {"user": 484, "encoding": 44}

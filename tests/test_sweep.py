@@ -3,11 +3,12 @@ from itertools import combinations, product
 
 import pytest
 
-from valprec.fuzz import check, on_set_bits, post_encoding, set_bits_holds, sweep
+from valprec.fuzz import (check, on_set_bits, post_encoding, predicate_for, set_bits_holds,
+                          sweep)
 from valprec.oracle import all_precedence_holds
 from valprec.precedence import (encode_all_precedence, encode_pair_precedence,
                                 encode_set_precedence)
-from valprec.symmetry import FullInterchange
+from valprec.symmetry import FullInterchange, WreathInterchange
 
 VALUES = (1, 2, 3, 4)
 
@@ -69,3 +70,17 @@ def test_sweep_equals_check_on_every_combination(post, pred, universe, n, checke
             for agree, enc, orc in [check(post, pred, c)] if not agree]
     assert len(want) == mismatched
     assert sweep(post, pred, universe, n) == (checked, want)
+
+
+@pytest.mark.parametrize("outer, inner, n, checked", [
+    ((1, 2, 3), (4, 5), 2, 63 ** 2),
+    ((1, 2), (3, 4, 5), 2, 63 ** 2),
+    ((1,), (2, 3, 4), 4, 7 ** 4),
+    ((1, 2, 3), (4,), 4, 7 ** 4),
+], ids=["3x2", "2x3", "1x3", "3x1"])
+def test_sweep_passes_non_square_wreath_chains(outer, inner, n, checked):
+    """The wreath chain is GAC on every combination of code domains, for
+    shapes whose block and heads classes differ in length."""
+    spec = WreathInterchange(outer, inner)
+    assert sweep(lambda m, xs: post_encoding(m, spec, xs), predicate_for(spec),
+                 spec.codes, n) == (checked, [])

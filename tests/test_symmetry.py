@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from valprec import symmetry
 from valprec.symmetry import (
     FullInterchange,
     PairInterchange,
@@ -95,6 +96,22 @@ def test_variable_groups():
         assert () in variable_permutations(kind, 0)
     with pytest.raises(ValueError):
         variable_permutations("mirror", 3)
+
+
+def test_groups_over_the_cap_are_refused_before_enumeration(monkeypatch):
+    monkeypatch.setattr(symmetry, "ENUM_CAP", 100)
+    with pytest.raises(ValueError, match="has 120 elements, over the cap of 100"):
+        value_permutations(FullInterchange(tuple(range(5))))
+    with pytest.raises(ValueError, match="has 120 elements, over the cap of 100"):
+        variable_permutations("full", 5)
+    with pytest.raises(ValueError, match="has 1296 elements"):  # 3! * (3!)**3
+        value_permutations(WreathInterchange((1, 2, 3), (4, 5, 6)))
+    with pytest.raises(ValueError, match="has 101 elements"):
+        variable_permutations("rotation", 101)
+    # under the cap, and for the small groups, nothing changes
+    assert len(value_permutations(FullInterchange(tuple(range(4))))) == 24
+    assert len(value_permutations(WreathInterchange((1, 2), (3, 4)))) == 8
+    assert len(variable_permutations("rotation", 5)) == 5
 
 
 def test_apply_symmetry_composes_value_and_position_maps():
