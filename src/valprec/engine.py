@@ -26,6 +26,18 @@ variable it is posted over goes on a second FIFO when it becomes fixed, and
 popping it runs the rule over its ``nae_pairs`` in one loop.  ``propagate``
 runs both queues to a fixpoint; an entailed propagator is not woken until
 backtracking undoes it.
+
+Entailed watchers stay on their variables, since taking them off would
+cost trail work, so the rule's prune remembers instead when a variable has
+nothing to wake.  The model's wake counter ``_wakes`` moves on at the two
+events that can give a variable a watcher that is not entailed: each
+``post``, and each entailment that ``pop_choice`` restores while
+``_stamped`` says that a stamp may equal the counter.  A prune whose wake
+loop finds every watcher entailed stamps the variable's ``quiet`` with the
+counter and sets ``_stamped``, and later prunes skip the loop while the
+stamp equals the counter.  So a model without not-all-equal, which never
+stamps, pays no bump when it backtracks.  ``narrow`` keeps no stamp and
+always runs its loop.
 """
 from __future__ import annotations
 
@@ -56,13 +68,15 @@ class IntVar:
     value, so ``post_state_chain`` numbers each layer's states from 0.
     ``watchers`` are woken on every change.  ``nae_pairs`` holds, flattened,
     the other two arguments of each not-all-equal that ``Model.post_nae``
-    posts over the variable.
+    posts over the variable.  ``quiet`` is the model's wake counter when
+    the NAE rule's prune last found every watcher entailed (-1 before any);
+    while the counter still holds that value, the rule's prunes wake nothing.
     """
 
-    __slots__ = ("name", "mask", "watchers", "nae_pairs")
+    __slots__ = ("name", "mask", "watchers", "nae_pairs", "quiet")
 
     def __init__(self, mask: int, name: str):
-        self.name, self.mask = name, mask
+        self.name, self.mask, self.quiet = name, mask, -1
         self.watchers: list[Propagator] = []
         self.nae_pairs: list[IntVar] = []
 
@@ -223,6 +237,8 @@ class Model:
         self._queue: deque[Propagator] = deque()
         self._fixed: deque[IntVar] = deque()
         self._failed = False
+        self._wakes = 0
+        self._stamped = False
 
     # ------------------------------------------------------------------ vars
 
@@ -235,9 +251,13 @@ class Model:
         else:
             mask = 0
             for v in values:
-                if v < 0:
-                    raise ValueError(f"{name}: a domain holds no negative value, got {v}")
-                mask |= 1 << v
+                try:
+                    if v < 0:
+                        raise ValueError(f"{name}: a domain holds no negative value, got {v}")
+                    mask |= 1 << v
+                except TypeError:  # not an int: a float shift count, or a str compared to 0
+                    raise ValueError(f"{name}: a domain holds only int values, "
+                                     f"got {v!r}") from None
         if not mask:
             raise ValueError(f"{name}: cannot create a variable with an empty domain")
         self._int_count += 1
@@ -258,6 +278,7 @@ class Model:
     # ----------------------------------------------------------- propagators
 
     def post(self, prop: Propagator, category: str = "user") -> Propagator:
+        self._wakes += 1
         self.propagators.append(prop)
         self.posted_counts[category] = self.posted_counts.get(category, 0) + 1
         for var in dict.fromkeys(prop.watches):
@@ -335,7 +356,7 @@ class Model:
                     prop.queued = False
                 elif fixed:
                     var = fixed.popleft()
-                    c, pairs = var.mask, iter(var.nae_pairs)
+                    c, pairs, wakes = var.mask, iter(var.nae_pairs), self._wakes
                     for a, b in zip(pairs, pairs):
                         # Of a pair with one side fixed to c, the other loses c.
                         if a.mask == c:
@@ -349,10 +370,17 @@ class Model:
                             break
                         trail.append((a, old))
                         a.mask = new = old ^ c
-                        for prop in a.watchers:
-                            if not prop.queued and not prop.entailed:
-                                prop.queued = True
-                                queue.append(prop)
+                        if a.quiet != wakes:  # not known to wake nothing
+                            quiet = True
+                            for prop in a.watchers:
+                                if not prop.entailed:
+                                    quiet = False
+                                    if not prop.queued:
+                                        prop.queued = True
+                                        queue.append(prop)
+                            if quiet:
+                                a.quiet = wakes
+                                self._stamped = True
                         if not new & (new - 1):
                             fixed.append(a)
                 else:
@@ -385,6 +413,9 @@ class Model:
         for owner, old in reversed(trail[mark:]):
             if old is None:
                 owner.entailed = False
+                if self._stamped:
+                    self._wakes += 1
+                    self._stamped = False
             else:
                 owner.mask = old
         del trail[mark:]

@@ -17,7 +17,8 @@ import itertools
 from typing import Callable, Iterable, Optional, Sequence
 
 from .symmetry import (ENUM_CAP, SymmetrySpec, WreathInterchange, assignment_orbit,
-                       value_permutations, variable_permutations)
+                       value_group_order, value_permutations, variable_group_order,
+                       variable_permutations)
 
 
 # ----------------------------------------------------------------- predicates
@@ -159,13 +160,20 @@ def enumerate_orbits(assignments: Iterable[Sequence[int]],
     frozenset of its members, and orbits come in the order of their
     lex-least members.  Raises ValueError if an image of an assignment falls
     outside the given set, which would mean the set is not exhaustive or the
-    group is not a symmetry of it.
+    group is not a symmetry of it, and, before listing either group, if the
+    two orders' product (the images made per orbit) exceeds ``ENUM_CAP``.
     """
     pool = {tuple(a) for a in assignments}
     if not pool:
         return []
+    n = len(next(iter(pool)))
+    vorder = value_group_order(spec) if spec is not None else 1
+    porder = variable_group_order(variable_group, n)
+    if vorder * porder > ENUM_CAP:
+        raise ValueError(f"the value group's {vorder} elements times the position "
+                         f"group's {porder} exceed the cap of {ENUM_CAP} images per orbit")
     vperms = value_permutations(spec) if spec is not None else [{}]
-    pperms = variable_permutations(variable_group, len(next(iter(pool))))
+    pperms = variable_permutations(variable_group, n)
     orbits: list[frozenset[tuple[int, ...]]] = []
     seen: set[tuple[int, ...]] = set()
     for t in sorted(pool):

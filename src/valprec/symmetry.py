@@ -83,7 +83,8 @@ class WreathInterchange:
         _require_values(self.outer, self.inner)
 
     def code(self, u: int, v: int) -> int:
-        if u not in self.outer or v not in self.inner:
+        if isinstance(u, bool) or isinstance(v, bool) \
+                or u not in self.outer or v not in self.inner:
             raise ValueError(f"<{u!r}, {v!r}> is not a pair of outer {self.outer} "
                              f"and inner {self.inner}")
         return self.outer.index(u) * len(self.inner) + self.inner.index(v)
@@ -101,7 +102,7 @@ class WreathInterchange:
         """Refuse, naming it, the first of ``codes`` outside ``self.codes``."""
         valid = range(len(self.outer) * len(self.inner))
         for c in codes:
-            if not isinstance(c, int) or c not in valid:
+            if not isinstance(c, int) or isinstance(c, bool) or c not in valid:
                 raise ValueError(f"{c!r} is not a code of {self}: "
                                  f"codes are 0..{len(valid) - 1}")
 
@@ -131,50 +132,67 @@ def _require_order(order: int, group: str) -> None:
         raise ValueError(f"{group} has {order} elements, over the cap of {ENUM_CAP}")
 
 
+def value_group_order(spec: SymmetrySpec) -> int:
+    """The number of value permutations in ``spec``'s group, without listing them."""
+    if isinstance(spec, CLASS_SPECS):
+        return prod(factorial(len(c)) for c in spec.classes)
+    if isinstance(spec, WreathInterchange):
+        m, p = len(spec.outer), len(spec.inner)
+        return factorial(m) * factorial(p) ** m
+    raise TypeError(f"unknown symmetry spec {spec!r}")
+
+
+def variable_group_order(kind: str, n: int) -> int:
+    """The number of index permutations ``variable_permutations(kind, n)`` lists."""
+    if kind == "none":
+        return 1
+    if kind == "full":
+        return factorial(n)
+    if kind == "reflection":
+        return 2
+    if kind == "rotation":
+        return max(n, 1)
+    raise ValueError(f"unknown variable group {kind!r}")
+
+
 def value_permutations(spec: SymmetrySpec) -> list[dict[int, int]]:
     """All value permutations of the group, as mappings over the moved values.
 
     Values absent from a mapping are fixed; apply with ``perm.get(v, v)``.
     A value-class spec's group is the product of its classes' permutations.
     """
+    _require_order(value_group_order(spec), f"{spec}'s group")
     if isinstance(spec, CLASS_SPECS):
-        _require_order(prod(factorial(len(c)) for c in spec.classes), f"{spec}'s group")
         perms = [{}]
         for cls in spec.classes:
             perms = [p | dict(zip(cls, img))
                      for p in perms for img in itertools.permutations(cls)]
         return perms
-    if isinstance(spec, WreathInterchange):
-        m, p = len(spec.outer), len(spec.inner)
-        _require_order(factorial(m) * factorial(p) ** m, f"{spec}'s group")
-        outer_idx = range(m)
-        inner_idx = range(p)
-        result = []
-        for sigma in itertools.permutations(outer_idx):
-            for taus in itertools.product(itertools.permutations(inner_idx), repeat=m):
-                mapping = {}
-                for a in outer_idx:
-                    for b in inner_idx:
-                        mapping[a * p + b] = sigma[a] * p + taus[a][b]
-                result.append(mapping)
-        return result
-    raise TypeError(f"unknown symmetry spec {spec!r}")
+    m, p = len(spec.outer), len(spec.inner)
+    outer_idx = range(m)
+    inner_idx = range(p)
+    result = []
+    for sigma in itertools.permutations(outer_idx):
+        for taus in itertools.product(itertools.permutations(inner_idx), repeat=m):
+            mapping = {}
+            for a in outer_idx:
+                for b in inner_idx:
+                    mapping[a * p + b] = sigma[a] * p + taus[a][b]
+            result.append(mapping)
+    return result
 
 
 def variable_permutations(kind: str, n: int) -> list[tuple[int, ...]]:
     """Index permutations pi, applied as image[i] = a[pi[i]]."""
+    _require_order(variable_group_order(kind, n), f"the {kind} group on {n} positions")
     ident = tuple(range(n))
     if kind == "none":
         return [ident]
     if kind == "full":
-        _require_order(factorial(n), f"the full group on {n} positions")
         return [tuple(p) for p in itertools.permutations(range(n))]
     if kind == "reflection":
         return [ident, tuple(range(n - 1, -1, -1))]
-    if kind == "rotation":
-        _require_order(n, f"the rotation group on {n} positions")
-        return [tuple((i + r) % n for i in range(n)) for r in range(max(n, 1))]
-    raise ValueError(f"unknown variable group {kind!r}")
+    return [tuple((i + r) % n for i in range(n)) for r in range(max(n, 1))]
 
 
 def apply_symmetry(assignment: Sequence[int], vperm: dict[int, int],

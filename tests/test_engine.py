@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import mask_of, vals
-from valprec.engine import IntVar, Model, PropagationStatus, Propagator
+from valprec.engine import IntVar, Model, PropagationStatus, Propagator, TernaryTable
 from valprec.precedence import post_state_chain
 
 
@@ -39,6 +39,10 @@ def test_negative_values_refused_by_name():
         m.add_set_var(set(), {-1, 1}, name="S")
     with pytest.raises(ValueError, match="^T: "):
         m.add_set_var({-2}, {-2, 1}, name="T")
+    with pytest.raises(ValueError, match=r"^x: a domain holds only int values, got 1\.5$"):
+        m.add_fd_var([0, 1.5], name="x")
+    with pytest.raises(ValueError, match="^y: a domain holds only int values, got 'a'$"):
+        m.add_fd_var(["a"], name="y")
 
 
 def test_absent_or_negative_value_is_not_in_domain():
@@ -345,6 +349,46 @@ def test_nae_prune_in_place_wakes_chains_fails_and_pops():
     assert m._trail == trail and vals(z.mask) == (1,)  # z kept its one value
     m.pop_choice()
     assert [w.mask for w in (x, y, z, u, v)] == initial and not m.failed
+
+
+def test_nae_prune_wakes_again_after_an_undone_entailment_or_a_post():
+    """A prune that finds every watcher of its variable entailed stamps the
+    variable, and later prunes skip its wake loop.  Restoring an entailment
+    and posting a propagator both end the stamp: the next prune of the
+    variable wakes its table again, seen as the table's prune of b."""
+    def nae_prune(m, x, y, a):
+        """Fix x = y = 1 under a choice, so that the rule removes 1 from a."""
+        m.push_choice()
+        assert m.narrow(x, mask_of(1)) and m.narrow(y, mask_of(1))
+        assert m.propagate() is PropagationStatus.AT_FIXPOINT
+        assert vals(a.mask) == (2, 3)
+
+    for case in ("pop", "post"):
+        m = Model()
+        x, y, a, b = (m.add_fd_var([1, 2, 3], name=n) for n in "xyab")
+        m.post_nae(x, y, a)
+        table = TernaryTable(a, b, m.add_fd_var([0]),   # b >= a
+                             [(u, v, 0) for u in (1, 2, 3) for v in (1, 2, 3) if v >= u])
+        if case == "pop":
+            m.post(table)
+            m.push_choice()                          # depth 1: b = 3 entails b >= a
+            assert m.narrow(b, mask_of(3))
+            assert m.propagate() is PropagationStatus.AT_FIXPOINT and table.entailed
+            nae_prune(m, x, y, a)
+            assert a.quiet == m._wakes               # the only watcher is entailed
+            m.pop_choice()
+            m.pop_choice()
+            assert not table.entailed and vals(b.mask) == (1, 2, 3)
+        else:
+            nae_prune(m, x, y, a)
+            assert a.quiet == m._wakes and a.watchers == []
+            m.pop_choice()
+            m.post(table)
+            assert m.propagate() is PropagationStatus.AT_FIXPOINT
+            assert not table.entailed and vals(b.mask) == (1, 2, 3)
+        nae_prune(m, x, y, a)
+        assert vals(b.mask) == (2, 3), case         # the table ran after a lost 1
+        m.pop_choice()
 
 
 @pytest.mark.parametrize("order", ["xzx", "zxx", "xxz"])

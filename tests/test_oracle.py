@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from valprec import oracle
 from valprec.fuzz import set_bits_holds
 from valprec.oracle import (
     all_precedence_holds,
@@ -61,7 +62,8 @@ def test_wreath_precedence_examples():
     assert wreath_precedence_holds(spec, [c13, c23, c24, c14])
 
 
-@pytest.mark.parametrize("codes, bad", [([0, -3], "-3"), ([4], "4"), ([1, 2.0], "2.0")])
+@pytest.mark.parametrize("codes, bad", [([0, -3], "-3"), ([4], "4"), ([1, 2.0], "2.0"),
+                                        ([True, False], "True"), ([0, False], "False")])
 def test_wreath_precedence_refuses_codes_outside_the_spec(codes, bad):
     spec = WreathInterchange(outer=(1, 2), inner=(3, 4))
     with pytest.raises(ValueError, match="^" + re.escape(f"{bad} is not a code")):
@@ -256,3 +258,15 @@ def test_orbit_size_sum_matches_total():
 
 def test_orbits_empty_input():
     assert enumerate_orbits([]) == []
+
+
+def test_orbit_group_over_the_cap_is_refused_before_enumeration(monkeypatch):
+    """Each group is under the cap, but every orbit would apply their product."""
+    monkeypatch.setattr(oracle, "ENUM_CAP", 100)
+    sols = list(itertools.product((1, 2, 3, 4), repeat=4))
+    with pytest.raises(ValueError, match="value group's 24 elements times the position "
+                                         "group's 24 exceed the cap of 100"):
+        enumerate_orbits(sols, FullInterchange((1, 2, 3, 4)), variable_group="full")
+    # a product under the cap is enumerated: 4! * 4 rotations
+    assert sum(map(len, enumerate_orbits(sols, FullInterchange((1, 2, 3, 4)),
+                                         variable_group="rotation"))) == 256

@@ -61,8 +61,11 @@ def test_wreath_group_size_and_coding():
     (lambda spec: spec.decode(1.5), "1.5 is not a code"),
     (lambda spec: spec.code(3, 3), "<3, 3> is not a pair"),
     (lambda spec: spec.code(1, 5), "<1, 5> is not a pair"),
+    (lambda spec: spec.decode(True), "True is not a code"),
+    (lambda spec: spec.code(True, 3), "<True, 3> is not a pair"),
+    (lambda spec: spec.code(2, True), "<2, True> is not a pair"),
 ], ids=["decode-negative", "decode-past-end", "decode-non-int", "code-outer",
-        "code-inner"])
+        "code-inner", "decode-bool", "code-bool-outer", "code-bool-inner"])
 def test_wreath_coding_refuses_values_outside_the_spec(call, named):
     spec = WreathInterchange(outer=(1, 2), inner=(3, 4))
     with pytest.raises(ValueError, match="^" + re.escape(named)):
