@@ -14,18 +14,16 @@ a filter leaves its work queued, and the next ``propagate`` resumes it.
 
 A propagator watches variables.  A change to a watched variable schedules it
 on a FIFO queue with per-propagator deduplication, unless its own filter made
-the change.  The one filter is ``TernaryTable``, GAC over three variables.
-It looks a one-value slice of its index up directly, skips a narrow whose
-keep mask covers the domain and keeps its column sizes with ``columns``.
-Its outcome depends only on its three domains, so it remembers it in an
-untrailed ``memo``, and a revisited domain triple costs one lookup.
-Every ordering rule, lexicographic ordering and set variable included, is
-compiled to chains of it in :mod:`valprec.precedence`.  Not-all-equal is a
-rule of the engine, not a propagator, and ``Model.post_nae`` posts it.  A
-variable it is posted over goes on a second FIFO when it becomes fixed, and
-popping it runs the rule over its ``nae_pairs`` in one loop.  ``propagate``
-runs both queues to a fixpoint; an entailed propagator is not woken until
-backtracking undoes it.
+the change.  The one filter is ``TernaryTable``, GAC over three distinct
+variables, whose tuples and columns are fixed when it is built; it keeps
+each outcome in an untrailed ``memo``, so a revisited domain triple costs
+one lookup.  Every ordering rule, lexicographic ordering and set variable
+included, is compiled to chains of it in :mod:`valprec.precedence`.
+Not-all-equal is a rule of the engine, not a propagator, and
+``Model.post_nae`` posts it.  A variable it is posted over goes on a second
+FIFO when it becomes fixed, and popping it runs the rule over its
+``nae_pairs`` in one loop.  ``propagate`` runs both queues to a fixpoint;
+an entailed propagator is not woken until backtracking undoes it.
 
 Entailed watchers stay on their variables, since taking them off would
 cost trail work, so the rule's prune remembers instead when a variable has
@@ -132,17 +130,17 @@ class Propagator:
 
 
 class TernaryTable(Propagator):
-    """GAC table constraint over three integer variables.
+    """GAC table constraint over three distinct integer variables.
 
-    A repeated argument keeps only the tuples that agree at its positions.
-    ``columns``, set by the first filter, holds the masks of the values each
-    position's tuples hold, then their sizes; while each mask lies in its
-    domain, every tuple is live.  Otherwise only the position whose column
-    has the smallest live share is scanned (the smallest estimated slice;
-    the earliest wins a tie): its live values' tuples, from a per-position
-    index (value -> tuples) built on first use, never trailed.  A one-value
-    slice is looked up directly.  A narrow whose keep mask covers the
-    domain is not made.
+    ``__init__`` refuses a repeated variable and a tuple value that is not
+    a non-negative int, before anything is posted, and builds ``columns``:
+    the masks of the values each position's tuples hold, then their sizes.
+    While each mask lies in its domain, every tuple is live.  Otherwise
+    only the position whose column has the smallest live share is scanned
+    (the smallest estimated slice; the earliest wins a tie): its live
+    values' tuples, from a per-position index (value -> tuples) built on
+    first use, never trailed.  A one-value slice is looked up directly.  A
+    narrow whose keep mask covers the domain is not made.
 
     ``memo`` maps the domain masks a filter sees, each cut to its column, to
     the filter's outcome: the support masks and whether the table is then
@@ -158,31 +156,28 @@ class TernaryTable(Propagator):
     def __init__(self, x: IntVar, y: IntVar, z: IntVar,
                  triples: Iterable[tuple[int, int, int]]):
         super().__init__()
-        self.x, self.y, self.z = self.watches = [x, y, z]
-        triples = set(triples)
         if x is y or y is z or x is z:
-            triples = {(u, v, w) for u, v, w in triples
-                       if (x is not y or u == v) and (y is not z or v == w)
-                       and (x is not z or u == w)}
+            raise ValueError(f"table over {x.name}, {y.name}, {z.name}: "
+                             "its three variables must be distinct")
+        triples = set(triples)
+        cx = cy = cz = 0
+        for t in triples:
+            try:
+                u, v, w = t
+                cx, cy, cz = cx | 1 << u, cy | 1 << v, cz | 1 << w
+            except (TypeError, ValueError):  # not three values, a non-int or negative shift
+                raise ValueError(f"table over {x.name}, {y.name}, {z.name}: "
+                                 f"a tuple holds three ints >= 0, got {t!r}") from None
+        self.x, self.y, self.z = self.watches = [x, y, z]
         self.triples = tuple(sorted(triples))
-        self.columns: Optional[tuple[int, int, int]] = None
+        self.columns = (cx, cy, cz, cx.bit_count(), cy.bit_count(), cz.bit_count())
         self.by_value: list[Optional[dict[int, tuple]]] = [None, None, None]
         self.memo: dict[tuple[int, int, int], tuple[int, int, int, bool]] = {}
 
     def filter(self, m: Model) -> bool:
         x, y, z = self.x, self.y, self.z
         dx, dy, dz = x.mask, y.mask, z.mask
-        cols = self.columns
-        if cols is None:
-            cx = cy = cz = 0
-            try:
-                for u, v, w in self.triples:
-                    cx, cy, cz = cx | 1 << u, cy | 1 << v, cz | 1 << w
-            except ValueError:  # a negative shift count
-                raise ValueError(f"table over {x.name}, {y.name}, {z.name}: a tuple holds "
-                                 f"no negative value, got {min(map(min, self.triples))}") from None
-            cols = self.columns = (cx, cy, cz, cx.bit_count(), cy.bit_count(), cz.bit_count())
-        cx, cy, cz, tx, ty, tz = cols
+        cx, cy, cz, tx, ty, tz = self.columns
         key = (kx, ky, kz) = (dx & cx, dy & cy, dz & cz)
         memo = self.memo
         if (out := memo.get(key)) is None:
@@ -207,7 +202,7 @@ class TernaryTable(Propagator):
                                 chain.from_iterable(map(index.__getitem__, mask_values(scan)))):
                     if kx >> u & 1 and ky >> v & 1 and kz >> w & 1:
                         sx, sy, sz, live = sx | 1 << u, sy | 1 << v, sz | 1 << w, live + 1
-            out = (sx, sy, sz, live > 0 and x is not y and y is not z and x is not z and (
+            out = (sx, sy, sz, live > 0 and (
                 live == 1 or live == sx.bit_count() * sy.bit_count() * sz.bit_count()))
             if len(memo) < len(self.triples):
                 memo[key] = out
@@ -268,8 +263,11 @@ class Model:
         """A set with lb <= S <= ub: one bit per element of ub, fixed to 1 on lb."""
         lb, ub = frozenset(lb), frozenset(ub)
         name = name or f"s{self._set_count}"
-        if not lb <= ub or min(ub, default=0) < 0:
-            raise ValueError(f"{name}: needs lb within ub and no negative element")
+        for v in ub:
+            if type(v) is not int or v < 0:
+                raise ValueError(f"{name}: a set holds only non-negative int elements, got {v!r}")
+        if not lb <= ub:
+            raise ValueError(f"{name}: needs lb within ub")
         self._set_count += 1
         return SetVar({v: self.add_fd_var({1} if v in lb else {0, 1},
                                           name=f"{name}[{v}]")

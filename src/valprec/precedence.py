@@ -45,8 +45,8 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
     given) are materialized, so state variables carry exact initial domains.
     Layer i's states become the values 0..k-1 of Y_i in sorted order.  An
     automaton that accepts nothing posts one table without tuples instead,
-    over its first variable (a new one if there is none), which fails the
-    model at its first filter.
+    over three new ``{0}`` variables ``{label}0..2``, which fails the model
+    when it is propagated.
 
     Raises ValueError, before posting anything, when the forward pass would
     try more than ``TRANSITION_CAP`` (state, value) pairs.
@@ -70,8 +70,8 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
         edges[i] = [e for e in edges[i] if e[2] in layers[i + 1]]
         layers[i] = {s for _, s, _ in edges[i]}
     if not layers[0]:
-        x = xs[0] if xs else model.add_fd_var((0,), name=f"{label}0")
-        return ChainEncoding([], [model.post(TernaryTable(x, x, x, ()), "encoding")])
+        zeros = [model.add_fd_var((0,), name=f"{label}{i}") for i in range(3)]
+        return ChainEncoding([], [model.post(TernaryTable(*zeros, ()), "encoding")])
     ids = [{s: k for k, s in enumerate(sorted(layer))} for layer in layers]
     svars = [model.add_fd_var(range(len(layer)), name=f"{label}{i}")
              for i, layer in enumerate(layers)]

@@ -34,12 +34,11 @@ class Budget:
     max_nodes: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_seconds is not None and not self.max_seconds >= 0:
-            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds!r}")
-        if self.max_nodes is not None and not (
-                isinstance(self.max_nodes, int) and not isinstance(self.max_nodes, bool)
-                and self.max_nodes >= 0):
-            raise ValueError(f"max_nodes must be an int >= 0, got {self.max_nodes!r}")
+        s, n = self.max_seconds, self.max_nodes
+        if s is not None and (isinstance(s, bool) or not s >= 0):
+            raise ValueError(f"max_seconds must be a number >= 0, got {s!r}")
+        if n is not None and not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
+            raise ValueError(f"max_nodes must be an int >= 0, got {n!r}")
 
 
 @dataclass

@@ -22,11 +22,13 @@ from typing import Iterable, Sequence, Union
 ENUM_CAP = 10_000_000
 
 
-def _require_values(*groups: Sequence[int]) -> None:
-    """Refuse a group of values that is empty or lists a value twice."""
+def _require_values(*groups: Sequence[int], domain: bool = True) -> None:
+    """Refuse an empty group, a repeated value, a non-int and, if ``domain``, a negative value."""
     for values in groups:
-        if not values or len(set(values)) != len(values):
-            raise ValueError(f"values must be non-empty and distinct, got {tuple(values)}")
+        if set(map(type, values)) != {int} or len(set(values)) != len(values) \
+                or domain and min(values) < 0:
+            raise ValueError(f"values must be non-empty, distinct "
+                             f"{'non-negative ' * domain}ints, got {tuple(values)}")
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class WreathInterchange:
     inner: tuple[int, ...]
 
     def __post_init__(self):
-        _require_values(self.outer, self.inner)
+        _require_values(self.outer, self.inner, domain=False)
 
     def code(self, u: int, v: int) -> int:
         if isinstance(u, bool) or isinstance(v, bool) \

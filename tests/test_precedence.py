@@ -99,9 +99,29 @@ def test_pair_identical_values_rejected():
      ValueError, "^7 is not a code"),
     (lambda m: encode_puget_surjection(m, [m.add_fd_var({1, 2})], [1, 1]),
      ValueError, "distinct"),
-    (lambda m: (m.post(TernaryTable(*(m.add_fd_var({0}) for _ in range(3)),
-                                    [(-1, 0, 0), (0, 0, 0)])), m.propagate()),
-     ValueError, "no negative value, got -1"),
+    (lambda m: m.post(TernaryTable(*(m.add_fd_var({0}, name=f"x{i}") for i in range(3)),
+                                   [(-1, 0, 0), (0, 0, 0)])),
+     ValueError, r"^table over x0, x1, x2: a tuple holds three ints >= 0, got \(-1, 0, 0\)$"),
+    (lambda m: m.post(TernaryTable(*(m.add_fd_var({0}, name=f"x{i}") for i in range(3)),
+                                   [(0.5, 0, 0), (0, 0, 0)])),
+     ValueError, r"^table over x0, x1, x2: a tuple holds three ints >= 0, got \(0\.5, 0, 0\)$"),
+    (lambda m: m.post(TernaryTable(x := m.add_fd_var({0, 1}, name="x"), x,
+                                   m.add_fd_var({0}, name="z"), [(0, 1, 0), (1, 0, 0)])),
+     ValueError, "^table over x, x, z: its three variables must be distinct$"),
+    (lambda m: m.add_set_var(set(), {"a"}, name="S"),
+     ValueError, "^S: a set holds only non-negative int elements, got 'a'$"),
+    (lambda m: m.add_set_var(set(), {1.5}, name="S"),
+     ValueError, r"^S: a set holds only non-negative int elements, got 1\.5$"),
+    (lambda m: m.add_set_var({True}, {True, 2}, name="S"),
+     ValueError, "^S: a set holds only non-negative int elements, got True$"),
+    (lambda m: encode_pair_precedence(m, 1.5, 2, [m.add_fd_var({1, 2})]),
+     ValueError, r"non-negative ints, got \(1\.5, 2\)$"),
+    (lambda m: FullInterchange((True, 2)), ValueError, r"non-negative ints, got \(True, 2\)$"),
+    (lambda m: PartitionInterchange(((1, 2), (-3, 4))),
+     ValueError, r"non-negative ints, got \(-3, 4\)$"),
+    (lambda m: PartitionInterchange(((True, 2),)), ValueError,
+     r"non-negative ints, got \(True, 2\)$"),
+    (lambda m: WreathInterchange((1, "b"), (3, 4)), ValueError, r"distinct ints, got \(1, 'b'\)$"),
 ], ids=["set-repeated-value", "incr-seq-repeated-value", "schur-unknown-sym",
         "value-perms-non-spec", "predicate-non-spec",
         "post-encoding-non-spec", "pair-spec-repeated-value",
@@ -110,13 +130,17 @@ def test_pair_identical_values_rejected():
         "wreath-spec-repeated-inner", "wreath-spec-empty-inner",
         "wreath-spec-empty-outer", "wreath-encoder-empty-outer",
         "wreath-encoder-repeated-inner", "wreath-encoder-non-code",
-        "puget-repeated-value", "table-negative-value"])
+        "puget-repeated-value", "table-negative-value", "table-non-int-value",
+        "table-repeated-argument", "set-var-str-element", "set-var-float-element",
+        "set-var-bool-element", "pair-spec-float", "full-spec-bool",
+        "partition-spec-negative", "partition-spec-bool", "wreath-spec-str"])
 def test_documented_input_errors(call, error, match):
     m = Model()
     with pytest.raises(error, match=match):
         call(m)
-    # an encoder refuses its input before it posts any of its chain
-    assert "encoding" not in m.posted_counts
+    # bad input is refused before any constraint, an encoder's chain included,
+    # is posted
+    assert m.propagators == [] and not m.posted_counts
 
 
 def test_pair_chain_matches_oracle_300_cases():

@@ -89,15 +89,6 @@ def test_table_fixpoint_matches_oracle(data):
     assert got == want
 
 
-def test_table_over_repeated_argument_is_gac():
-    # no tuple has equal first two values, so (x, x, z) has no solution
-    m = Model()
-    x = m.add_fd_var({0, 1})
-    z = m.add_fd_var({0})
-    m.post(TernaryTable(x, x, z, {(0, 1, 0), (1, 0, 0)}))
-    assert m.propagate() is FAILED
-
-
 def _live_tuples(prop):
     """The table's tuples that lie in the current domains, by a full scan."""
     dx, dy, dz = prop.x.mask, prop.y.mask, prop.z.mask
@@ -107,19 +98,14 @@ def _live_tuples(prop):
 
 def _full_scan_entailed(prop):
     """Entailment as a scan of every tuple finds it on the current domains."""
-    x, y, z = prop.x, prop.y, prop.z
     live = _live_tuples(prop)
     supports = [len({t[i] for t in live}) for i in range(3)]
-    distinct = x is not y and y is not z and x is not z
-    return distinct and len(live) == supports[0] * supports[1] * supports[2]
+    return len(live) == supports[0] * supports[1] * supports[2]
 
 
 def _copy_table(prop):
-    """A copy of ``prop`` over fresh variables, aliased as in ``prop``."""
-    copies = {}
-    for var in prop.watches:
-        copies.setdefault(var, IntVar(var.mask, var.name))
-    return TernaryTable(*(copies[var] for var in prop.watches), prop.triples)
+    """A copy of ``prop`` over fresh variables."""
+    return TernaryTable(*(IntVar(var.mask, var.name) for var in prop.watches), prop.triples)
 
 
 def _check_memo_hits(monkeypatch):
@@ -135,7 +121,7 @@ def _check_memo_hits(monkeypatch):
 
     def checked(prop, m):
         masks = [var.mask for var in prop.watches]
-        key = prop.columns and tuple(d & c for d, c in zip(masks, prop.columns))
+        key = tuple(d & c for d, c in zip(masks, prop.columns))
         hit = key in prop.memo
         ok = filter_(prop, m)
         if hit:
@@ -158,7 +144,7 @@ def _check_memo_hits(monkeypatch):
 
 
 def test_table_narrowed_fixpoints_match_oracle_and_full_scan(monkeypatch):
-    """Random tables narrowed under choice points, arguments possibly aliased.
+    """Random tables narrowed under choice points, arguments in five orders.
 
     Narrowing an argument below the values its column holds makes the
     filter scan only the indexed slice of the table at the position with
@@ -174,7 +160,7 @@ def test_table_narrowed_fixpoints_match_oracle_and_full_scan(monkeypatch):
     indexed = 0
     by_position = [0, 0, 0]
     for _ in range(400):
-        args = rng.choice([(0, 1, 2), (0, 0, 2), (0, 2, 2), (0, 2, 0), (0, 0, 0)])
+        args = rng.choice([(0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0)])
         triples = set(rng.sample(pool, rng.randint(1, 40)))
         doms = [set(rng.sample(range(5), rng.randint(1, 5))) for _ in range(3)]
         m = Model()

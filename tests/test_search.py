@@ -95,7 +95,9 @@ def test_time_budget_halts_search():
     {"max_nodes": -5},
     {"max_nodes": 2.5},
     {"max_nodes": True},
-], ids=["nan-seconds", "negative-seconds", "negative-nodes", "float-nodes", "bool-nodes"])
+    {"max_seconds": True},
+], ids=["nan-seconds", "negative-seconds", "negative-nodes", "float-nodes", "bool-nodes",
+        "bool-seconds"])
 def test_budget_refuses_values_that_mean_something_else(kwargs):
     with pytest.raises(ValueError):
         Budget(**kwargs)
