@@ -15,9 +15,8 @@ from .precedence import (TRANSITION_CAP, ChainEncoding, MatrixEncoding,
                          encode_partial_precedence, encode_puget_surjection,
                          encode_reflection_lex, encode_rotation_lex,
                          encode_set_precedence, encode_wreath_precedence,
-                         post_channel, post_exactly_one, post_implications,
-                         post_less_than, post_lex_chain, post_lex_leq,
-                         post_state_chain)
+                         post_binary_relation, post_exactly_one,
+                         post_lex_chain, post_lex_leq, post_state_chain)
 from .symmetry import (FullInterchange, PairInterchange, PartitionInterchange,
                        SymmetrySpec, WreathInterchange, assignment_orbit,
                        value_permutations, variable_permutations)

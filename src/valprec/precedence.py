@@ -9,18 +9,19 @@ fixpoint enforces GAC on the conjunction, i.e. on the global ordering rule.
 An encoder gives the automaton as a step function over states of any sortable,
 hashable kind (an int, or a tuple of counters).  ``post_state_chain`` alone
 turns states into the integers the tables hold and bounds how big a chain may
-get.  Lexicographic ordering and the small relations of the alternative
-encodings are step functions too, so no encoding needs a filter of its own.
+get.  Lexicographic ordering is a step function too, and the alternative
+encodings decompose into exactly-one counters and binary relations, each a
+chain (``post_binary_relation``), so no encoding needs a filter of its own.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 from .engine import IntVar, Model, Propagator, SetVar, TernaryTable, mask_values
 from .symmetry import (FullInterchange, PairInterchange, PartitionInterchange,
-                       WreathInterchange)
+                       WreathInterchange, _require_values)
 
 TRANSITION_CAP = 1_000_000
 
@@ -168,9 +169,10 @@ def encode_wreath_precedence(model: Model, outer: Sequence[int],
 
 # ---------------------------------------------------- alternative encodings
 #
-# The small relations the alternative encodings decompose into are chains
-# too: each is an automaton over a few variables, so its tables are GAC on
-# the relation.  A state of None means nothing has been read yet.
+# The alternative encodings decompose into exactly-one counters and binary
+# relations, each a chain over its own variables, so its tables are GAC on
+# it.  Relations that share only one variable form a Berge-acyclic star, so
+# they are GAC together too.  A state of None means nothing has been read yet.
 
 
 def post_exactly_one(model: Model, bits: Sequence[IntVar]) -> ChainEncoding:
@@ -185,64 +187,21 @@ def post_exactly_one(model: Model, bits: Sequence[IntVar]) -> ChainEncoding:
                             accept=lambda ones: ones == 1, label="E")
 
 
-def post_channel(model: Model, x: IntVar, bits: Sequence[IntVar],
-                 values: Sequence[int]) -> ChainEncoding:
-    """x = values[j]  iff  bits[j] = 1.
+def post_binary_relation(model: Model, x: IntVar, y: IntVar,
+                         allowed: Callable[[int, int], bool],
+                         label: str) -> ChainEncoding:
+    """x and y take values u, v with ``allowed(u, v)``, as a chain over [x, y].
 
-    If x takes a value outside ``values`` the whole row is 0; pairing this
-    with :func:`post_exactly_one` confines x to the listed values.  The chain
-    reads x, then the bits; state = (index of x's value or -1, bits read).
+    State after x = x's value; every allowed pair ends in the one state 0.
+    The chain is GAC on the relation when x is not y.
     """
-    if len(bits) != len(values):
-        raise ValueError("one bit per listed value")
-    if len(set(values)) != len(values):
-        raise ValueError("channel values must be distinct")
-    index = {v: j for j, v in enumerate(values)}
-
-    def step(s: Optional[tuple[int, int]], v: int) -> Optional[tuple[int, int]]:
-        if s is None:
-            return (index.get(v, -1), 0)
-        j, read = s
-        return (j, read + 1) if v == (j == read) else None
-
-    return post_state_chain(model, [x, *bits], step, start=None, label="C")
-
-
-_COMPARISONS = {"=": operator.eq, "<=": operator.le, "<": operator.lt,
-                "!=": operator.ne}
-
-
-def post_implications(model: Model,
-                      clauses: Iterable[tuple[IntVar, int, IntVar, str, int]]
-                      ) -> list[ChainEncoding]:
-    """Post clauses of the form (x = a) -> (y op b), one chain each."""
-    return [_post_implication(model, *clause) for clause in clauses]
-
-
-def _post_implication(model: Model, x: IntVar, trigger: int, y: IntVar,
-                      op: str, bound: int) -> ChainEncoding:
-    """A chain over [x, y]; state after x = whether x took the trigger."""
-    if op not in _COMPARISONS:
-        raise ValueError(f"unknown comparison {op!r}")
-    test = _COMPARISONS[op]
-
-    def step(s: Optional[bool], v: int) -> Optional[bool]:
-        if s is None:
-            return v == trigger
-        return False if not s or test(v, bound) else None
-
-    return post_state_chain(model, [x, y], step, start=None, label="I")
-
-
-def post_less_than(model: Model, a: IntVar, b: IntVar) -> ChainEncoding:
-    """a < b, as a chain over [a, b].  State after a = its value."""
 
     def step(s: Optional[int], v: int) -> Optional[int]:
         if s is None:
             return v
-        return 0 if s < v else None
+        return 0 if allowed(s, v) else None
 
-    return post_state_chain(model, [a, b], step, start=None, label="L")
+    return post_state_chain(model, [x, y], step, start=None, label=label)
 
 
 @dataclass
@@ -256,17 +215,22 @@ def encode_matrix_precedence(model: Model, values: Sequence[int],
                              xs: Sequence[IntVar]) -> MatrixEncoding:
     """Value precedence via a 0/1 matrix: row i is the indicator of X_i.
 
-    Rows are channelled to the X variables with exactly one 1 per row, and
-    adjacent value columns are ordered non-strictly by lex.  Solution sets
-    match the automaton encoding whenever X domains stay inside the listed
-    values, but the decomposition propagates more weakly.
+    Each bit is channelled to its X on its own (X_i = values[j] iff
+    B[i,j] = 1), each row holds exactly one 1, and adjacent value columns
+    are ordered non-strictly by lex.  A row's channels share only X_i, so
+    together they are GAC on the row's channel.  Solution sets match the
+    automaton encoding whenever X domains stay inside the listed values,
+    but the decomposition propagates more weakly.
     """
+    _require_values(values)
     n, m = len(xs), len(values)
     bits = [[model.add_fd_var({0, 1}, name=f"B[{i},{j}]") for j in range(m)]
             for i in range(n)]
     props: list[Propagator] = []
     for i, x in enumerate(xs):
-        props += post_channel(model, x, bits[i], values).propagators
+        for b, v in zip(bits[i], values):
+            props += post_binary_relation(
+                model, x, b, lambda u, w, v=v: (u == v) == w, "C").propagators
         props += post_exactly_one(model, bits[i]).propagators
     columns = [[bits[i][j] for i in range(n)] for j in range(m)]
     for a, b in zip(columns, columns[1:]):
@@ -289,20 +253,19 @@ def encode_puget_surjection(model: Model, xs: Sequence[IntVar],
     Z_j=i implies X_i=v_j, with Z_1 < Z_2 < ... ordering the first uses.
     Sound only when every listed value is used at least once.
     """
-    if len(set(values)) != len(values):
-        raise ValueError("values must be distinct")
+    _require_values(values)
     n = len(xs)
     z = [model.add_fd_var(range(1, n + 1), name=f"Z{j + 1}")
          for j in range(len(values))]
-    clauses = []
-    for j, v in enumerate(values):
-        for i in range(1, n + 1):
-            clauses.append((xs[i - 1], v, z[j], "<=", i))
-            clauses.append((z[j], i, xs[i - 1], "=", v))
-    props = [p for enc in post_implications(model, clauses)
-             for p in enc.propagators]
+    props: list[Propagator] = []
+    for zj, v in zip(z, values):
+        for i, x in enumerate(xs, 1):
+            props += post_binary_relation(
+                model, x, zj, lambda u, w, v=v, i=i: u != v or w <= i, "I").propagators
+            props += post_binary_relation(
+                model, zj, x, lambda u, w, v=v, i=i: u != i or w == v, "I").propagators
     for a, b in zip(z, z[1:]):
-        props += post_less_than(model, a, b).propagators
+        props += post_binary_relation(model, a, b, operator.lt, "L").propagators
     return SurjectionEncoding(z, props)
 
 
@@ -316,8 +279,7 @@ def encode_set_precedence(model: Model, values: Sequence[int],
     on the ordering.  A set that cannot hold a listed value gets a fixed 0
     variable in that value's column.
     """
-    if len(set(values)) != len(values):
-        raise ValueError("values must be distinct")
+    _require_values(values)
     columns = [[s.bits[v] if v in s.bits
                 else model.add_fd_var({0}, name=f"{s.name}[{v}]")
                 for s in sets] for v in values]
@@ -336,8 +298,7 @@ def encode_increasing_seq(model: Model, xs: Sequence[IntVar],
     used never decrease.  State = (values used, previous run length, current
     run length).
     """
-    if len(set(values)) != len(values):
-        raise ValueError("values must be distinct")
+    _require_values(values)
     idx = {v: j for j, v in enumerate(values)}
 
     def step(s: tuple[int, int, int], v: int) -> Optional[tuple[int, int, int]]:
@@ -407,13 +368,14 @@ def encode_reflection_lex(model: Model, xs: Sequence[IntVar]) -> ChainEncoding:
     return post_lex_leq(model, left, right)
 
 
-def encode_rotation_lex(model: Model,
-                        xs: Sequence[IntVar]) -> list[ChainEncoding]:
+def encode_rotation_lex(model: Model, xs: Sequence[IntVar]) -> ChainEncoding:
     """Prefer a sequence over all its rotations: xs <=lex every cyclic shift.
 
-    Each comparison aliases variables between the two sides, so the pruning
-    is sound but not guaranteed complete.
+    One lex chain per shift, returned as one encoding.  Each comparison
+    aliases variables between the two sides, so the pruning is sound but
+    not guaranteed complete.
     """
-    n = len(xs)
     seq = list(xs)
-    return [post_lex_leq(model, seq, seq[r:] + seq[:r]) for r in range(1, n)]
+    chains = [post_lex_leq(model, seq, seq[r:] + seq[:r]) for r in range(1, len(seq))]
+    return ChainEncoding([y for c in chains for y in c.state_vars],
+                         [p for c in chains for p in c.propagators])

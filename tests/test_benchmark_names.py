@@ -7,6 +7,8 @@ import importlib
 
 import pytest
 
+from conftest import ENCODER_ARGS, encoder_args
+
 NAMES = [
     ("valprec", "TernaryTable"),
     # the tracer wraps each class's own ``filter`` in place, and ``narrow``
@@ -65,3 +67,16 @@ def test_schur_model_lists_what_perfbench_counts():
     assert [type(p) for p in props] == [TernaryTable] * 44
     assert sum(len(p.triples) for p in props) == 537
     assert model.posted_counts == {"user": 484, "encoding": 44}
+
+
+@pytest.mark.parametrize("name", sorted(ENCODER_ARGS))
+def test_encoder_returns_the_propagators_it_posts(name):
+    """perfbench's tracer counts an encoder's tables from the
+    ``propagators`` of the object it returns."""
+    from valprec import precedence
+    from valprec.engine import Model
+    assert sorted(ENCODER_ARGS) == sorted(n for n in vars(precedence)
+                                          if n.startswith("encode_"))
+    m = Model()
+    enc = getattr(precedence, name)(*encoder_args(name, m))
+    assert m.propagators and enc.propagators == m.propagators

@@ -103,7 +103,9 @@ def test_shrinker_reduces_divergent_instances(monkeypatch):
         post_encoding(model, spec, xs)
 
     def weak_set_precedence(model, values, sets):
-        return encode_set_precedence(model, values[:-1], sets)
+        if len(values) == 1:
+            return
+        encode_set_precedence(model, values[:-1], sets)
 
     monkeypatch.setattr(fuzz, "post_encoding", weak_post_encoding)
     monkeypatch.setattr(fuzz, "encode_set_precedence", weak_set_precedence)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import mask_of, vals
+from conftest import ENCODER_ARGS, encoder_args, mask_of, vals
 from valprec import precedence
 from valprec.engine import Model, PropagationStatus, TernaryTable
 from valprec.fuzz import (check, check_fd_instance, fd_fixpoint, post_encoding,
@@ -122,6 +122,16 @@ def test_pair_identical_values_rejected():
     (lambda m: PartitionInterchange(((True, 2),)), ValueError,
      r"non-negative ints, got \(True, 2\)$"),
     (lambda m: WreathInterchange((1, "b"), (3, 4)), ValueError, r"distinct ints, got \(1, 'b'\)$"),
+    (lambda m: encode_set_precedence(m, [1.5, 2], [m.add_set_var(set(), {1, 2})]),
+     ValueError, r"non-negative ints, got \(1\.5, 2\)$"),
+    (lambda m: encode_increasing_seq(m, [m.add_fd_var({1, 2})], [1.5, 2]),
+     ValueError, r"non-negative ints, got \(1\.5, 2\)$"),
+    (lambda m: encode_puget_surjection(m, [m.add_fd_var({1, 2})], [True, 2]),
+     ValueError, r"non-negative ints, got \(True, 2\)$"),
+    (lambda m: encode_matrix_precedence(m, [1, 1], [m.add_fd_var({1})]),
+     ValueError, "distinct"),
+    (lambda m: encode_matrix_precedence(m, [1.5, 2], [m.add_fd_var({1, 2})]),
+     ValueError, r"non-negative ints, got \(1\.5, 2\)$"),
 ], ids=["set-repeated-value", "incr-seq-repeated-value", "schur-unknown-sym",
         "value-perms-non-spec", "predicate-non-spec",
         "post-encoding-non-spec", "pair-spec-repeated-value",
@@ -133,7 +143,9 @@ def test_pair_identical_values_rejected():
         "puget-repeated-value", "table-negative-value", "table-non-int-value",
         "table-repeated-argument", "set-var-str-element", "set-var-float-element",
         "set-var-bool-element", "pair-spec-float", "full-spec-bool",
-        "partition-spec-negative", "partition-spec-bool", "wreath-spec-str"])
+        "partition-spec-negative", "partition-spec-bool", "wreath-spec-str",
+        "set-precedence-float", "incr-seq-float", "puget-bool", "matrix-repeated-value",
+        "matrix-float-value"])
 def test_documented_input_errors(call, error, match):
     m = Model()
     with pytest.raises(error, match=match):
@@ -614,28 +626,10 @@ def test_no_encoder_calls_another(monkeypatch):
     names = sorted(name for name in vars(precedence) if name.startswith("encode_"))
     for name in names:
         monkeypatch.setattr(precedence, name, counted(name, getattr(precedence, name)))
+    assert sorted(ENCODER_ARGS) == names
     m = Model()
-    xs = [m.add_fd_var(range(1, 4)) for _ in range(4)]
-    sets = [m.add_set_var(set(), {1, 2}) for _ in range(2)]
-    calls = {
-        "encode_pair_precedence": lambda: precedence.encode_pair_precedence(m, 1, 2, xs),
-        "encode_all_precedence": lambda: precedence.encode_all_precedence(m, [1, 2, 3], xs),
-        "encode_partial_precedence":
-            lambda: precedence.encode_partial_precedence(m, [[1, 2], [3]], xs),
-        "encode_wreath_precedence":
-            lambda: precedence.encode_wreath_precedence(m, [1, 2], [1, 2], xs),
-        "encode_matrix_precedence":
-            lambda: precedence.encode_matrix_precedence(m, [1, 2, 3], xs),
-        "encode_puget_surjection":
-            lambda: precedence.encode_puget_surjection(m, xs, [1, 2, 3]),
-        "encode_set_precedence": lambda: precedence.encode_set_precedence(m, [1, 2], sets),
-        "encode_increasing_seq": lambda: precedence.encode_increasing_seq(m, xs, [1, 2, 3]),
-        "encode_reflection_lex": lambda: precedence.encode_reflection_lex(m, xs),
-        "encode_rotation_lex": lambda: precedence.encode_rotation_lex(m, xs),
-    }
-    assert sorted(calls) == names
     for name in names:
-        calls[name]()
+        getattr(precedence, name)(*encoder_args(name, m))
     assert nested == []
 
 

@@ -1,5 +1,6 @@
 """Propagator filtering vs the definition-based consistency oracle."""
 import itertools
+import operator
 import random
 
 import pytest
@@ -11,10 +12,8 @@ from valprec.fuzz import check
 from valprec.oracle import gac_by_definition, iterated_gac
 from valprec.precedence import (
     encode_wreath_precedence,
-    post_channel,
+    post_binary_relation,
     post_exactly_one,
-    post_implications,
-    post_less_than,
     post_lex_chain,
     post_lex_leq,
 )
@@ -470,11 +469,17 @@ def test_exactly_one_matches_oracle(doms):
 # ------------------------------------------------------------------- channel
 
 
+def _post_channel(m, x, bits, values):
+    """x = values[j] iff bits[j] = 1, one binary relation per bit."""
+    for b, v in zip(bits, values):
+        post_binary_relation(m, x, b, lambda u, w, v=v: (u == v) == w, "C")
+
+
 def test_channel_assigned_value_sets_unit_row():
     m = Model()
     x = m.add_fd_var({20})
     bits = [m.add_fd_var({0, 1}) for _ in range(3)]
-    post_channel(m, x, bits, [10, 20, 30])
+    _post_channel(m, x, bits, [10, 20, 30])
     assert m.propagate() is AT_FIXPOINT
     assert [vals(b.mask) for b in bits] == [(0,), (1,), (0,)]
 
@@ -483,7 +488,7 @@ def test_channel_zero_bit_prunes_value():
     m = Model()
     x = m.add_fd_var({10, 20, 30})
     bits = [m.add_fd_var({0, 1}), m.add_fd_var({0}), m.add_fd_var({0, 1})]
-    post_channel(m, x, bits, [10, 20, 30])
+    _post_channel(m, x, bits, [10, 20, 30])
     assert m.propagate() is AT_FIXPOINT
     assert vals(x.mask) == (10, 30)
 
@@ -492,43 +497,13 @@ def test_channel_with_out_of_list_values_keeps_zero_row_open():
     m = Model()
     x = m.add_fd_var({10, 99})
     bits = [m.add_fd_var({0, 1})]
-    post_channel(m, x, bits, [10])
+    _post_channel(m, x, bits, [10])
     assert m.propagate() is AT_FIXPOINT
     assert vals(x.mask) == (10, 99)
     assert vals(bits[0].mask) == (0, 1)
     assert m.narrow(x, mask_of(99))
     assert m.propagate() is AT_FIXPOINT
     assert vals(bits[0].mask) == (0,)
-
-
-def _channel_pred(values):
-    k = len(values)
-
-    def pred(t):
-        x, bits = t[0], t[1:]
-        return all((x == values[j]) == (bits[j] == 1) for j in range(k))
-    return pred
-
-
-@given(st.data())
-def test_channel_matches_oracle(data):
-    values = [10, 20, 30]
-    xdom = data.draw(st.sets(st.sampled_from([10, 20, 30, 99]),
-                             min_size=1, max_size=4))
-    bdoms = [data.draw(st.sets(st.integers(0, 1), min_size=1, max_size=2))
-             for _ in values]
-    _, got, want = check(lambda m, xs: post_channel(m, xs[0], xs[1:], values),
-                         _channel_pred(values), [xdom] + bdoms)
-    assert got == want
-
-
-def test_channel_validates_arguments():
-    m = Model()
-    x = m.add_fd_var({1, 2})
-    with pytest.raises(ValueError):
-        post_channel(m, x, [m.add_fd_var({0, 1})], [1, 2])
-    with pytest.raises(ValueError):
-        post_channel(m, x, [m.add_fd_var({0, 1}), m.add_fd_var({0, 1})], [1, 1])
 
 
 # ------------------------------------------------------------- not-all-equal
@@ -689,14 +664,14 @@ def test_nae_networks_match_iterated_oracle_under_choices():
                 ok = True
 
 
-# ---------------------------------------------------------------- implication
+# ---------------------------------------------------------- binary relation
 
 
 def test_implication_bounds_consequent():
     m = Model()
     x = m.add_fd_var({1})
     z = m.add_fd_var({1, 2, 3})
-    post_implications(m, [(x, 1, z, "<=", 1)])
+    post_binary_relation(m, x, z, lambda u, w: u != 1 or w <= 1, "I")
     assert m.propagate() is AT_FIXPOINT
     assert vals(z.mask) == (1,)
 
@@ -705,7 +680,7 @@ def test_implication_assigns_consequent():
     m = Model()
     z = m.add_fd_var({3})
     x = m.add_fd_var({1, 2, 3})
-    post_implications(m, [(z, 3, x, "=", 2)])
+    post_binary_relation(m, z, x, lambda u, w: u != 3 or w == 2, "I")
     assert m.propagate() is AT_FIXPOINT
     assert vals(x.mask) == (2,)
 
@@ -714,41 +689,16 @@ def test_implication_contrapositive_removes_trigger():
     m = Model()
     x = m.add_fd_var({1, 2})
     z = m.add_fd_var({5})
-    post_implications(m, [(x, 1, z, "<", 5)])
+    post_binary_relation(m, x, z, lambda u, w: u != 1 or w < 5, "I")
     assert m.propagate() is AT_FIXPOINT
     assert vals(x.mask) == (2,)
-
-
-def test_implication_rejects_unknown_op():
-    m = Model()
-    x = m.add_fd_var({1})
-    with pytest.raises(ValueError):
-        post_implications(m, [(x, 1, x, ">=", 0)])
-
-
-@given(st.data())
-def test_implication_matches_oracle(data):
-    xdom = data.draw(st.sets(st.integers(0, 3), min_size=1, max_size=4))
-    ydom = data.draw(st.sets(st.integers(0, 3), min_size=1, max_size=4))
-    trigger = data.draw(st.integers(0, 3))
-    bound = data.draw(st.integers(0, 3))
-    op = data.draw(st.sampled_from(["=", "<=", "<", "!="]))
-    tests = {"=": lambda w: w == bound, "<=": lambda w: w <= bound,
-             "<": lambda w: w < bound, "!=": lambda w: w != bound}
-    _, got, want = check(
-        lambda m, xs: post_implications(m, [(xs[0], trigger, xs[1], op, bound)]),
-        lambda t: t[0] != trigger or tests[op](t[1]), [xdom, ydom])
-    assert got == want
-
-
-# ------------------------------------------------------------------ less than
 
 
 def test_less_than_prunes_bounds():
     m = Model()
     a = m.add_fd_var({1, 2, 3})
     b = m.add_fd_var({1, 2, 3})
-    post_less_than(m, a, b)
+    post_binary_relation(m, a, b, operator.lt, "L")
     assert m.propagate() is AT_FIXPOINT
     assert vals(a.mask) == (1, 2)
     assert vals(b.mask) == (2, 3)
@@ -758,13 +708,44 @@ def test_less_than_entailed_and_failure():
     m = Model()
     a = m.add_fd_var({1})
     b = m.add_fd_var({5, 6})
-    enc = post_less_than(m, a, b)
+    enc = post_binary_relation(m, a, b, operator.lt, "L")
     assert m.propagate() is AT_FIXPOINT
     assert all(p.entailed for p in enc.propagators)
 
     m2 = Model()
-    post_less_than(m2, m2.add_fd_var({4, 5}), m2.add_fd_var({1, 2}))
+    post_binary_relation(m2, m2.add_fd_var({4, 5}), m2.add_fd_var({1, 2}), operator.lt, "L")
     assert m2.propagate() is FAILED
+
+
+def _channel_pred(values):
+    def pred(t):
+        return all((t[0] == v) == (b == 1) for v, b in zip(values, t[1:]))
+    return pred
+
+
+# seven of the 16 pairs over 0..3, with no pattern to them
+_SOME_PAIRS = frozenset(random.Random(7).sample(list(itertools.product(range(4), repeat=2)), 7))
+
+
+@pytest.mark.parametrize("post, pred, universes", [
+    (lambda m, xs: _post_channel(m, xs[0], xs[1:], (10, 20, 30)),
+     _channel_pred((10, 20, 30)), [(10, 20, 30, 99)] + [(0, 1)] * 3),
+    (lambda m, xs: post_binary_relation(m, *xs, lambda u, w: u != 2 or w <= 1, "I"),
+     lambda t: t[0] != 2 or t[1] <= 1, [range(4)] * 2),
+    (lambda m, xs: post_binary_relation(m, *xs, lambda u, w: u != 1 or w == 3, "I"),
+     lambda t: t[0] != 1 or t[1] == 3, [range(4)] * 2),
+    (lambda m, xs: post_binary_relation(m, *xs, operator.lt, "L"),
+     lambda t: t[0] < t[1], [range(4)] * 2),
+    (lambda m, xs: post_binary_relation(m, *xs, lambda u, w: (u, w) in _SOME_PAIRS, "R"),
+     lambda t: t in _SOME_PAIRS, [range(4)] * 2),
+], ids=["channel-row", "implication-bound", "implication-value", "less-than",
+        "arbitrary-relation"])
+@given(data=st.data())
+def test_binary_relation_matches_oracle(post, pred, universes, data):
+    """The channel row is a star of relations sharing only x: GAC together."""
+    doms = [data.draw(st.sets(st.sampled_from(u), min_size=1)) for u in universes]
+    _, got, want = check(post, pred, doms)
+    assert got == want
 
 
 # --------------------------------------------------------- entailment safety

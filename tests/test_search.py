@@ -1,5 +1,6 @@
 """Depth-first search: completeness, determinism, budgets, heuristics."""
 import itertools
+import operator
 
 import pytest
 
@@ -7,7 +8,7 @@ from conftest import mask_of, vals
 from valprec.engine import Model, PropagationStatus, Propagator, TernaryTable
 from valprec.oracle import all_precedence_holds, wreath_precedence_holds
 from valprec.precedence import (encode_all_precedence, encode_pair_precedence,
-                                encode_wreath_precedence, post_less_than)
+                                encode_wreath_precedence, post_binary_relation)
 from valprec.schur import SchurInstance, build_schur_model
 from valprec.search import Budget, Heuristic, solve
 from valprec.symmetry import WreathInterchange
@@ -17,7 +18,7 @@ def two_var_model():
     m = Model()
     a = m.add_fd_var({1, 2, 3}, name="a")
     b = m.add_fd_var({1, 2, 3}, name="b")
-    post_less_than(m, a, b)
+    post_binary_relation(m, a, b, operator.lt, "L")
     return m, [a, b]
 
 
@@ -123,8 +124,8 @@ def test_infeasible_model_reports_zero_solutions():
     m = Model()
     a = m.add_fd_var({2, 3})
     b = m.add_fd_var({1, 2})
-    post_less_than(m, a, b)
-    post_less_than(m, b, a)
+    post_binary_relation(m, a, b, operator.lt, "L")
+    post_binary_relation(m, b, a, operator.lt, "L")
     res = solve(m, [a, b])
     assert res.solutions == []
     assert not res.halted

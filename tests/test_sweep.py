@@ -6,7 +6,8 @@ import pytest
 from valprec.fuzz import (check, on_set_bits, post_encoding, predicate_for, set_bits_holds,
                           sweep)
 from valprec.oracle import all_precedence_holds
-from valprec.precedence import (encode_all_precedence, encode_pair_precedence,
+from valprec.precedence import (encode_all_precedence, encode_matrix_precedence,
+                                encode_pair_precedence, encode_puget_surjection,
                                 encode_set_precedence)
 from valprec.symmetry import FullInterchange, WreathInterchange
 
@@ -35,6 +36,19 @@ def _sweep_set(posted, values):
 
 
 WITNESS_1 = ({1}, {1, 2}, {1, 3}, {3, 4})
+THREE = (1, 2, 3)
+
+
+def _sweep_matrix(n):
+    return sweep(lambda m, xs: encode_matrix_precedence(m, THREE, xs),
+                 lambda t: all_precedence_holds(THREE, t), THREE, n)
+
+
+def _sweep_puget(n):
+    """Puget's encoding is sound only on surjections, so its rule is both."""
+    return sweep(lambda m, xs: encode_puget_surjection(m, xs, THREE),
+                 lambda t: set(t) == set(THREE) and all_precedence_holds(THREE, t),
+                 THREE, n)
 
 
 @pytest.mark.parametrize("run, checked, mismatched, first", [
@@ -46,8 +60,14 @@ WITNESS_1 = ({1}, {1, 2}, {1, 3}, {3, 4})
     (lambda: _sweep_set([0], [0, 1]), 27, 9, None),
     (lambda: _sweep_set([0, 1, 2], [0, 1, 2]), 27, 0, None),
     (lambda: _sweep_set([0, 1], [0, 1]), 27, 0, None),
+    (lambda: _sweep_matrix(1), 7, 2, ({1, 2},)),
+    (lambda: _sweep_matrix(2), 49, 14, ({1}, {2, 3})),
+    (lambda: _sweep_matrix(3), 343, 98, ({1}, {1}, {2, 3})),
+    (lambda: _sweep_puget(3), 343, 0, None),
+    (lambda: _sweep_puget(4), 2401, 0, None),
 ], ids=["full pairwise split", "full chain", "set chain without its last value",
-        "set pair chain without its last value", "set chain", "set pair chain"])
+        "set pair chain without its last value", "set chain", "set pair chain",
+        "matrix n=1", "matrix n=2", "matrix n=3", "puget n=3", "puget n=4"])
 def test_sweep_counts_mismatches(run, checked, mismatched, first):
     c, mis = run()
     assert (c, len(mis)) == (checked, mismatched)
