@@ -9,8 +9,11 @@ allows, the one mutator; the NAE rule's prune in ``propagate`` is the only
 other write site.  The trail has one record layout, ``(var, old_mask)``
 or ``(prop, None)`` for an entailment, and ``pop_choice`` restores it.
 Every ``propagate`` leaves both queues empty, so ``pop_choice`` clears them
-only when a ``narrow`` since then left them non-empty.  An exception out of
-a filter leaves its work queued, and the next ``propagate`` resumes it.
+only when a ``narrow`` since then left them non-empty.  An exception raised
+by a filter's own code leaves its work queued, and the next ``propagate``
+resumes it.  One raised inside the NAE rule's loop or ``narrow``'s wake
+loop can lose queued work; ``pop_choice``, and so ``solve``, clears the
+rest.
 
 A propagator watches variables.  A change to a watched variable schedules it
 on a FIFO queue with per-propagator deduplication, unless its own filter made

@@ -5,15 +5,15 @@ fixpoint, and the result is compared with the GAC of a predicate.
 ``check_fd_instance`` makes it for one symmetry family's chain,
 ``check_set_instance`` for a set instance on its sets' 0/1 bits (where GAC
 is lb/ub bound consistency), and ``sweep`` on every combination of small
-domains.  Every family's predicate is the oracle's one class rule,
-``partition_precedence_holds``: over a value-class spec's classes, over a
-wreath spec's code classes, or, for each pair of listed set values, over
-the class (1, -1) read straight from the two bit columns.  The witnesses in
-``verify`` build their models through ``fd_fixpoint`` too.
-``fuzz_equivalence`` draws random cases, and reduces any divergence by the
-one greedy ``shrink`` (drop an entry, then narrow one: a domain loses a
-value, a set's ub loses an element outside its lb) before reporting it.
-Fixed seed means byte-identical reports.
+domains, sharing the choice points of their prefixes.  Every family's
+predicate is the oracle's one class rule, ``partition_precedence_holds``:
+over a value-class spec's classes, over a wreath spec's code classes, or,
+for each pair of listed set values, over the class (1, -1) read straight
+from the two bit columns.  The witnesses in ``verify`` build their models
+through ``fd_fixpoint`` too.  ``fuzz_equivalence`` draws random cases, and
+reduces any divergence by the one greedy ``shrink`` (drop an entry, then
+narrow one: a domain loses a value, a set's ub loses an element outside its
+lb) before reporting it.  Fixed seed means byte-identical reports.
 """
 from __future__ import annotations
 
@@ -161,14 +161,12 @@ def check_set_instance(values: Sequence[int], bounds: SetInstance):
 
 def sweep(post: Callable[[Model, list[IntVar]], object], pred: Callable[[tuple], bool],
           universe: Sequence[int], n: int):
-    """``check`` on every combination of domains, with one model for them all.
+    """(checked, mismatches) of ``check`` on every combination of domains, on one model.
 
-    ``post(model, xs)`` posts on ``n`` variables over ``universe``, and a
-    combination gives each of them a non-empty subset of it: push a choice
-    point, narrow to the combination, propagate, pop.  The oracle side indexes
-    the solutions on full domains by (position, value), as big-int masks of
-    solution ids, so a combination costs one AND per position.  Returns
-    (checked, mismatches); a mismatch is (combination, fixpoint, oracle GAC).
+    ``post(model, xs)`` posts on ``n`` variables over ``universe``, and a combination
+    gives each a non-empty subset of it.  In ``product`` order, each pops back to the
+    prefix it shares with the one before and pushes a choice point per remaining
+    position: narrow, propagate.  A mismatch is (combination, fixpoint, oracle GAC).
     """
     m = Model()
     xs = [m.add_fd_var(universe) for _ in range(n)]
@@ -177,36 +175,37 @@ def sweep(post: Callable[[Model, list[IntVar]], object], pred: Callable[[tuple],
         raise AssertionError("encoding fails on full domains")
     root = [x.mask for x in xs]
 
-    # has[i][v] = mask of the ids of the solutions with t[i] == v
-    has = [dict.fromkeys(universe, 0) for _ in range(n)]
-    for sid, t in enumerate(enumerate_solutions(pred, [set(universe)] * n)):
-        for i, v in enumerate(t):
-            has[i][v] |= 1 << sid
-
-    # each non-empty subset of the universe, with its keep mask
-    subsets = {frozenset(c): sum(1 << v for v in c) for r in range(1, len(universe) + 1)
+    # each non-empty subset of the universe, by its keep mask
+    subsets = {sum(1 << v for v in c): frozenset(c) for r in range(1, len(universe) + 1)
                for c in combinations(sorted(universe), r)}
-    checked = 0
-    mismatches = []
-    for combo in product(subsets, repeat=n):
-        m.push_choice()
-        alive = all(m.narrow(x, subsets[keep]) for x, keep in zip(xs, combo))
-        if alive and m.propagate() is not PropagationStatus.FAILED:
-            enc = [set(mask_values(x.mask)) for x in xs]
-        else:
-            enc = None
-        m.pop_choice()
+    # boxes[i]: (alive, oracle solutions inside) for the box of the first i positions
+    boxes = [(True, enumerate_solutions(pred, [set(universe)] * n))]
 
-        # the masks of one position are disjoint, so their sum is their union
-        surv = -1
-        for i, keep in enumerate(combo):
-            surv &= sum(has[i][v] for v in keep)
-        orc = [{v for v, ids in has[i].items() if ids & surv}
-               for i in range(n)] if surv else None
+    def back_to(depth: int) -> None:
+        while len(boxes) > depth + 1:
+            boxes.pop()
+            if boxes[-1][0]:  # a dead box pushed no choice point above it
+                m.pop_choice()
 
+    checked, mismatches, prev = 0, [], ()
+    for checked, combo in enumerate(product(subsets, repeat=n), 1):
+        shared = 0
+        while shared < len(prev) and prev[shared] == combo[shared]:
+            shared += 1
+        back_to(shared)
+        alive, sols = boxes[-1]
+        for i in range(shared, n):
+            if alive:
+                m.push_choice()
+                alive = (m.narrow(xs[i], combo[i])
+                         and m.propagate() is not PropagationStatus.FAILED)
+            boxes.append((alive, sols := [t for t in sols if combo[i] >> t[i] & 1]))
+        enc = [subsets[x.mask] for x in xs] if alive else None
+        orc = [frozenset(column) for column in zip(*sols)] if sols else None
         if enc != orc:
-            mismatches.append((combo, enc, orc))
-        checked += 1
+            mismatches.append((tuple(map(subsets.get, combo)), enc, orc))
+        prev = combo
+    back_to(0)
     if [x.mask for x in xs] != root:
         raise AssertionError("the trail did not restore the full domains")
     return checked, mismatches

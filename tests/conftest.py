@@ -17,6 +17,11 @@ def mask_of(*values):
     return sum(1 << v for v in set(values))
 
 
+def domains_of(xs):
+    """The domains of variables ``xs``, as sets."""
+    return [set(vals(x.mask)) for x in xs]
+
+
 # The arguments of each ``encode_*`` of ``valprec.precedence``, given a
 # model, four variables over 1..3 and two set variables over {1, 2}.
 ENCODER_ARGS = {

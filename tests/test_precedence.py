@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import ENCODER_ARGS, encoder_args, mask_of, vals
+from conftest import ENCODER_ARGS, domains_of, encoder_args, mask_of, vals
 from valprec import precedence
 from valprec.engine import Model, PropagationStatus, TernaryTable
 from valprec.fuzz import (check, check_fd_instance, fd_fixpoint, post_encoding,
@@ -39,10 +39,6 @@ from valprec.symmetry import (
 
 FAILED = PropagationStatus.FAILED
 AT_FIXPOINT = PropagationStatus.AT_FIXPOINT
-
-
-def domains_of(xs):
-    return [set(vals(x.mask)) for x in xs]
 
 
 # ------------------------------------------------------------ pair precedence

@@ -6,9 +6,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import mask_of, vals
+from conftest import domains_of, mask_of, vals
 from valprec.engine import IntVar, Model, PropagationStatus, TernaryTable
-from valprec.fuzz import check
+from valprec.fuzz import check, sweep
 from valprec.oracle import gac_by_definition, iterated_gac
 from valprec.precedence import (
     encode_wreath_precedence,
@@ -23,10 +23,6 @@ from valprec.symmetry import WreathInterchange
 
 FAILED = PropagationStatus.FAILED
 AT_FIXPOINT = PropagationStatus.AT_FIXPOINT
-
-
-def domains_of(xs):
-    return [set(vals(x.mask)) for x in xs]
 
 
 # ------------------------------------------------------------- ternary table
@@ -205,31 +201,15 @@ def test_table_narrowed_fixpoints_match_oracle_and_full_scan(monkeypatch):
 def test_memo_holds_at_most_one_entry_per_tuple():
     """One table swept over every combination of sub-domains of its columns.
 
-    Its memo stops growing at one entry per tuple, and every fixpoint, memo
-    hit or not, is still the oracle's GAC with full-scan entailment.
+    Every fixpoint is the oracle's GAC, and the memo, which never shrinks,
+    ends at one entry per tuple, so it held at most that many all along.
     """
     triples = {(0, 0, 0), (0, 1, 2), (1, 2, 0), (2, 0, 1),
                (1, 1, 1), (2, 2, 2), (0, 2, 1), (2, 1, 0)}
-    m = Model()
-    # value 3 is in no tuple, so every sweep step narrows and wakes the table
-    vs = [m.add_fd_var(range(4)) for _ in range(3)]
-    prop = m.post(TernaryTable(*vs, triples))
-    subsets = [set(c) for r in (1, 2, 3) for c in itertools.combinations(range(3), r)]
-    for doms in itertools.product(subsets, repeat=3):
-        m.push_choice()
-        for var, dom in zip(vs, doms):
-            assert m.narrow(var, mask_of(*dom))
-        status = m.propagate()
-        assert len(prop.memo) <= len(triples)
-        want = gac_by_definition(lambda t: t in triples, list(doms))
-        if want is None:
-            assert status is FAILED
-        else:
-            assert status is AT_FIXPOINT
-            assert domains_of(vs) == want
-            assert prop.entailed == _full_scan_entailed(prop)
-        m.pop_choice()
-    assert len(prop.memo) == len(triples)
+    tables = []
+    assert sweep(lambda m, xs: tables.append(m.post(TernaryTable(*xs, triples))),
+                 lambda t: t in triples, range(3), 3) == (343, [])
+    assert len(tables[0].memo) == len(triples)
 
 
 def _wreath_search():
