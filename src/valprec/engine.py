@@ -8,12 +8,11 @@ the one domain reader and ``Model.narrow``, which keeps the values a mask
 allows, the one mutator; the NAE rule's prune in ``propagate`` is the only
 other write site.  The trail has one record layout, ``(var, old_mask)``
 or ``(prop, None)`` for an entailment, and ``pop_choice`` restores it.
-Every ``propagate`` leaves both queues empty, so ``pop_choice`` clears them
-only when a ``narrow`` since then left them non-empty.  An exception raised
-by a filter's own code leaves its work queued, and the next ``propagate``
-resumes it.  One raised inside the NAE rule's loop or ``narrow``'s wake
-loop can lose queued work; ``pop_choice``, and so ``solve``, clears the
-rest.
+Both write sites wake before they write, and a queue's head leaves only
+once its work is done.  So after an exception anywhere in propagation each
+domain is either unwritten, and the next ``propagate`` redoes the prune, or
+written with its wakes queued; that call reaches the fixpoint.  A returning
+``propagate`` empties both queues, so ``pop_choice`` clears only leftovers.
 
 A propagator watches variables.  A change to a watched variable schedules it
 on a FIFO queue with per-propagator deduplication, unless its own filter made
@@ -24,7 +23,7 @@ one lookup.  Every ordering rule, lexicographic ordering and set variable
 included, is compiled to chains of it in :mod:`valprec.precedence`.
 Not-all-equal is a rule of the engine, not a propagator, and
 ``Model.post_nae`` posts it.  A variable it is posted over goes on a second
-FIFO when it becomes fixed, and popping it runs the rule over its
+FIFO when it becomes fixed, and at its head it runs the rule over its
 ``nae_pairs`` in one loop.  ``propagate`` runs both queues to a fixpoint;
 an entailed propagator is not woken until backtracking undoes it.
 
@@ -47,6 +46,8 @@ from collections import deque
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
+
+TRANSITION_CAP = 1_000_000  # the largest domain value; the most transitions a chain tries
 
 
 class PropagationStatus(enum.Enum):
@@ -243,6 +244,9 @@ class Model:
     def add_fd_var(self, values: Iterable[int], name: Optional[str] = None) -> IntVar:
         name = name or f"x{self._int_count}"
         if isinstance(values, range) and values.step == 1 and values.start >= 0:
+            if values and values[-1] > TRANSITION_CAP:
+                raise ValueError(f"{name}: a domain holds ints from 0 to "
+                                 f"TRANSITION_CAP ({TRANSITION_CAP}), got {values[-1]}")
             # one run of bits, built at once: OR-ing k bits in one by one
             # copies a growing int k times
             mask = ((1 << len(values)) - 1) << values.start
@@ -250,8 +254,9 @@ class Model:
             mask = 0
             for v in values:
                 try:
-                    if v < 0:
-                        raise ValueError(f"{name}: a domain holds no negative value, got {v}")
+                    if type(v) is bool or not 0 <= v <= TRANSITION_CAP:
+                        raise ValueError(f"{name}: a domain holds ints from 0 to "
+                                         f"TRANSITION_CAP ({TRANSITION_CAP}), got {v!r}")
                     mask |= 1 << v
                 except TypeError:  # not an int: a float shift count, or a str compared to 0
                     raise ValueError(f"{name}: a domain holds only int values, "
@@ -294,7 +299,7 @@ class Model:
         Counted as one ``"user"`` constraint.  A rule, not a propagator:
         each argument gets the other two as a pair in its ``nae_pairs``
         (both distinct arguments of a repeated triple get the two), and
-        when ``propagate`` pops a variable fixed to c, it removes c from one
+        when ``propagate`` reaches a variable fixed to c, it removes c from one
         side of each of its pairs whose other side is fixed to c.  That is
         GAC, since the later of two fixes to c sees the earlier; a triple of
         one variable fails the model.  Arguments already fixed are queued.
@@ -322,7 +327,8 @@ class Model:
     # ------------------------------------------------------------- mutation
 
     def narrow(self, var: IntVar, keep: int) -> bool:
-        """Keep the values of ``var`` whose bits are set in ``keep``; False on wipeout."""
+        """Keep the values of ``var`` whose bits are set in ``keep``; False on wipeout.
+        Wakes before it trails and writes, so a raise while waking changes nothing."""
         old = var.mask
         new = old & keep
         if new == old:
@@ -330,13 +336,13 @@ class Model:
         if not new:
             self._failed = True
             return False
-        self._trail.append((var, old))
-        var.mask = new
         queue = self._queue
         for prop in var.watchers:
             if not prop.queued and not prop.entailed:
                 prop.queued = True
                 queue.append(prop)
+        self._trail.append((var, old))
+        var.mask = new
         if not new & (new - 1) and var.nae_pairs:
             self._fixed.append(var)
         return True
@@ -344,55 +350,48 @@ class Model:
     # ----------------------------------------------------------------- queue
 
     def propagate(self) -> PropagationStatus:
-        """Drain the propagator queue, then pop one fixed variable and apply
-        the NAE rule over its pairs; repeat to a fixpoint or a failure."""
+        """Run the propagator queue, then the NAE rule over the first fixed variable's
+        pairs, to a fixpoint or a failure; an item leaves its queue once its run is done."""
         queue, fixed, trail = self._queue, self._fixed, self._trail
-        prop = None
-        try:
-            while not self._failed:
-                if queue:
-                    prop = queue.popleft()
-                    if not prop.entailed and not prop.filter(self):
+        while not self._failed:
+            if queue:
+                prop = queue[0]
+                if not prop.entailed and not prop.filter(self):
+                    self._failed = True
+                queue.popleft()
+                prop.queued = False
+            elif fixed:
+                var = fixed[0]
+                c, pairs, wakes = var.mask, iter(var.nae_pairs), self._wakes
+                for a, b in zip(pairs, pairs):
+                    # Of a pair with one side fixed to c, the other loses c.
+                    if a.mask == c:
+                        a = b
+                    elif b.mask != c:
+                        continue
+                    if not (old := a.mask) & c:
+                        continue
+                    if old == c:
                         self._failed = True
-                    prop.queued = False
-                elif fixed:
-                    var = fixed.popleft()
-                    c, pairs, wakes = var.mask, iter(var.nae_pairs), self._wakes
-                    for a, b in zip(pairs, pairs):
-                        # Of a pair with one side fixed to c, the other loses c.
-                        if a.mask == c:
-                            a = b
-                        elif b.mask != c:
-                            continue
-                        if not (old := a.mask) & c:
-                            continue
-                        if old == c:
-                            self._failed = True
-                            break
-                        trail.append((a, old))
-                        a.mask = new = old ^ c
-                        if a.quiet != wakes:  # not known to wake nothing
-                            quiet = True
-                            for prop in a.watchers:
-                                if not prop.entailed:
-                                    quiet = False
-                                    if not prop.queued:
-                                        prop.queued = True
-                                        queue.append(prop)
-                            if quiet:
-                                a.quiet = wakes
-                                self._stamped = True
-                        if not new & (new - 1):
-                            fixed.append(a)
-                else:
-                    return PropagationStatus.AT_FIXPOINT
-        except BaseException:
-            # A filter the exception cut short is still marked queued but is
-            # off the queue: put it back first.  Filters are idempotent, so
-            # the next call resumes the fixpoint.
-            if prop is not None and prop.queued and prop not in queue:
-                queue.appendleft(prop)
-            raise
+                        break
+                    if a.quiet != wakes:  # not known to wake nothing
+                        quiet = True
+                        for prop in a.watchers:
+                            if not prop.entailed:
+                                quiet = False
+                                if not prop.queued:
+                                    prop.queued = True
+                                    queue.append(prop)
+                        if quiet:
+                            a.quiet = wakes
+                            self._stamped = True
+                    trail.append((a, old))
+                    a.mask = new = old ^ c
+                    if not new & (new - 1):
+                        fixed.append(a)
+                fixed.popleft()
+            else:
+                return PropagationStatus.AT_FIXPOINT
         self._clear_queue()
         return PropagationStatus.FAILED
 

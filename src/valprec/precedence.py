@@ -19,11 +19,10 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
-from .engine import IntVar, Model, Propagator, SetVar, TernaryTable, mask_values
+from .engine import (TRANSITION_CAP, IntVar, Model, Propagator, SetVar, TernaryTable,
+                     mask_values)
 from .symmetry import (FullInterchange, PairInterchange, PartitionInterchange,
                        WreathInterchange, _require_values)
-
-TRANSITION_CAP = 1_000_000
 
 
 @dataclass

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import mask_of, vals
-from valprec.engine import IntVar, Model, PropagationStatus, Propagator, TernaryTable
+from valprec.engine import (TRANSITION_CAP, IntVar, Model, PropagationStatus, Propagator,
+                            TernaryTable)
 from valprec.precedence import post_state_chain
 
 
@@ -29,6 +30,9 @@ def test_range_domain_mask():
         m.add_fd_var(range(4, 4))
     with pytest.raises(ValueError, match="^neg: .*got -2"):
         m.add_fd_var(range(-2, 3), name="neg")
+    assert m.add_fd_var(range(TRANSITION_CAP, TRANSITION_CAP + 1)).mask == 1 << TRANSITION_CAP
+    with pytest.raises(ValueError, match=f"^big: .*got {TRANSITION_CAP + 1}$"):
+        m.add_fd_var(range(1, TRANSITION_CAP + 2), name="big")
 
 
 def test_negative_values_refused_by_name():
@@ -522,6 +526,64 @@ def test_interrupted_propagate_resumes_its_fixpoint():
     assert vals(x.mask) == (2, 3)
     assert (stop.calls, keep.calls) == (3, 1)   # rerun, then woken by keep
     assert not stop.queued and not keep.queued
+
+
+class _TrippingWatcher(_Recorder):
+    """Raises ``KeyboardInterrupt`` on the first ``entailed`` read after
+    ``armed`` is set."""
+    armed = False
+
+    @property
+    def entailed(self):
+        if self.armed:
+            self.armed = False
+            raise KeyboardInterrupt
+        return self._entailed
+
+    @entailed.setter
+    def entailed(self, value):
+        self._entailed = value
+
+
+def test_interrupted_nae_prune_resumes_its_fixpoint():
+    """The NAE rule wakes before it writes, and its fixed variable stays
+    queued until its pairs are done: an exception in the wake loop leaves
+    the prune unmade, and the next propagate makes it and the rest."""
+    m = Model()
+    x, y, z, w = (m.add_fd_var([1, 2], name=n) for n in "xyzw")
+    m.post_nae(x, y, z)
+    m.post_nae(x, y, w)
+    watcher = _posted(m, _TrippingWatcher(z))
+    m.narrow(x, mask_of(1))
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    m.push_choice()
+    m.narrow(y, mask_of(1))
+    watcher.armed = True
+    with pytest.raises(KeyboardInterrupt):
+        m.propagate()                  # z is to lose 1, and its watcher is read
+    assert vals(z.mask) == vals(w.mask) == (1, 2)
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert vals(z.mask) == vals(w.mask) == (2,)
+    assert watcher.calls == 1
+    m.pop_choice()
+    assert [vals(v.mask) for v in (x, y, z, w)] == [(1,), (1, 2), (1, 2), (1, 2)]
+
+
+def test_narrow_is_all_or_nothing():
+    """``narrow`` wakes before it writes: an exception in its wake loop
+    leaves the domain and the trail as they were, so narrowing again makes
+    the change and wakes the watcher."""
+    m = Model()
+    x = m.add_fd_var([1, 2, 3])
+    watcher = _posted(m, _TrippingWatcher(x))
+    m.push_choice()
+    watcher.armed = True
+    with pytest.raises(KeyboardInterrupt):
+        m.narrow(x, mask_of(1, 2))
+    assert vals(x.mask) == (1, 2, 3) and m._trail == []
+    assert m.narrow(x, mask_of(1, 2))
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert vals(x.mask) == (1, 2) and watcher.calls == 1
 
 
 class _Guard(_Recorder):

@@ -128,6 +128,10 @@ def test_pair_identical_values_rejected():
      ValueError, "distinct"),
     (lambda m: encode_matrix_precedence(m, [1.5, 2], [m.add_fd_var({1, 2})]),
      ValueError, r"non-negative ints, got \(1\.5, 2\)$"),
+    (lambda m: m.add_fd_var({True, 2}, name="x"),
+     ValueError, r"^x: a domain holds ints from 0 to TRANSITION_CAP \(1000000\), got True$"),
+    (lambda m: m.add_fd_var([1, 10**8], name="x"),
+     ValueError, r"^x: a domain holds ints from 0 to TRANSITION_CAP \(1000000\), got 100000000$"),
 ], ids=["set-repeated-value", "incr-seq-repeated-value", "schur-unknown-sym",
         "value-perms-non-spec", "predicate-non-spec",
         "post-encoding-non-spec", "pair-spec-repeated-value",
@@ -141,7 +145,7 @@ def test_pair_identical_values_rejected():
         "set-var-bool-element", "pair-spec-float", "full-spec-bool",
         "partition-spec-negative", "partition-spec-bool", "wreath-spec-str",
         "set-precedence-float", "incr-seq-float", "puget-bool", "matrix-repeated-value",
-        "matrix-float-value"])
+        "matrix-float-value", "fd-var-bool", "fd-var-over-cap"])
 def test_documented_input_errors(call, error, match):
     m = Model()
     with pytest.raises(error, match=match):
