@@ -28,16 +28,14 @@ FIFO when it becomes fixed, and at its head it runs the rule over its
 an entailed propagator is not woken until backtracking undoes it.
 
 Entailed watchers stay on their variables, since taking them off would
-cost trail work, so the rule's prune remembers instead when a variable has
-nothing to wake.  The model's wake counter ``_wakes`` moves on at the two
-events that can give a variable a watcher that is not entailed: each
-``post``, and each entailment that ``pop_choice`` restores while
-``_stamped`` says that a stamp may equal the counter.  A prune whose wake
-loop finds every watcher entailed stamps the variable's ``quiet`` with the
-counter and sets ``_stamped``, and later prunes skip the loop while the
-stamp equals the counter.  So a model without not-all-equal, which never
-stamps, pays no bump when it backtracks.  ``narrow`` keeps no stamp and
-always runs its loop.
+cost trail work, so a variable's ``quiet`` flag says instead that every
+watcher it has is entailed, and both write sites then skip its wake loop.
+The NAE rule's prune sets the flag when its loop finds nothing to wake.
+It is cleared at the two events that can give the variable a watcher that
+is not entailed: a ``post`` that watches it, and an entailment of one of
+its watchers that ``pop_choice`` restores while ``_stamped`` says that
+some variable has been flagged.  A model without not-all-equal never flags
+one, so it pays nothing for the flag when it backtracks.
 """
 from __future__ import annotations
 
@@ -56,7 +54,17 @@ class PropagationStatus(enum.Enum):
 
 
 def mask_values(mask: int) -> Iterator[int]:
-    """The values whose bits are set in ``mask``, in increasing order."""
+    """The values whose bits are set in ``mask``, in increasing order.
+
+    A mask wider than 64 bits is read one 64-bit word at a time, since
+    clearing its bits one by one would copy the whole int for each bit.
+    """
+    if mask >> 64:
+        words = mask.to_bytes(-(-mask.bit_length() // 64) * 8, "little")
+        for i in range(0, len(words), 8):
+            yield from map((i << 3).__add__,
+                           mask_values(int.from_bytes(words[i:i + 8], "little")))
+        return
     while mask:
         yield (mask & -mask).bit_length() - 1
         mask &= mask - 1
@@ -70,15 +78,15 @@ class IntVar:
     value, so ``post_state_chain`` numbers each layer's states from 0.
     ``watchers`` are woken on every change.  ``nae_pairs`` holds, flattened,
     the other two arguments of each not-all-equal that ``Model.post_nae``
-    posts over the variable.  ``quiet`` is the model's wake counter when
-    the NAE rule's prune last found every watcher entailed (-1 before any);
-    while the counter still holds that value, the rule's prunes wake nothing.
+    posts over the variable.  ``quiet`` is True while every watcher is known
+    to be entailed, so that a change wakes nothing; the NAE rule's prune
+    sets it, and a ``post`` or an undone entailment of a watcher clears it.
     """
 
     __slots__ = ("name", "mask", "watchers", "nae_pairs", "quiet")
 
     def __init__(self, mask: int, name: str):
-        self.name, self.mask, self.quiet = name, mask, -1
+        self.name, self.mask, self.quiet = name, mask, False
         self.watchers: list[Propagator] = []
         self.nae_pairs: list[IntVar] = []
 
@@ -120,7 +128,8 @@ class Propagator:
     to a watched variable wakes the propagator.  A filter must be
     idempotent: its own changes do not wake it again.  It may call
     ``model.set_entailed(self)`` once its constraint cannot be violated; it
-    then sleeps on this branch.
+    then sleeps on this branch, and its variables may be flagged ``quiet``
+    until backtracking undoes the entailment.
     """
 
     __slots__ = ("entailed", "queued", "watches")
@@ -236,7 +245,6 @@ class Model:
         self._queue: deque[Propagator] = deque()
         self._fixed: deque[IntVar] = deque()
         self._failed = False
-        self._wakes = 0
         self._stamped = False
 
     # ------------------------------------------------------------------ vars
@@ -284,11 +292,11 @@ class Model:
     # ----------------------------------------------------------- propagators
 
     def post(self, prop: Propagator, category: str = "user") -> Propagator:
-        self._wakes += 1
         self.propagators.append(prop)
         self.posted_counts[category] = self.posted_counts.get(category, 0) + 1
         for var in dict.fromkeys(prop.watches):
             var.watchers.append(prop)
+            var.quiet = False
         prop.queued = True
         self._queue.append(prop)
         return prop
@@ -336,11 +344,12 @@ class Model:
         if not new:
             self._failed = True
             return False
-        queue = self._queue
-        for prop in var.watchers:
-            if not prop.queued and not prop.entailed:
-                prop.queued = True
-                queue.append(prop)
+        if not var.quiet:
+            queue = self._queue
+            for prop in var.watchers:
+                if not prop.queued and not prop.entailed:
+                    prop.queued = True
+                    queue.append(prop)
         self._trail.append((var, old))
         var.mask = new
         if not new & (new - 1) and var.nae_pairs:
@@ -362,7 +371,7 @@ class Model:
                 prop.queued = False
             elif fixed:
                 var = fixed[0]
-                c, pairs, wakes = var.mask, iter(var.nae_pairs), self._wakes
+                c, pairs = var.mask, iter(var.nae_pairs)
                 for a, b in zip(pairs, pairs):
                     # Of a pair with one side fixed to c, the other loses c.
                     if a.mask == c:
@@ -374,7 +383,7 @@ class Model:
                     if old == c:
                         self._failed = True
                         break
-                    if a.quiet != wakes:  # not known to wake nothing
+                    if not a.quiet:
                         quiet = True
                         for prop in a.watchers:
                             if not prop.entailed:
@@ -383,8 +392,7 @@ class Model:
                                     prop.queued = True
                                     queue.append(prop)
                         if quiet:
-                            a.quiet = wakes
-                            self._stamped = True
+                            a.quiet = self._stamped = True
                     trail.append((a, old))
                     a.mask = new = old ^ c
                     if not new & (new - 1):
@@ -414,8 +422,8 @@ class Model:
             if old is None:
                 owner.entailed = False
                 if self._stamped:
-                    self._wakes += 1
-                    self._stamped = False
+                    for var in owner.watches:
+                        var.quiet = False
             else:
                 owner.mask = old
         del trail[mark:]

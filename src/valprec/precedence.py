@@ -111,8 +111,10 @@ def _class_chain(model: Model, classes: Sequence[Sequence[int]],
     value (a wreath's block heads are also its heads class); values outside
     every class leave the state unchanged.
     """
-    place = {v: [(ci, c.index(v)) for ci, c in enumerate(classes) if v in c]
-             for cls in classes for v in cls}
+    place: dict[int, list[tuple[int, int]]] = {}
+    for ci, cls in enumerate(classes):
+        for mi, v in enumerate(cls):
+            place.setdefault(v, []).append((ci, mi))
 
     def step(counts: tuple[int, ...], v: int) -> Optional[tuple[int, ...]]:
         nxt = counts

@@ -1,11 +1,17 @@
 """Core engine: domains, trail, queue, watchers, entailment, the NAE rule."""
+import random
+import time
+from itertools import chain
+
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import mask_of, vals
 from valprec.engine import (TRANSITION_CAP, IntVar, Model, PropagationStatus, Propagator,
-                            TernaryTable)
+                            TernaryTable, mask_values)
 from valprec.precedence import post_state_chain
+from valprec.schur import SchurInstance, build_schur_model
+from valprec.search import solve
 
 
 def test_fd_var_basics():
@@ -13,6 +19,23 @@ def test_fd_var_basics():
     x = m.add_fd_var([3, 1, 2], name="x")
     assert x.mask == 0b1110 and vals(x.mask) == (1, 2, 3)
     assert repr(x) == "IntVar(x, [1, 2, 3])"
+
+
+def test_mask_values_matches_a_bit_loop():
+    """Masks below, at and above 64 bits, with empty 64-bit words inside,
+    list the same values as testing each bit; a 200,000-bit mask is read
+    in linear time (clearing one bit at a time copies the int each time,
+    about 4 s at this size)."""
+    rng = random.Random(5)
+    masks = [0, 1, (1 << 63) | 1, 1 << 64, (1 << 64) - 1, (1 << 130) | (1 << 3)]
+    masks += [rng.getrandbits(rng.randint(1, 3000)) for _ in range(200)]
+    masks += [rng.getrandbits(rng.randint(1, 3000)) & rng.getrandbits(3000)
+              & rng.getrandbits(3000) for _ in range(100)]
+    for mask in masks:
+        assert list(mask_values(mask)) == [v for v in range(mask.bit_length()) if mask >> v & 1]
+    t0 = time.perf_counter()
+    assert list(mask_values((1 << 200_000) - 1)) == list(range(200_000))
+    assert time.perf_counter() - t0 < 2
 
 
 def test_fd_var_empty_domain_rejected():
@@ -355,44 +378,140 @@ def test_nae_prune_in_place_wakes_chains_fails_and_pops():
     assert [w.mask for w in (x, y, z, u, v)] == initial and not m.failed
 
 
-def test_nae_prune_wakes_again_after_an_undone_entailment_or_a_post():
-    """A prune that finds every watcher of its variable entailed stamps the
-    variable, and later prunes skip its wake loop.  Restoring an entailment
-    and posting a propagator both end the stamp: the next prune of the
-    variable wakes its table again, seen as the table's prune of b."""
-    def nae_prune(m, x, y, a):
-        """Fix x = y = 1 under a choice, so that the rule removes 1 from a."""
-        m.push_choice()
-        assert m.narrow(x, mask_of(1)) and m.narrow(y, mask_of(1))
-        assert m.propagate() is PropagationStatus.AT_FIXPOINT
-        assert vals(a.mask) == (2, 3)
+def _nae_prune(m, x, y, a):
+    """Fix x = y = 1 under a choice, so that the rule removes 1 from a."""
+    m.push_choice()
+    assert m.narrow(x, mask_of(1)) and m.narrow(y, mask_of(1))
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert vals(a.mask) == (2, 3)
 
+
+def _at_least(m, a, b):
+    """b >= a over 1..3, as a table with a new {0} third variable."""
+    return TernaryTable(a, b, m.add_fd_var([0]),
+                        [(u, v, 0) for u in (1, 2, 3) for v in (1, 2, 3) if v >= u])
+
+
+def test_nae_prune_wakes_again_after_an_undone_entailment_or_a_post():
+    """A prune that finds every watcher of its variable entailed flags the
+    variable ``quiet``, and later prunes skip its wake loop.  Restoring an
+    entailment and posting a propagator both clear the flag: the next prune
+    of the variable wakes its table again, seen as the table's prune of b."""
     for case in ("pop", "post"):
         m = Model()
         x, y, a, b = (m.add_fd_var([1, 2, 3], name=n) for n in "xyab")
         m.post_nae(x, y, a)
-        table = TernaryTable(a, b, m.add_fd_var([0]),   # b >= a
-                             [(u, v, 0) for u in (1, 2, 3) for v in (1, 2, 3) if v >= u])
+        table = _at_least(m, a, b)
         if case == "pop":
             m.post(table)
             m.push_choice()                          # depth 1: b = 3 entails b >= a
             assert m.narrow(b, mask_of(3))
             assert m.propagate() is PropagationStatus.AT_FIXPOINT and table.entailed
-            nae_prune(m, x, y, a)
-            assert a.quiet == m._wakes               # the only watcher is entailed
+            _nae_prune(m, x, y, a)
+            assert a.quiet is True                   # the only watcher is entailed
             m.pop_choice()
+            assert a.quiet is True                   # no entailment undone yet
             m.pop_choice()
             assert not table.entailed and vals(b.mask) == (1, 2, 3)
         else:
-            nae_prune(m, x, y, a)
-            assert a.quiet == m._wakes and a.watchers == []
+            _nae_prune(m, x, y, a)
+            assert a.quiet is True and a.watchers == []
             m.pop_choice()
             m.post(table)
             assert m.propagate() is PropagationStatus.AT_FIXPOINT
             assert not table.entailed and vals(b.mask) == (1, 2, 3)
-        nae_prune(m, x, y, a)
+        assert a.quiet is False, case
+        _nae_prune(m, x, y, a)
         assert vals(b.mask) == (2, 3), case         # the table ran after a lost 1
+        assert a.quiet is False, case
         m.pop_choice()
+
+
+def test_undone_entailment_clears_the_flag_only_on_its_tables_variables():
+    """Two NAE variables a and d, each watched by one table, both flagged by
+    one prune.  Undoing a's table's entailment clears the flag on that
+    table's variables, and d, whose table stays entailed, keeps its flag."""
+    m = Model()
+    x, y, a, b, d, e = (m.add_fd_var([1, 2, 3], name=n) for n in "xyabde")
+    m.post_nae(x, y, a)
+    m.post_nae(x, y, d)
+    ta, td = m.post(_at_least(m, a, b)), m.post(_at_least(m, d, e))
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    for var, table in ((e, td), (b, ta)):           # depths 1 and 2
+        m.push_choice()
+        assert m.narrow(var, mask_of(3))
+        assert m.propagate() is PropagationStatus.AT_FIXPOINT and table.entailed
+    _nae_prune(m, x, y, a)                           # depth 3
+    assert vals(d.mask) == (2, 3) and a.quiet is True and d.quiet is True
+    m.pop_choice()
+    assert a.quiet is True and d.quiet is True
+    m.pop_choice()                                   # undoes ta's entailment
+    assert not ta.entailed and td.entailed
+    assert not any(v.quiet for v in ta.watches)
+    assert d.quiet is True
+    m.pop_choice()                                   # undoes td's entailment
+    assert not any(v.quiet for v in (a, b, d, e))
+
+
+class _CountedEntailed(_Recorder):
+    """A recorder that counts the reads of its ``entailed`` flag."""
+
+    def __init__(self, *watches):
+        self.reads = 0
+        super().__init__(*watches)
+
+    @property
+    def entailed(self):
+        self.reads += 1
+        return self._entailed
+
+    @entailed.setter
+    def entailed(self, value):
+        self._entailed = value
+
+
+def test_narrow_on_a_flagged_variable_reads_no_watcher():
+    m = Model()
+    x, y, a = (m.add_fd_var([1, 2, 3, 4], name=n) for n in "xya")
+    m.post_nae(x, y, a)
+    p = _posted(m, _CountedEntailed(a))
+    m.set_entailed(p)
+    p.reads = 0
+    assert m.narrow(a, ~mask_of(4))                  # not flagged: reads its watcher
+    assert p.reads == 1
+    m.push_choice()
+    assert m.narrow(x, mask_of(1)) and m.narrow(y, mask_of(1))
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert vals(a.mask) == (2, 3) and a.quiet is True
+    p.reads = 0
+    assert m.narrow(a, mask_of(2))
+    assert m.propagate() is PropagationStatus.AT_FIXPOINT
+    assert vals(a.mask) == (2,) and p.reads == 0 and p.calls == 0
+    m.pop_choice()
+
+
+def test_flagged_variables_have_only_entailed_watchers_throughout_a_search():
+    """After every ``propagate`` and ``pop_choice`` of the S(14,3) sym=all
+    search for all solutions, each flagged variable's watchers are all
+    entailed, and some variable is flagged at some point."""
+    m, xs = build_schur_model(SchurInstance(14, 3), sym="all")
+    variables = list(dict.fromkeys(
+        chain(xs, (v for p in m.propagators for v in p.watches))))
+    flagged = 0
+
+    def checked(method):
+        def run():
+            nonlocal flagged
+            out = method()
+            quiet = [v for v in variables if v.quiet]
+            assert all(p.entailed for v in quiet for p in v.watchers)
+            flagged += bool(quiet)
+            return out
+        return run
+
+    m.propagate, m.pop_choice = checked(m.propagate), checked(m.pop_choice)
+    res = solve(m, xs, mode="all")
+    assert res.stats.solutions == 0 and res.stats.nodes > 1 and flagged > 0
 
 
 @pytest.mark.parametrize("order", ["xzx", "zxx", "xxz"])
