@@ -145,9 +145,13 @@ class Propagator:
 class TernaryTable(Propagator):
     """GAC table constraint over three distinct integer variables.
 
-    ``__init__`` refuses a repeated variable and a tuple value that is not
-    a non-negative int, before anything is posted, and builds ``columns``:
-    the masks of the values each position's tuples hold, then their sizes.
+    ``__init__`` refuses a repeated variable, and a tuple value that is not
+    an int from 0 to ``TRANSITION_CAP`` (a bool included), before anything
+    is posted and before any value is shifted into a mask.  It builds
+    ``columns``: the masks of the values each position's tuples hold, then
+    their sizes.  ``triples`` is the sorted distinct tuples; repeats are
+    dropped in input order, so a presorted input (every chain's) costs the
+    sort one run.
     While each mask lies in its domain, every tuple is live.  Otherwise
     only the position whose column has the smallest live share is scanned
     (the smallest estimated slice; the earliest wins a tie): its live
@@ -172,17 +176,26 @@ class TernaryTable(Propagator):
         if x is y or y is z or x is z:
             raise ValueError(f"table over {x.name}, {y.name}, {z.name}: "
                              "its three variables must be distinct")
-        triples = set(triples)
+        triples = tuple(triples)
         cx = cy = cz = 0
-        for t in triples:
-            try:
+        try:
+            for t in triples:
                 u, v, w = t
-                cx, cy, cz = cx | 1 << u, cy | 1 << v, cz | 1 << w
-            except (TypeError, ValueError):  # not three values, a non-int or negative shift
-                raise ValueError(f"table over {x.name}, {y.name}, {z.name}: "
-                                 f"a tuple holds three ints >= 0, got {t!r}") from None
+                # before the shifts, which would read a bool as 0 or 1 and
+                # turn a huge value into a huge mask
+                if (u > TRANSITION_CAP or v > TRANSITION_CAP or w > TRANSITION_CAP
+                        or type(u) is bool or type(v) is bool or type(w) is bool):
+                    raise ValueError
+                cx |= 1 << u
+                cy |= 1 << v
+                cz |= 1 << w
+        except (TypeError, ValueError):  # not three values, a non-int, negative or too big
+            raise ValueError(f"table over {x.name}, {y.name}, {z.name}: a tuple holds "
+                             f"three ints from 0 to TRANSITION_CAP ({TRANSITION_CAP}), "
+                             f"got {t!r}") from None
         self.x, self.y, self.z = self.watches = [x, y, z]
-        self.triples = tuple(sorted(triples))
+        # dict.fromkeys keeps order, so presorted triples meet sorted as one run
+        self.triples = tuple(sorted(dict.fromkeys(triples)))
         self.columns = (cx, cy, cz, cx.bit_count(), cy.bit_count(), cz.bit_count())
         self.by_value: list[Optional[dict[int, tuple]]] = [None, None, None]
         self.memo: dict[tuple[int, int, int], tuple[int, int, int, bool]] = {}

@@ -7,11 +7,12 @@ constraint graph is Berge-acyclic, so enforcing GAC on every table until
 fixpoint enforces GAC on the conjunction, i.e. on the global ordering rule.
 
 An encoder gives the automaton as a step function over states of any sortable,
-hashable kind (an int, or a tuple of counters).  ``post_state_chain`` alone
-turns states into the integers the tables hold and bounds how big a chain may
-get.  Lexicographic ordering is a step function too, and the alternative
-encodings decompose into exactly-one counters and binary relations, each a
-chain (``post_binary_relation``), so no encoding needs a filter of its own.
+hashable kind (an int, such as the class chain's packed counters, or a
+tuple).  ``post_state_chain`` alone turns states into the integers the tables
+hold and bounds how big a chain may get.  Lexicographic ordering is a step
+function too, and the alternative encodings decompose into exactly-one
+counters and binary relations, each a chain (``post_binary_relation``), so no
+encoding needs a filter of its own.
 """
 from __future__ import annotations
 
@@ -43,10 +44,13 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
     is forbidden in that state.  Only states reachable from ``start`` that can
     still reach layer n (restricted to accepting states when ``accept`` is
     given) are materialized, so state variables carry exact initial domains.
-    Layer i's states become the values 0..k-1 of Y_i in sorted order.  An
-    automaton that accepts nothing posts one table without tuples instead,
-    over three new ``{0}`` variables ``{label}0..2``, which fails the model
-    when it is propagated.
+    Layer i's states become the values 0..k-1 of Y_i in sorted order.  Each
+    layer is expanded value by value in increasing order and state by state
+    in sorted order, so every table's triples come out sorted by (value,
+    state id), the order ``TernaryTable`` keeps, and its sort meets one
+    presorted run.  An automaton that accepts nothing posts one table
+    without tuples instead, over three new ``{0}`` variables
+    ``{label}0..2``, which fails the model when it is propagated.
 
     Raises ValueError, before posting anything, when the forward pass would
     try more than ``TRANSITION_CAP`` (state, value) pairs.
@@ -61,7 +65,8 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
             raise ValueError(
                 f"chain {label} would try more than {TRANSITION_CAP} "
                 f"transitions by position {i} of {n}")
-        edges.append([(v, s, t) for v in mask_values(x.mask) for s in layers[-1]
+        layer = sorted(layers[-1])  # so each table's triples come out sorted
+        edges.append([(v, s, t) for v in mask_values(x.mask) for s in layer
                       if (t := step(s, v)) is not None])
         layers.append({t for _, _, t in edges[-1]})
     if accept is not None:
@@ -110,23 +115,30 @@ def _class_chain(model: Model, classes: Sequence[Sequence[int]],
     it have, and then advances each of those classes.  Classes may share a
     value (a wreath's block heads are also its heads class); values outside
     every class leave the state unchanged.
-    """
-    place: dict[int, list[tuple[int, int]]] = {}
-    for ci, cls in enumerate(classes):
-        for mi, v in enumerate(cls):
-            place.setdefault(v, []).append((ci, mi))
 
-    def step(counts: tuple[int, ...], v: int) -> Optional[tuple[int, ...]]:
+    The counters are packed in one int, ``len(cls).bit_length()`` bits per
+    class with class 0 in the highest field, so a step builds no tuple.
+    Int order is the order of the counter tuples, so every layer numbers
+    its states as it would with tuple states.
+    """
+    place: dict[int, list[tuple[int, int, int]]] = {}
+    shift = 0
+    for cls in reversed(classes):
+        width = len(cls).bit_length()
+        for mi, v in enumerate(cls):
+            place.setdefault(v, []).append((((1 << width) - 1) << shift, mi << shift, 1 << shift))
+        shift += width
+
+    def step(counts: int, v: int) -> Optional[int]:
         nxt = counts
-        for ci, mi in place.get(v, ()):
-            if mi > counts[ci]:
+        for field, at, one in place.get(v, ()):
+            if (c := counts & field) < at:
                 return None
-            if mi == counts[ci]:
-                nxt = nxt[:ci] + (mi + 1,) + nxt[ci + 1:]
+            if c == at:
+                nxt += one
         return nxt
 
-    return post_state_chain(model, xs, step, start=(0,) * len(classes),
-                            label="Y")
+    return post_state_chain(model, xs, step, start=0, label="Y")
 
 
 def encode_all_precedence(model: Model, values: Sequence[int],

@@ -1,5 +1,6 @@
 """First-occurrence ordering encodings vs the consistency oracle."""
 import itertools
+import operator
 import random
 import time
 
@@ -97,10 +98,21 @@ def test_pair_identical_values_rejected():
      ValueError, "distinct"),
     (lambda m: m.post(TernaryTable(*(m.add_fd_var({0}, name=f"x{i}") for i in range(3)),
                                    [(-1, 0, 0), (0, 0, 0)])),
-     ValueError, r"^table over x0, x1, x2: a tuple holds three ints >= 0, got \(-1, 0, 0\)$"),
+     ValueError, r"^table over x0, x1, x2: a tuple holds three ints from 0 to "
+                 r"TRANSITION_CAP \(1000000\), got \(-1, 0, 0\)$"),
     (lambda m: m.post(TernaryTable(*(m.add_fd_var({0}, name=f"x{i}") for i in range(3)),
                                    [(0.5, 0, 0), (0, 0, 0)])),
-     ValueError, r"^table over x0, x1, x2: a tuple holds three ints >= 0, got \(0\.5, 0, 0\)$"),
+     ValueError, r"^table over x0, x1, x2: a tuple holds three ints from 0 to "
+                 r"TRANSITION_CAP \(1000000\), got \(0\.5, 0, 0\)$"),
+    # (1, 0, 0) comes first, so the bool tuple would merge into it
+    (lambda m: m.post(TernaryTable(*(m.add_fd_var({0, 1}, name=f"x{i}") for i in range(3)),
+                                   [(1, 0, 0), (True, 0, 0)])),
+     ValueError, r"^table over x0, x1, x2: a tuple holds three ints from 0 to "
+                 r"TRANSITION_CAP \(1000000\), got \(True, 0, 0\)$"),
+    (lambda m: m.post(TernaryTable(*(m.add_fd_var({0}, name=f"x{i}") for i in range(3)),
+                                   [(0, 0, 0), (10**8, 0, 0)])),
+     ValueError, r"^table over x0, x1, x2: a tuple holds three ints from 0 to "
+                 r"TRANSITION_CAP \(1000000\), got \(100000000, 0, 0\)$"),
     (lambda m: m.post(TernaryTable(x := m.add_fd_var({0, 1}, name="x"), x,
                                    m.add_fd_var({0}, name="z"), [(0, 1, 0), (1, 0, 0)])),
      ValueError, "^table over x, x, z: its three variables must be distinct$"),
@@ -141,6 +153,7 @@ def test_pair_identical_values_rejected():
         "wreath-spec-empty-outer", "wreath-encoder-empty-outer",
         "wreath-encoder-repeated-inner", "wreath-encoder-non-code",
         "puget-repeated-value", "table-negative-value", "table-non-int-value",
+        "table-bool-value", "table-over-cap",
         "table-repeated-argument", "set-var-str-element", "set-var-float-element",
         "set-var-bool-element", "pair-spec-float", "full-spec-bool",
         "partition-spec-negative", "partition-spec-bool", "wreath-spec-str",
@@ -631,6 +644,108 @@ def test_no_encoder_calls_another(monkeypatch):
     for name in names:
         getattr(precedence, name)(*encoder_args(name, m))
     assert nested == []
+
+
+def _reference_class_step(classes):
+    """The class chain's step on a tuple of counters, one per class."""
+    place = {}
+    for ci, cls in enumerate(classes):
+        for mi, v in enumerate(cls):
+            place.setdefault(v, []).append((ci, mi))
+
+    def step(counts, v):
+        nxt = counts
+        for ci, mi in place.get(v, ()):
+            if mi > counts[ci]:
+                return None
+            if mi == counts[ci]:
+                nxt = nxt[:ci] + (mi + 1,) + nxt[ci + 1:]
+        return nxt
+
+    return step, (0,) * len(classes)
+
+
+def _reference_chain(masks, step, start, accept):
+    """Each table's (triples, columns) and the state masks, as a compiler
+    that expands states in set order and builds each table by dropping
+    repeats through a set and then sorting would post them."""
+    layers, edges = [{start}], []
+    for mask in masks:
+        edges.append([(v, s, t) for v in vals(mask) for s in layers[-1]
+                      if (t := step(s, v)) is not None])
+        layers.append({t for _, _, t in edges[-1]})
+    if accept is not None:
+        layers[-1] = {s for s in layers[-1] if accept(s)}
+    for i in range(len(masks) - 1, -1, -1):
+        edges[i] = [e for e in edges[i] if e[2] in layers[i + 1]]
+        layers[i] = {s for _, s, _ in edges[i]}
+    if not layers[0]:
+        return [((), (0,) * 6)], []
+    ids = [{s: k for k, s in enumerate(sorted(layer))} for layer in layers]
+    tables = []
+    for i, edge in enumerate(edges):
+        triples = {(v, ids[i][s], ids[i + 1][t]) for v, s, t in edge}
+        cols = [mask_of(*(t[j] for t in triples)) for j in range(3)]
+        tables.append((tuple(sorted(triples)), (*cols, *(c.bit_count() for c in cols))))
+    return tables, [(1 << len(layer)) - 1 for layer in layers]
+
+
+def _sets(m, k):
+    """k set variables over 0..k-1."""
+    return [m.add_set_var(set(), range(k)) for _ in range(k)]
+
+
+@pytest.mark.parametrize("post,n,dom", [
+    (lambda m, xs: encode_pair_precedence(m, 1, 2, xs), 6, range(1, 4)),
+    (lambda m, xs: encode_all_precedence(m, [1, 2, 3], xs), 5, range(1, 5)),
+    (lambda m, xs: encode_partial_precedence(m, [[1, 2], [3], [4, 5, 6]], xs),
+     5, range(1, 7)),
+    (lambda m, xs: encode_wreath_precedence(m, range(5), range(5), xs), 9, range(25)),
+    (lambda m, xs: encode_wreath_precedence(m, range(2), range(3), xs), 6, range(6)),
+    (lambda m, xs: encode_wreath_precedence(m, range(3), range(2), xs), 6, range(6)),
+    (lambda m, xs: precedence.post_lex_chain(m, [xs[:3], xs[3:]]), 6, range(3)),
+    (lambda m, xs: encode_set_precedence(m, range(5), _sets(m, 5)), 1, range(1)),
+    (lambda m, xs: precedence.post_exactly_one(m, xs), 5, range(2)),
+    (lambda m, xs: precedence.post_exactly_one(m, xs), 3, range(1)),  # accepts nothing
+    (lambda m, xs: encode_increasing_seq(m, xs, [1, 2, 3]), 6, range(1, 4)),
+    (lambda m, xs: precedence.post_binary_relation(m, xs[0], xs[1], operator.lt, "L"),
+     2, range(6)),
+], ids=["pair", "all", "partial-single-value-class", "wreath-5x5", "wreath-2x3",
+        "wreath-3x2", "lex", "set-5x5", "exactly-one", "exactly-one-empty",
+        "increasing-seq", "binary-relation"])
+def test_chains_match_the_reference_compiler(monkeypatch, post, n, dom):
+    """Every chain posts the tables, columns and state domains of a compiler
+    that steps class chains on tuples of counters, expands states in set
+    order and builds each table through a set, on full and on narrowed
+    domains."""
+    calls, ref_steps = [], []
+    post_state_chain, class_chain = precedence.post_state_chain, precedence._class_chain
+
+    def recorded_chain(model, xs, step, start, accept=None, label="Y"):
+        masks = [x.mask for x in xs]
+        enc = post_state_chain(model, xs, step, start, accept, label)
+        if ref_steps:  # a class chain: check it against the tuple counters
+            step, start = ref_steps.pop()
+        calls.append((masks, step, start, accept, enc))
+        return enc
+
+    def recorded_class_chain(model, classes, xs):
+        ref_steps.append(_reference_class_step(classes))
+        return class_chain(model, classes, xs)
+
+    monkeypatch.setattr(precedence, "post_state_chain", recorded_chain)
+    monkeypatch.setattr(precedence, "_class_chain", recorded_class_chain)
+    rng = random.Random(34)
+    for trial in range(8):
+        m = Model()
+        xs = [m.add_fd_var(dom if trial == 0 else
+                           rng.sample(dom, rng.randint(1, len(dom)))) for _ in range(n)]
+        post(m, xs)
+    assert calls and not ref_steps
+    for masks, step, start, accept, enc in calls:
+        tables, state_masks = _reference_chain(masks, step, start, accept)
+        assert [(p.triples, p.columns) for p in enc.propagators] == tables
+        assert [y.mask for y in enc.state_vars] == state_masks
 
 
 def test_one_class_chain_over_many_values_builds_in_linear_time():

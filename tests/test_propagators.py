@@ -37,12 +37,17 @@ def test_table_single_tuple_fixes_all():
 
 
 def test_table_full_product_entailed_without_pruning():
-    m = Model()
-    xs = [m.add_fd_var({0, 1}) for _ in range(3)]
-    prop = m.post(TernaryTable(*xs, set(itertools.product([0, 1], repeat=3))))
-    assert m.propagate() is AT_FIXPOINT
-    assert prop.entailed
-    assert domains_of(xs) == [{0, 1}] * 3
+    product = list(itertools.product([0, 1], repeat=3))
+    # as a set, and as a shuffled list that holds each tuple three times
+    for triples in (set(product), random.Random(34).sample(product * 3, 24)):
+        m = Model()
+        xs = [m.add_fd_var({0, 1}) for _ in range(3)]
+        prop = m.post(TernaryTable(*xs, triples))
+        assert prop.triples == tuple(product)
+        assert prop.columns == (3, 3, 3, 2, 2, 2)
+        assert m.propagate() is AT_FIXPOINT
+        assert prop.entailed
+        assert domains_of(xs) == [{0, 1}] * 3
 
 
 def _first_seen_triples(first, second, values):

@@ -43,7 +43,11 @@ def test_chain_timing_tiny_run():
     proc = run_script("chain_timing.py", "--lengths", "10", "20",
                       "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
-    assert "log-log slope:" in proc.stdout
+    lines = proc.stdout.splitlines()
+    assert [line.split()[:2] for line in lines[:2]] == [["n=", "10"], ["n=", "20"]]
+    assert all("build" in line and "propagate" in line for line in lines[:2])
+    assert [line.split()[0:2] + line.split()[3:] for line in lines[2:]] == [
+        ["log-log", "slope:", "(propagate)"], ["log-log", "slope:", "(build)"]]
 
 
 def test_run_schur_table_tiny_run():
