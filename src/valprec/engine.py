@@ -70,6 +70,45 @@ def mask_values(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
+class Record:
+    """A record type: ``repr`` and ``==`` over its ``_fields``, in order.
+
+    A subclass lists its fields in ``_fields`` and ``__slots__`` and sets
+    them in its own ``__init__``.  A mutable record is not hashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+
+class Value(Record):
+    """An immutable record, hashed by its fields; ``__init__`` sets them
+    with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class IntVar:
     """Integer variable with a finite domain of non-negative values.
 
@@ -145,13 +184,13 @@ class Propagator:
 class TernaryTable(Propagator):
     """GAC table constraint over three distinct integer variables.
 
-    ``__init__`` refuses a repeated variable, and a tuple value that is not
-    an int from 0 to ``TRANSITION_CAP`` (a bool included), before anything
-    is posted and before any value is shifted into a mask.  It builds
-    ``columns``: the masks of the values each position's tuples hold, then
-    their sizes.  ``triples`` is the sorted distinct tuples; repeats are
-    dropped in input order, so a presorted input (every chain's) costs the
-    sort one run.
+    ``__init__`` refuses a repeated variable, a tuple value that is not an
+    int from 0 to ``TRANSITION_CAP`` (a bool included), and a tuple that is
+    not hashable, before anything is posted and before any value is shifted
+    into a mask.  It builds ``columns``: the masks of the values each
+    position's tuples hold, then their sizes.  ``triples`` is the sorted
+    distinct tuples; repeats are dropped in input order, so a presorted
+    input (every chain's) costs the sort one run.
     While each mask lies in its domain, every tuple is live.  Otherwise
     only the position whose column has the smallest live share is scanned
     (the smallest estimated slice; the earliest wins a tie): its live
@@ -189,13 +228,17 @@ class TernaryTable(Propagator):
                 cx |= 1 << u
                 cy |= 1 << v
                 cz |= 1 << w
-        except (TypeError, ValueError):  # not three values, a non-int, negative or too big
+            # dict.fromkeys keeps order, so presorted triples meet sorted as
+            # one run; it refuses an unhashable tuple, such as a list
+            unique = dict.fromkeys(triples)
+        except (TypeError, ValueError):  # not three values, a non-int, negative, too big
+            # or unhashable: name the first such tuple
+            t = next(s for s in triples if s is t or s.__hash__ is None)
             raise ValueError(f"table over {x.name}, {y.name}, {z.name}: a tuple holds "
                              f"three ints from 0 to TRANSITION_CAP ({TRANSITION_CAP}), "
                              f"got {t!r}") from None
         self.x, self.y, self.z = self.watches = [x, y, z]
-        # dict.fromkeys keeps order, so presorted triples meet sorted as one run
-        self.triples = tuple(sorted(dict.fromkeys(triples)))
+        self.triples = tuple(sorted(unique))
         self.columns = (cx, cy, cz, cx.bit_count(), cy.bit_count(), cz.bit_count())
         self.by_value: list[Optional[dict[int, tuple]]] = [None, None, None]
         self.memo: dict[tuple[int, int, int], tuple[int, int, int, bool]] = {}

@@ -18,13 +18,12 @@ lb) before reporting it.  Fixed seed means byte-identical reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, combinations, product
 from operator import sub
 from typing import Callable, Iterable, Optional, Sequence
 
-from .engine import IntVar, Model, PropagationStatus, SetVar, mask_values
+from .engine import IntVar, Model, PropagationStatus, Record, SetVar, mask_values
 from .oracle import enumerate_solutions, gac_by_definition, partition_precedence_holds
 from .precedence import (encode_partial_precedence, encode_set_precedence,
                          encode_wreath_precedence)
@@ -258,18 +257,21 @@ def _render_bounds(bounds) -> str:
     return " ".join(f"[{sorted(lb)}..{sorted(ub)}]" for lb, ub in bounds)
 
 
-@dataclass
-class Divergence:
-    family: str
-    description: str
+class Divergence(Record):
+    __slots__ = _fields = ("family", "description")
+
+    def __init__(self, family: str, description: str):
+        self.family, self.description = family, description
 
 
-@dataclass
-class FuzzReport:
-    seed: int
-    cases: int
-    checked: dict[str, int] = field(default_factory=dict)
-    divergences: list[Divergence] = field(default_factory=list)
+class FuzzReport(Record):
+    __slots__ = _fields = ("seed", "cases", "checked", "divergences")
+
+    def __init__(self, seed: int, cases: int, checked: Optional[dict[str, int]] = None,
+                 divergences: Optional[list[Divergence]] = None):
+        self.seed, self.cases = seed, cases
+        self.checked = {} if checked is None else checked
+        self.divergences = [] if divergences is None else divergences
 
     @property
     def ok(self) -> bool:

@@ -17,20 +17,20 @@ encoding needs a filter of its own.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Hashable, Optional, Sequence
 
-from .engine import (TRANSITION_CAP, IntVar, Model, Propagator, SetVar, TernaryTable,
-                     mask_values)
+from .engine import (TRANSITION_CAP, IntVar, Model, Propagator, Record, SetVar,
+                     TernaryTable, mask_values)
 from .symmetry import (FullInterchange, PairInterchange, PartitionInterchange,
                        WreathInterchange, _require_values)
 
 
-@dataclass
-class ChainEncoding:
+class ChainEncoding(Record):
     """A posted automaton chain: state variables plus the table constraints."""
-    state_vars: list[IntVar]
-    propagators: list[Propagator]
+    __slots__ = _fields = ("state_vars", "propagators")
+
+    def __init__(self, state_vars: list[IntVar], propagators: list[Propagator]):
+        self.state_vars, self.propagators = state_vars, propagators
 
 
 def post_state_chain(model: Model, xs: Sequence[IntVar],
@@ -48,15 +48,19 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
     layer is expanded value by value in increasing order and state by state
     in sorted order, so every table's triples come out sorted by (value,
     state id), the order ``TernaryTable`` keeps, and its sort meets one
-    presorted run.  An automaton that accepts nothing posts one table
-    without tuples instead, over three new ``{0}`` variables
-    ``{label}0..2``, which fails the model when it is propagated.
+    presorted run.  Each layer is sorted once: its survivors are numbered
+    in the order the forward pass sorted them, and only layer n, which no
+    step expands, is sorted after the backward pass.  An automaton that
+    accepts nothing posts one table without tuples instead, over three new
+    ``{0}`` variables ``{label}0..2``, which fails the model when it is
+    propagated.
 
     Raises ValueError, before posting anything, when the forward pass would
     try more than ``TRANSITION_CAP`` (state, value) pairs.
     """
     n = len(xs)
     layers: list[set] = [{start}]
+    orders: list[list] = []  # each layer's states, sorted
     edges: list[list[tuple]] = []
     tried = 0
     for i, x in enumerate(xs):
@@ -66,6 +70,7 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
                 f"chain {label} would try more than {TRANSITION_CAP} "
                 f"transitions by position {i} of {n}")
         layer = sorted(layers[-1])  # so each table's triples come out sorted
+        orders.append(layer)
         edges.append([(v, s, t) for v in mask_values(x.mask) for s in layer
                       if (t := step(s, v)) is not None])
         layers.append({t for _, _, t in edges[-1]})
@@ -77,7 +82,9 @@ def post_state_chain(model: Model, xs: Sequence[IntVar],
     if not layers[0]:
         zeros = [model.add_fd_var((0,), name=f"{label}{i}") for i in range(3)]
         return ChainEncoding([], [model.post(TernaryTable(*zeros, ()), "encoding")])
-    ids = [{s: k for k, s in enumerate(sorted(layer))} for layer in layers]
+    orders.append(sorted(layers[n]))
+    ids = [{s: k for k, s in enumerate([s for s in order if s in layer])}
+           for order, layer in zip(orders, layers)]
     svars = [model.add_fd_var(range(len(layer)), name=f"{label}{i}")
              for i, layer in enumerate(layers)]
     props = [model.post(TernaryTable(x, svars[i], svars[i + 1],
@@ -217,11 +224,12 @@ def post_binary_relation(model: Model, x: IntVar, y: IntVar,
     return post_state_chain(model, [x, y], step, start=None, label=label)
 
 
-@dataclass
-class MatrixEncoding:
+class MatrixEncoding(Record):
     """Channelled 0/1 matrix with lex-ordered value columns."""
-    bits: list[list[IntVar]]
-    propagators: list[Propagator]
+    __slots__ = _fields = ("bits", "propagators")
+
+    def __init__(self, bits: list[list[IntVar]], propagators: list[Propagator]):
+        self.bits, self.propagators = bits, propagators
 
 
 def encode_matrix_precedence(model: Model, values: Sequence[int],
@@ -251,11 +259,12 @@ def encode_matrix_precedence(model: Model, values: Sequence[int],
     return MatrixEncoding(bits, props)
 
 
-@dataclass
-class SurjectionEncoding:
+class SurjectionEncoding(Record):
     """First-index variables Z_j, ordered increasingly."""
-    first_index: list[IntVar]
-    propagators: list[Propagator]
+    __slots__ = _fields = ("first_index", "propagators")
+
+    def __init__(self, first_index: list[IntVar], propagators: list[Propagator]):
+        self.first_index, self.propagators = first_index, propagators
 
 
 def encode_puget_surjection(model: Model, xs: Sequence[IntVar],

@@ -10,10 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import astuple, dataclass, fields, replace
 from typing import Iterator, Optional, Sequence
 
-from .engine import IntVar, Model
+from .engine import IntVar, Model, Record, Value
 from .precedence import (TRANSITION_CAP, encode_all_precedence,
                          encode_pair_precedence)
 from .search import Budget, Heuristic, SearchResult, solve
@@ -21,8 +20,7 @@ from .search import Budget, Heuristic, SearchResult, solve
 SYM_MODES = ("none", "adjacent", "all")
 
 
-@dataclass(frozen=True)
-class SchurInstance:
+class SchurInstance(Value):
     """[1, n] into k sum-free classes.
 
     The model posts one constraint per sum triple, n^2/4 of them (rounded
@@ -30,10 +28,11 @@ class SchurInstance:
     ``TRANSITION_CAP`` triples (any n > 2000) or n*k above it is refused
     before anything is built.
     """
-    n: int
-    k: int
+    __slots__ = _fields = ("n", "k")
 
-    def __post_init__(self):
+    def __init__(self, n: int, k: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
         for name in ("n", "k"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -81,20 +80,21 @@ def build_schur_model(inst: SchurInstance, sym: str = "none") -> tuple[Model, li
     return model, xs
 
 
-@dataclass
-class ReportRow:
-    instance: str
-    sym: str
-    user_constraints: int
-    encoding_constraints: int
-    backtracks: int
-    nodes: int
-    solutions: int
-    time_ms: int
-    halted: bool
+class ReportRow(Record):
+    """One row of the benchmark report; its fields are the CSV columns, in order."""
+    __slots__ = _fields = ("instance", "sym", "user_constraints", "encoding_constraints",
+                           "backtracks", "nodes", "solutions", "time_ms", "halted")
+
+    def __init__(self, instance: str, sym: str, user_constraints: int,
+                 encoding_constraints: int, backtracks: int, nodes: int,
+                 solutions: int, time_ms: int, halted: bool):
+        self.instance, self.sym = instance, sym
+        self.user_constraints, self.encoding_constraints = user_constraints, encoding_constraints
+        self.backtracks, self.nodes, self.solutions = backtracks, nodes, solutions
+        self.time_ms, self.halted = time_ms, halted
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
+CSV_COLUMNS = ReportRow._fields
 
 
 def run_one(inst: SchurInstance, sym: str, mode: str = "all",
@@ -105,7 +105,7 @@ def run_one(inst: SchurInstance, sym: str, mode: str = "all",
     model, xs = build_schur_model(inst, sym)
     if budget is not None and budget.max_seconds is not None:
         left = budget.max_seconds - (time.perf_counter() - t0)
-        budget = replace(budget, max_seconds=max(0.0, left))
+        budget = Budget(max(0.0, left), budget.max_nodes)
     result = solve(model, xs, heuristic=heuristic, mode=mode, budget=budget)
     counts = model.posted_counts
     row = ReportRow(
@@ -142,7 +142,7 @@ def format_table(rows: Sequence[ReportRow]) -> str:
               "nodes", "solutions", "time_ms", "halted"]
     body = []
     for r in rows:
-        cells = [str(c) for c in astuple(r)]
+        cells = [str(c) for c in r._values()]
         if r.halted:
             cells[4:7] = ["-"] * 3  # backtracks, nodes, solutions
         cells[-1] = "yes" if r.halted else "no"
@@ -160,7 +160,7 @@ def rows_to_csv(rows: Sequence[ReportRow]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in rows:
-        writer.writerow([*astuple(r)[:-1], "true" if r.halted else "false"])
+        writer.writerow([*r._values()[:-1], "true" if r.halted else "false"])
     return buf.getvalue()
 
 

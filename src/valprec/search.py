@@ -3,57 +3,61 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .engine import Model, IntVar, PropagationStatus
+from .engine import Model, IntVar, PropagationStatus, Record, Value
 
 
-@dataclass(frozen=True)
-class Heuristic:
+class Heuristic(Value):
     """Variable and value selection, both deterministic.
 
     var: 'lex' takes the first unassigned decision variable in posting order,
     'mindom' the one with the smallest domain (ties by order).  val: 'asc'
     tries the smallest value first, 'desc' the largest.
     """
-    var: str = "lex"
-    val: str = "asc"
+    __slots__ = _fields = ("var", "val")
 
-    def __post_init__(self):
-        if self.var not in ("lex", "mindom"):
-            raise ValueError(f"unknown variable heuristic {self.var!r}")
-        if self.val not in ("asc", "desc"):
-            raise ValueError(f"unknown value heuristic {self.val!r}")
+    def __init__(self, var: str = "lex", val: str = "asc"):
+        if var not in ("lex", "mindom"):
+            raise ValueError(f"unknown variable heuristic {var!r}")
+        if val not in ("asc", "desc"):
+            raise ValueError(f"unknown value heuristic {val!r}")
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "val", val)
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Value):
     """Search cut-offs; None means unlimited, 0 visits no node."""
-    max_seconds: Optional[float] = None
-    max_nodes: Optional[int] = None
+    __slots__ = _fields = ("max_seconds", "max_nodes")
 
-    def __post_init__(self):
-        s, n = self.max_seconds, self.max_nodes
+    def __init__(self, max_seconds: Optional[float] = None,
+                 max_nodes: Optional[int] = None):
+        s, n = max_seconds, max_nodes
         if s is not None and (isinstance(s, bool) or not s >= 0):
             raise ValueError(f"max_seconds must be a number >= 0, got {s!r}")
         if n is not None and not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
             raise ValueError(f"max_nodes must be an int >= 0, got {n!r}")
+        object.__setattr__(self, "max_seconds", s)
+        object.__setattr__(self, "max_nodes", n)
 
 
-@dataclass
-class SearchStats:
-    backtracks: int = 0
-    nodes: int = 0
-    solutions: int = 0
-    wall_time: float = 0.0
+class SearchStats(Record):
+    __slots__ = _fields = ("backtracks", "nodes", "solutions", "wall_time")
+
+    def __init__(self, backtracks: int = 0, nodes: int = 0, solutions: int = 0,
+                 wall_time: float = 0.0):
+        self.backtracks, self.nodes = backtracks, nodes
+        self.solutions, self.wall_time = solutions, wall_time
 
 
-@dataclass
-class SearchResult:
-    solutions: list[tuple[int, ...]] = field(default_factory=list)
-    stats: SearchStats = field(default_factory=SearchStats)
-    halted: bool = False
+class SearchResult(Record):
+    __slots__ = _fields = ("solutions", "stats", "halted")
+
+    def __init__(self, solutions: Optional[list[tuple[int, ...]]] = None,
+                 stats: Optional[SearchStats] = None, halted: bool = False):
+        self.solutions = [] if solutions is None else solutions
+        self.stats = SearchStats() if stats is None else stats
+        self.halted = halted
 
 
 def solve(model: Model, variables: Sequence[IntVar],

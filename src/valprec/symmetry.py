@@ -13,10 +13,10 @@ for a value permutation sigma and a variable permutation pi.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from math import factorial, prod
 from typing import Iterable, Sequence, Union
+
+from .engine import Value
 
 # Most elements a group, or the oracle's product of domains, may enumerate.
 ENUM_CAP = 10_000_000
@@ -31,13 +31,13 @@ def _require_values(*groups: Sequence[int], domain: bool = True) -> None:
                              f"{'non-negative ' * domain}ints, got {tuple(values)}")
 
 
-@dataclass(frozen=True)
-class PairInterchange:
+class PairInterchange(Value):
     """Values first and second may be swapped: the one class (first, second)."""
-    first: int
-    second: int
+    __slots__ = _fields = ("first", "second")
 
-    def __post_init__(self):
+    def __init__(self, first: int, second: int):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
         _require_values(*self.classes)
 
     @property
@@ -45,44 +45,56 @@ class PairInterchange:
         return ((self.first, self.second),)
 
 
-@dataclass(frozen=True)
-class FullInterchange:
+class FullInterchange(Value):
     """All listed values may be permuted arbitrarily, as one class; others are fixed."""
-    values: tuple[int, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        _require_values(self.values)
+    def __init__(self, values: tuple[int, ...]):
+        object.__setattr__(self, "values", values)
+        _require_values(values)
 
     @property
     def classes(self) -> tuple[tuple[int, ...]]:
         return (self.values,)
 
 
-@dataclass(frozen=True)
-class PartitionInterchange:
+class PartitionInterchange(Value):
     """Each class of values may be permuted independently."""
-    classes: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("classes",)
 
-    def __post_init__(self):
-        _require_values(*self.classes)
-        flat = [v for cls in self.classes for v in cls]
+    def __init__(self, classes: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "classes", classes)
+        _require_values(*classes)
+        flat = [v for cls in classes for v in cls]
         if len(set(flat)) != len(flat):
             raise ValueError("partition classes must be disjoint")
 
 
-@dataclass(frozen=True)
-class WreathInterchange:
+class WreathInterchange(Value):
     """Pair values <u, v> with u from outer, v from inner.
 
     Outer values may be permuted, and within each outer value the inner
     values may be permuted independently.  Pairs are flattened to integer
     codes so ordinary finite-domain variables can carry them.
-    """
-    outer: tuple[int, ...]
-    inner: tuple[int, ...]
 
-    def __post_init__(self):
-        _require_values(self.outer, self.inner, domain=False)
+    ``code_classes`` are the codes' first-occurrence classes: one per outer
+    block, then the heads.  Block ``a`` is ``(a*p, ..., a*p + p - 1)`` for
+    ``p`` inner values, and the heads class is ``(0, p, 2p, ...)``, so each
+    head is in two classes.  Once each block's inner order holds, a block
+    first appears at its head, so ordering the heads orders the outer
+    values.  They are worked out once, in ``__init__``, and are not a field.
+    """
+    _fields = ("outer", "inner")
+    __slots__ = (*_fields, "code_classes")
+
+    def __init__(self, outer: tuple[int, ...], inner: tuple[int, ...]):
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", inner)
+        _require_values(outer, inner, domain=False)
+        p = len(inner)
+        blocks = [tuple(range(a * p, a * p + p)) for a in range(len(outer))]
+        object.__setattr__(self, "code_classes",
+                           (*blocks, tuple(range(0, len(outer) * p, p))))
 
     def code(self, u: int, v: int) -> int:
         if isinstance(u, bool) or isinstance(v, bool) \
@@ -107,19 +119,6 @@ class WreathInterchange:
             if not isinstance(c, int) or isinstance(c, bool) or c not in valid:
                 raise ValueError(f"{c!r} is not a code of {self}: "
                                  f"codes are 0..{len(valid) - 1}")
-
-    @cached_property
-    def code_classes(self) -> tuple[tuple[int, ...], ...]:
-        """The codes' first-occurrence classes: one per outer block, then the heads.
-
-        Block ``a`` is ``(a*p, ..., a*p + p - 1)`` for ``p`` inner values,
-        and the heads class is ``(0, p, 2p, ...)``, so each head is in two
-        classes.  Once each block's inner order holds, a block first appears
-        at its head, so ordering the heads orders the outer values.
-        """
-        p = len(self.inner)
-        blocks = [tuple(range(a * p, a * p + p)) for a in range(len(self.outer))]
-        return (*blocks, tuple(range(0, len(self.outer) * p, p)))
 
 
 SymmetrySpec = Union[PairInterchange, FullInterchange, PartitionInterchange,

@@ -12,11 +12,10 @@ check is the fuzzer's one comparison, ``fuzz.check``, through
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .engine import Model, mask_values
+from .engine import Model, Record, mask_values
 from .fuzz import (check_fd_instance, check_set_instance, fd_fixpoint,
                    on_set_bits, render_domains, set_bits)
 from .oracle import all_precedence_holds, iterated_gac
@@ -26,17 +25,18 @@ from .precedence import (encode_all_precedence, encode_matrix_precedence,
 from .symmetry import FullInterchange, PartitionInterchange, WreathInterchange
 
 
-@dataclass
-class TheoremItem:
-    label: str
-    ok: bool
-    expected: str
-    observed: str
+class TheoremItem(Record):
+    __slots__ = _fields = ("label", "ok", "expected", "observed")
+
+    def __init__(self, label: str, ok: bool, expected: str, observed: str):
+        self.label, self.ok, self.expected, self.observed = label, ok, expected, observed
 
 
-@dataclass
-class TheoremReport:
-    items: list[TheoremItem]
+class TheoremReport(Record):
+    __slots__ = _fields = ("items",)
+
+    def __init__(self, items: list[TheoremItem]):
+        self.items = items
 
     @property
     def ok(self) -> bool:

@@ -4,6 +4,10 @@ The benchmark imports these by module and attribute; a refactor that moves
 or renames one must fail here before it breaks a benchmark run.
 """
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +71,39 @@ def test_schur_model_lists_what_perfbench_counts():
     assert [type(p) for p in props] == [TernaryTable] * 44
     assert sum(len(p.triples) for p in props) == 537
     assert model.posted_counts == {"user": 484, "encoding": 44}
+
+
+def test_search_and_fuzz_results_hold_what_perfbench_reads():
+    """perfbench checks a search by its ``solutions`` and ``stats`` counters,
+    and a fuzz run by the report's ``ok``, ``seed``, ``checked`` and
+    ``divergences``."""
+    from valprec.fuzz import fuzz_equivalence
+    from valprec.schur import SchurInstance, build_schur_model
+    from valprec.search import Budget, Heuristic, solve
+    model, xs = build_schur_model(SchurInstance(8, 3), "all")
+    result = solve(model, xs, Heuristic("lex", "asc"), mode="all",
+                   budget=Budget(max_seconds=60.0))
+    assert len(result.solutions) == result.stats.solutions == 48
+    assert result.solutions[0] == (1, 2, 1, 3, 1, 3, 1, 2)
+    assert (result.stats.nodes, result.stats.backtracks) == (97, 1)
+    report = fuzz_equivalence(seed=1, cases=5)
+    assert report.ok and report.seed == 1 and report.divergences == []
+    assert report.checked == {"pair": 1, "full": 1, "partition": 1, "wreath": 1, "set": 1}
+
+
+def test_import_loads_no_dataclasses():
+    """``setup_s`` on fuzz-oracle is the import alone, and the record classes
+    are written out by hand: generating their methods with ``dataclasses``,
+    which loads ``inspect``, took about a quarter of the import."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    code = ("import sys; before = set(sys.modules); import valprec; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 @pytest.mark.parametrize("name", sorted(ENCODER_ARGS))

@@ -9,9 +9,12 @@ from hypothesis import given, strategies as st
 from conftest import mask_of, vals
 from valprec.engine import (TRANSITION_CAP, IntVar, Model, PropagationStatus, Propagator,
                             TernaryTable, mask_values)
+from valprec.fuzz import Divergence, FuzzReport
 from valprec.precedence import post_state_chain
 from valprec.schur import SchurInstance, build_schur_model
-from valprec.search import solve
+from valprec.search import Budget, Heuristic, SearchResult, SearchStats, solve
+from valprec.symmetry import (FullInterchange, PairInterchange, PartitionInterchange,
+                              WreathInterchange)
 
 
 def test_fd_var_basics():
@@ -734,3 +737,45 @@ def test_no_stale_fix_runs_after_failure_or_pop():
     assert m.propagate() is PropagationStatus.AT_FIXPOINT
     assert pairs.runs == 0
     assert vals(x.mask) == vals(y.mask) == vals(z.mask) == (1, 2)
+
+
+@pytest.mark.parametrize("make, text, field, other", [
+    (lambda: PairInterchange(1, 2), "PairInterchange(first=1, second=2)", "first",
+     PairInterchange(2, 1)),
+    (lambda: FullInterchange((1, 2)), "FullInterchange(values=(1, 2))", "values",
+     FullInterchange((1, 3))),
+    (lambda: PartitionInterchange(((1, 2), (3,))),
+     "PartitionInterchange(classes=((1, 2), (3,)))", "classes",
+     PartitionInterchange(((1,), (2, 3)))),
+    (lambda: WreathInterchange((1, 2), (3,)), "WreathInterchange(outer=(1, 2), inner=(3,))",
+     "inner", WreathInterchange((1,), (2, 3))),
+    (lambda: Heuristic(), "Heuristic(var='lex', val='asc')", "val", Heuristic("mindom")),
+    (lambda: Budget(max_nodes=5), "Budget(max_seconds=None, max_nodes=5)", "max_nodes",
+     Budget(5)),
+    (lambda: SchurInstance(44, 4), "SchurInstance(n=44, k=4)", "k", SchurInstance(45, 4)),
+], ids=["pair", "full", "partition", "wreath", "heuristic", "budget", "schur-instance"])
+def test_value_records_show_compare_and_hash_by_fields(make, text, field, other):
+    """The value types print their fields in order, in error messages and
+    fuzz labels too; equal fields make equal, equally hashed values, and no
+    field can be assigned."""
+    a, b = make(), make()
+    assert repr(a) == text
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != other and a != text
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(other, field))
+    assert a == b
+
+
+def test_mutable_records_get_fresh_containers_and_no_hash():
+    a, b = SearchResult(), SearchResult()
+    a.solutions.append((1,))
+    a.stats.nodes = 3
+    assert b == SearchResult(solutions=[], stats=SearchStats(), halted=False) != a
+    r, s = FuzzReport(1, 2), FuzzReport(1, 2)
+    r.checked["pair"] = 1
+    r.divergences.append(Divergence("pair", "x"))
+    assert s == FuzzReport(seed=1, cases=2, checked={}, divergences=[]) != r
+    for record in (a, a.stats, r, r.divergences[0]):
+        with pytest.raises(TypeError):
+            hash(record)

@@ -113,6 +113,11 @@ def test_pair_identical_values_rejected():
                                    [(0, 0, 0), (10**8, 0, 0)])),
      ValueError, r"^table over x0, x1, x2: a tuple holds three ints from 0 to "
                  r"TRANSITION_CAP \(1000000\), got \(100000000, 0, 0\)$"),
+    # a list passes the per-tuple check; the entry that cannot be hashed is named
+    (lambda m: m.post(TernaryTable(*(m.add_fd_var({0, 1}, name=f"x{i}") for i in range(3)),
+                                   [(1, 0, 0), [0, 0, 0], (0, 0, 0)])),
+     ValueError, r"^table over x0, x1, x2: a tuple holds three ints from 0 to "
+                 r"TRANSITION_CAP \(1000000\), got \[0, 0, 0\]$"),
     (lambda m: m.post(TernaryTable(x := m.add_fd_var({0, 1}, name="x"), x,
                                    m.add_fd_var({0}, name="z"), [(0, 1, 0), (1, 0, 0)])),
      ValueError, "^table over x, x, z: its three variables must be distinct$"),
@@ -153,7 +158,7 @@ def test_pair_identical_values_rejected():
         "wreath-spec-empty-outer", "wreath-encoder-empty-outer",
         "wreath-encoder-repeated-inner", "wreath-encoder-non-code",
         "puget-repeated-value", "table-negative-value", "table-non-int-value",
-        "table-bool-value", "table-over-cap",
+        "table-bool-value", "table-over-cap", "table-unhashable-tuple",
         "table-repeated-argument", "set-var-str-element", "set-var-float-element",
         "set-var-bool-element", "pair-spec-float", "full-spec-bool",
         "partition-spec-negative", "partition-spec-bool", "wreath-spec-str",

@@ -233,6 +233,7 @@ def test_write_csv_round_trips(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(rows, str(path))
     assert path.read_text(encoding="utf-8") == rows_to_csv(rows)
+    assert rows_to_csv(rows).splitlines()[1] == '"S(4,2)",none,4,0,1,9,6,2,false'
 
 
 def test_format_table_alignment_and_header():
