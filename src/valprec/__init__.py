@@ -24,7 +24,7 @@ from .oracle import (enumerate_orbits, enumerate_solutions, gac_by_definition,
                      iterated_gac)
 from .search import Budget, Heuristic, SearchResult, SearchStats, solve
 from .schur import (ReportRow, SchurInstance, build_schur_model, format_table,
-                    run_bench, run_one, sum_triples, write_csv)
+                    run_one, sum_triples, write_csv)
 from .verify import TheoremReport, verify_theorems
 from .fuzz import FuzzReport, fuzz_equivalence
 

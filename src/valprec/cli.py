@@ -63,19 +63,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Value-precedence symmetry breaking: benchmarks and checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    schur = sub.add_parser("schur", help="solve one Schur instance")
-    schur.add_argument("--n", type=interval_length, required=True,
-                       help="interval length (at most 2000)")
-    schur.add_argument("--k", type=positive(int), required=True, help="number of classes")
-    schur.add_argument("--sym", choices=SYM_MODES, required=True,
-                       help="symmetry breaking mode")
+    schur = sub.add_parser(
+        "schur", help="solve Schur instances, one table row per (k, n, sym)")
+    schur.add_argument("--n", type=interval_length, nargs="+", required=True,
+                       help="interval lengths (each at most 2000)")
+    schur.add_argument("--k", type=positive(int), nargs="+", required=True,
+                       help="numbers of classes")
+    schur.add_argument("--sym", choices=SYM_MODES, nargs="+", required=True,
+                       help="symmetry breaking modes")
     schur.add_argument("--mode", choices=("first", "all"), required=True,
                        help="stop at the first solution or enumerate all")
     schur.add_argument("--budget-secs", type=positive(float), default=600.0,
                        help="wall-clock cut-off (default 600)")
     schur.add_argument("--heuristic", choices=HEURISTICS, default="lex-asc")
     schur.add_argument("--csv", metavar="PATH", type=writable, default=None,
-                       help="also write the row to a CSV file")
+                       help="also write the rows to a CSV file")
 
     sub.add_parser("verify-theorems",
                    help="run the fixed witness instances")
@@ -93,15 +95,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "schur":
         try:
-            # an instance or chain too large to build is refused by its size
-            row, _ = run_one(SchurInstance(args.n, args.k), args.sym, mode=args.mode,
-                             budget=Budget(max_seconds=args.budget_secs),
-                             heuristic=_parse_heuristic(args.heuristic))
+            # an instance or chain too large to build is refused by its size;
+            # every instance is built before the first search
+            instances = [SchurInstance(n, k) for k in args.k for n in args.n]
+            rows = [run_one(inst, sym, mode=args.mode,
+                            budget=Budget(max_seconds=args.budget_secs),
+                            heuristic=_parse_heuristic(args.heuristic))[0]
+                    for inst in instances for sym in args.sym]
         except ValueError as exc:
             parser.error(str(exc))
-        sys.stdout.write(format_table([row]))
+        sys.stdout.write(format_table(rows))
         if args.csv:
-            write_csv([row], args.csv)
+            write_csv(rows, args.csv)
         return 0
 
     if args.command == "verify-theorems":

@@ -185,10 +185,10 @@ class TernaryTable(Propagator):
     """GAC table constraint over three distinct integer variables.
 
     ``__init__`` refuses a repeated variable, a tuple value that is not an
-    int from 0 to ``TRANSITION_CAP`` (a bool included), and a tuple that is
-    not hashable, before anything is posted and before any value is shifted
-    into a mask.  It builds ``columns``: the masks of the values each
-    position's tuples hold, then their sizes.  ``triples`` is the sorted
+    int from 0 to ``TRANSITION_CAP`` (a bool included), and an entry that is
+    not a ``tuple`` (a list or a range), before anything is posted and
+    before any value is shifted into a mask.  It builds ``columns``: the
+    masks of the values each position's tuples hold, then their sizes.  ``triples`` is the sorted
     distinct tuples; repeats are dropped in input order, so a presorted
     input (every chain's) costs the sort one run.
     While each mask lies in its domain, every tuple is live.  Otherwise
@@ -219,6 +219,8 @@ class TernaryTable(Propagator):
         cx = cy = cz = 0
         try:
             for t in triples:
+                if type(t) is not tuple:  # a list cannot be hashed, a range not sorted
+                    raise ValueError
                 u, v, w = t
                 # before the shifts, which would read a bool as 0 or 1 and
                 # turn a huge value into a huge mask
@@ -228,17 +230,13 @@ class TernaryTable(Propagator):
                 cx |= 1 << u
                 cy |= 1 << v
                 cz |= 1 << w
-            # dict.fromkeys keeps order, so presorted triples meet sorted as
-            # one run; it refuses an unhashable tuple, such as a list
-            unique = dict.fromkeys(triples)
-        except (TypeError, ValueError):  # not three values, a non-int, negative, too big
-            # or unhashable: name the first such tuple
-            t = next(s for s in triples if s is t or s.__hash__ is None)
+        except (TypeError, ValueError):  # not a tuple of three ints from 0 to the cap
             raise ValueError(f"table over {x.name}, {y.name}, {z.name}: a tuple holds "
                              f"three ints from 0 to TRANSITION_CAP ({TRANSITION_CAP}), "
                              f"got {t!r}") from None
         self.x, self.y, self.z = self.watches = [x, y, z]
-        self.triples = tuple(sorted(unique))
+        # dict.fromkeys keeps order, so presorted triples meet sorted as one run
+        self.triples = tuple(sorted(dict.fromkeys(triples)))
         self.columns = (cx, cy, cz, cx.bit_count(), cy.bit_count(), cz.bit_count())
         self.by_value: list[Optional[dict[int, tuple]]] = [None, None, None]
         self.memo: dict[tuple[int, int, int], tuple[int, int, int, bool]] = {}

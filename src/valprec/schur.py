@@ -1,4 +1,4 @@
-"""Schur-number decision models and the benchmark sweep behind the CLI.
+"""Schur-number decision models and the benchmark rows behind the CLI.
 
 A Schur instance asks whether [1, n] splits into k sum-free classes: no class
 may contain a, b and a+b (a = b included, so a class containing a may not
@@ -120,20 +120,6 @@ def run_one(inst: SchurInstance, sym: str, mode: str = "all",
         halted=result.halted,
     )
     return row, result
-
-
-def run_bench(instances: Sequence[SchurInstance],
-              syms: Sequence[str] = SYM_MODES,
-              mode: str = "all",
-              budget: Optional[Budget] = Budget(max_seconds=600.0),
-              heuristic: Heuristic = Heuristic()) -> list[ReportRow]:
-    """One row per instance and symmetry mode, in input order."""
-    rows = []
-    for inst in instances:
-        for sym in syms:
-            row, _ = run_one(inst, sym, mode=mode, budget=budget, heuristic=heuristic)
-            rows.append(row)
-    return rows
 
 
 def format_table(rows: Sequence[ReportRow]) -> str:

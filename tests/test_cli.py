@@ -29,6 +29,29 @@ def test_schur_first_mode_and_heuristic(capsys):
     assert int(row[6]) == 1  # solutions column
 
 
+def test_schur_table_rows_nest_k_then_n_then_sym(tmp_path, capsys):
+    rc = main(["schur", "--n", "13", "--k", "3", "--sym", "none", "adjacent", "all",
+               "--mode", "all"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:2] == ["instance", "sym"]
+    # instance, sym, nodes, halted: the paper's search evidence
+    assert [(r.split()[0], r.split()[1], int(r.split()[5]), r.split()[-1])
+            for r in lines[1:]] == [("S(13,3)", "none", 359, "no"),
+                                    ("S(13,3)", "adjacent", 59, "no"),
+                                    ("S(13,3)", "all", 59, "no")]
+
+    path = tmp_path / "rows.csv"
+    rc = main(["schur", "--n", "4", "5", "--k", "2", "3", "--sym", "none", "all",
+               "--mode", "all", "--csv", str(path)])
+    assert rc == 0
+    order = [("S(4,2)", "none"), ("S(4,2)", "all"), ("S(5,2)", "none"), ("S(5,2)", "all"),
+             ("S(4,3)", "none"), ("S(4,3)", "all"), ("S(5,3)", "none"), ("S(5,3)", "all")]
+    assert [tuple(r.split()[:2]) for r in capsys.readouterr().out.splitlines()[1:]] == order
+    rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
+    assert [tuple(r[:2]) for r in rows[1:]] == order
+
+
 def test_schur_writes_csv(tmp_path, capsys):
     path = tmp_path / "row.csv"
     rc = main(["schur", "--n", "5", "--k", "2", "--sym", "none",
@@ -64,7 +87,10 @@ def test_schur_too_large_to_build_exits_two_before_search(capsys, monkeypatch):
             (["--n", "100", "--k", "300", "--sym", "all"],
              "chain Y would try more than 1000000 transitions"),
             (["--n", "5", "--k", "400000", "--sym", "none", "--budget-secs", "5"],
-             "n*k=2000000 is more than TRANSITION_CAP")):
+             "n*k=2000000 is more than TRANSITION_CAP"),
+            # every instance is built before S(13,3) is searched
+            (["--n", "13", "--k", "3", "200000", "--sym", "none"],
+             "n*k=2600000 is more than TRANSITION_CAP")):
         with pytest.raises(SystemExit) as exc:
             main(["schur", "--mode", "first", *argv])
         assert exc.value.code == 2
@@ -144,7 +170,9 @@ def test_parser_rejects_bad_arguments():
                   "--budget-secs", "0"],
                  ["fuzz", "--seed", "1", "--cases", "0"],
                  ["fuzz", "--seed", "1", "--cases", "-5"],
-                 ["schur", "--n", "2001", "--k", "4", "--sym", "none", "--mode", "first"]):
+                 ["schur", "--n", "2001", "--k", "4", "--sym", "none", "--mode", "first"],
+                 ["schur", "--n", "4", "--k", "2", "--sym", "--mode", "first"],
+                 ["schur", "--n", "--k", "2", "--sym", "all", "--mode", "first"]):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(argv)
         assert exc.value.code == 2

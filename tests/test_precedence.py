@@ -113,11 +113,21 @@ def test_pair_identical_values_rejected():
                                    [(0, 0, 0), (10**8, 0, 0)])),
      ValueError, r"^table over x0, x1, x2: a tuple holds three ints from 0 to "
                  r"TRANSITION_CAP \(1000000\), got \(100000000, 0, 0\)$"),
-    # a list passes the per-tuple check; the entry that cannot be hashed is named
+    # a list is not a tuple, and cannot be hashed: that entry is named
     (lambda m: m.post(TernaryTable(*(m.add_fd_var({0, 1}, name=f"x{i}") for i in range(3)),
                                    [(1, 0, 0), [0, 0, 0], (0, 0, 0)])),
      ValueError, r"^table over x0, x1, x2: a tuple holds three ints from 0 to "
                  r"TRANSITION_CAP \(1000000\), got \[0, 0, 0\]$"),
+    # a range unpacks to three ints, but cannot be sorted with the tuples
+    (lambda m: m.post(TernaryTable(*(m.add_fd_var({0, 1, 2, 3}, name=f"x{i}") for i in range(3)),
+                                   [(0, 1, 2), range(1, 4)])),
+     ValueError, r"^table over x0, x1, x2: a tuple holds three ints from 0 to "
+                 r"TRANSITION_CAP \(1000000\), got range\(1, 4\)$"),
+    # nor is a range alone stored as a tuple
+    (lambda m: m.post(TernaryTable(*(m.add_fd_var({0, 1, 2}, name=f"x{i}") for i in range(3)),
+                                   [range(3)])),
+     ValueError, r"^table over x0, x1, x2: a tuple holds three ints from 0 to "
+                 r"TRANSITION_CAP \(1000000\), got range\(0, 3\)$"),
     (lambda m: m.post(TernaryTable(x := m.add_fd_var({0, 1}, name="x"), x,
                                    m.add_fd_var({0}, name="z"), [(0, 1, 0), (1, 0, 0)])),
      ValueError, "^table over x, x, z: its three variables must be distinct$"),
@@ -159,6 +169,7 @@ def test_pair_identical_values_rejected():
         "wreath-encoder-repeated-inner", "wreath-encoder-non-code",
         "puget-repeated-value", "table-negative-value", "table-non-int-value",
         "table-bool-value", "table-over-cap", "table-unhashable-tuple",
+        "table-range-tuple", "table-range-alone",
         "table-repeated-argument", "set-var-str-element", "set-var-float-element",
         "set-var-bool-element", "pair-spec-float", "full-spec-bool",
         "partition-spec-negative", "partition-spec-bool", "wreath-spec-str",
@@ -336,13 +347,18 @@ def test_wreath_larger_inner_group():
 
 
 def test_matrix_column_ordering_prunes_middle_variable():
-    # ground neighbours squeeze the middle variable through the bit columns
+    # ground neighbours squeeze the middle variable through the bit columns;
+    # the automaton chain prunes it too, so this instance shows no gap
     doms = [{1}, {1, 2, 3}, {3}]
     m = Model()
     xs = [m.add_fd_var(d) for d in doms]
     encode_matrix_precedence(m, [1, 2, 3], xs)
     assert m.propagate() is AT_FIXPOINT
     assert vals(xs[1].mask) == (2,)
+
+    got = fd_fixpoint(doms,
+                      lambda m, xs: encode_all_precedence(m, [1, 2, 3], xs))
+    assert got == [{1}, {2}, {3}]
 
 
 def test_matrix_weaker_than_chain_on_open_prefix():

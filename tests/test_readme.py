@@ -1,10 +1,16 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples and command lines run as written."""
 import pathlib
 import re
+import shlex
+
+from valprec.cli import main
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    flags=re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
+COMMANDS = [shlex.split(line)[3:] for line in re.search(
+    r"^## Command line\n.*?^```\n(.*?)^```", TEXT, flags=re.M | re.S).group(1).splitlines()
+    if line.startswith("python3 -m valprec ")]
 
 
 def test_every_python_block_in_readme_runs(capsys):
@@ -14,3 +20,10 @@ def test_every_python_block_in_readme_runs(capsys):
     # the library-use example prints the canonical solution count of five
     # variables over three interchangeable values
     assert "41" in capsys.readouterr().out.split()
+
+
+def test_every_command_line_in_readme_exits_zero(capsys):
+    assert COMMANDS, "README has no valprec command lines"
+    for argv in COMMANDS:
+        assert main(argv) == 0, argv
+    capsys.readouterr()

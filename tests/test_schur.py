@@ -18,7 +18,6 @@ from valprec.schur import (
     build_schur_model,
     format_table,
     rows_to_csv,
-    run_bench,
     run_one,
     sum_triples,
     write_csv,
@@ -133,15 +132,6 @@ def test_constraint_counts_split_user_and_encoding():
     assert m.posted_counts.get("encoding", 0) == len(xs)
 
 
-def test_run_bench_row_order_and_empty():
-    assert run_bench([]) == []
-    rows = run_bench([SchurInstance(4, 2), SchurInstance(5, 2)],
-                     syms=("none", "all"))
-    assert [(r.instance, r.sym) for r in rows] == [
-        ("S(4,2)", "none"), ("S(4,2)", "all"),
-        ("S(5,2)", "none"), ("S(5,2)", "all")]
-
-
 def test_budget_halts_row():
     row, _ = run_one(SchurInstance(20, 4), sym="none",
                      budget=Budget(max_nodes=10))
@@ -210,7 +200,7 @@ def test_s45_4_unsat_proof_counts_pinned():
 
 
 def test_csv_format_is_pinned():
-    rows = run_bench([SchurInstance(4, 2)], syms=("none",))
+    rows = [run_one(SchurInstance(4, 2), "none")[0]]
     text = rows_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -237,7 +227,7 @@ def test_write_csv_round_trips(tmp_path):
 
 
 def test_format_table_alignment_and_header():
-    rows = run_bench([SchurInstance(4, 2)], syms=("none", "all"))
+    rows = [run_one(SchurInstance(4, 2), sym)[0] for sym in ("none", "all")]
     text = format_table(rows)
     lines = text.splitlines()
     assert lines[0].split() == ["instance", "sym", "user", "encoding",

@@ -24,12 +24,6 @@ def run_script(name, *args):
     ("chain_timing.py", ["--lengths", "0", "100"]),
     ("chain_timing.py", ["--repeats", "0"]),
     ("chain_timing.py", ["--domain-size", "-1"]),
-    ("run_schur_table.py", ["--budget-secs", "-1"]),
-    ("run_schur_table.py", ["--budget-secs", "0"]),
-    ("run_schur_table.py", ["--k3-max-n", "0"]),
-    ("run_schur_table.py", ["--k3-max-n", "12"]),
-    ("run_schur_table.py", ["--csv", str(ROOT / "no-such-dir" / "x.csv")]),
-    ("run_schur_table.py", ["--k3-max-n", "2001"]),
     ("chain_timing.py", ["--lengths", "100", "300000", "--repeats", "1"]),
 ])
 def test_bad_arguments_exit_two(name, args):
@@ -49,12 +43,3 @@ def test_chain_timing_tiny_run():
     assert [line.split()[0:2] + line.split()[3:] for line in lines[2:]] == [
         ["log-log", "slope:", "(propagate)"], ["log-log", "slope:", "(build)"]]
 
-
-def test_run_schur_table_tiny_run():
-    proc = run_script("run_schur_table.py", "--k3-max-n", "13")
-    assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()
-    assert rows[0].split()[:2] == ["instance", "sym"]
-    assert [r.split()[:2] for r in rows[1:]] == [
-        ["S(13,3)", "none"], ["S(13,3)", "adjacent"], ["S(13,3)", "all"]]
-    assert all(r.split()[-1] == "no" for r in rows[1:])
